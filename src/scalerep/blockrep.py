@@ -16,22 +16,29 @@ so every exponential is affine, the representation
 is an exact homomorphism, and the norm chain collapses to two inequivalent
 norms.  At truncation M the operators have norm exactly M, which is the
 measurable footprint of their unboundedness.
+
+Every quantity checked here is therefore a per-block 3x3 computation: the
+model is stored as (M, 3, 3) stacks of diagonal blocks, and the kernels
+are batched over the stack, so they cost O(M) rather than dense 3M x 3M
+products.  Dense matrices are assembled only where a caller needs one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import UsageError
-from .liecore import GroupElement
+from .liecore import GroupElement, group_multiply
 from .scale import GeneratorFamily, ScaleChain, build_scale_chain
 
 CHI1 = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
 CHI2 = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
 CHI3 = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
 CHIS = (CHI1, CHI2, CHI3)
+EYE3 = np.eye(3)
 
 
 def chi_matrix(coeffs) -> np.ndarray:
@@ -40,22 +47,62 @@ def chi_matrix(coeffs) -> np.ndarray:
     return a * CHI1 + b * CHI2 + c * CHI3
 
 
+def _assemble(stack: np.ndarray) -> np.ndarray:
+    """Block-diagonal 3M x 3M matrix whose diagonal blocks are the (M, 3, 3) stack."""
+    M = stack.shape[0]
+    out = np.zeros((M, 3, M, 3), dtype=stack.dtype)
+    n = np.arange(M)
+    out[n, :, n, :] = stack
+    return out.reshape(3 * M, 3 * M)
+
+
+def _operator_norm(stack: np.ndarray) -> float:
+    """2-norm of the block-diagonal operator: the largest blockwise 2-norm."""
+    return float(np.max(np.linalg.norm(stack, 2, axis=(1, 2))))
+
+
 @dataclass(frozen=True)
 class BlockGeneratorFamily:
-    """The three 3M x 3M block-diagonal generators at block count M."""
+    """The three 3M x 3M block-diagonal generators at block count M.
+
+    The model is stored as ``stacks``: for each generator the (M, 3, 3)
+    stack of its diagonal blocks w_i(n) CHI_i, with weights (n, n, n^2).
+    The dense matrices ``x1``, ``x2``, ``x3`` are assembled from them on
+    first use and cached; only the Gram chain, the integrator and test
+    oracles need them.
+    """
 
     M: int
-    x1: np.ndarray
-    x2: np.ndarray
-    x3: np.ndarray
 
     @property
     def dim(self) -> int:
         return 3 * self.M
 
+    @cached_property
+    def stacks(self) -> tuple:
+        n = np.arange(1, self.M + 1, dtype=float)
+        return tuple(w[:, None, None] * chi for w, chi in zip((n, n, n * n), CHIS))
+
+    @cached_property
+    def x1(self) -> np.ndarray:
+        return _assemble(self.stacks[0])
+
+    @cached_property
+    def x2(self) -> np.ndarray:
+        return _assemble(self.stacks[1])
+
+    @cached_property
+    def x3(self) -> np.ndarray:
+        return _assemble(self.stacks[2])
+
     @property
     def gens(self) -> tuple:
         return (self.x1, self.x2, self.x3)
+
+    def rep_stack(self, g: GroupElement) -> np.ndarray:
+        """(M, 3, 3) diagonal blocks of T(g) = I + xi1 X1 + xi2 X2 + xi3 X3."""
+        S1, S2, S3 = self.stacks
+        return EYE3 + g.xi1 * S1 + g.xi2 * S2 + g.xi3 * S3
 
     def scale_family(self) -> GeneratorFamily:
         # block-diagonal, hence exact at every truncation: applications
@@ -68,24 +115,20 @@ class BlockGeneratorFamily:
             band_growth=0,
         )
 
+    def pair_residual(self, i: int, j: int) -> float:
+        """Max-entry residual of X_i X_j - delta_{1i} delta_{2j} X_3 (1-based)."""
+        target = self.stacks[2] if (i, j) == (1, 2) else 0.0
+        return float(np.max(np.abs(self.stacks[i - 1] @ self.stacks[j - 1] - target)))
+
     def product_relation_residual(self) -> float:
-        """Max-entry residual of X_i X_j - delta_{1i} delta_{2j} X_3 over all pairs."""
-        worst = 0.0
-        for i, Xi in enumerate(self.gens):
-            for j, Xj in enumerate(self.gens):
-                target = self.x3 if (i, j) == (0, 1) else 0.0
-                worst = max(worst, float(np.max(np.abs(Xi @ Xj - target))))
-        return worst
+        """Worst ``pair_residual`` over all nine ordered pairs."""
+        return max(self.pair_residual(i, j) for i in (1, 2, 3) for j in (1, 2, 3))
 
 
 def block_generators(M: int) -> BlockGeneratorFamily:
     if M < 1:
         raise UsageError("block count M must be >= 1")
-    n = np.arange(1, M + 1, dtype=float)
-    x1 = np.kron(np.diag(n), CHI1)
-    x2 = np.kron(np.diag(n), CHI2)
-    x3 = np.kron(np.diag(n * n), CHI3)
-    fam = BlockGeneratorFamily(M, x1, x2, x3)
+    fam = BlockGeneratorFamily(M)
     residual = fam.product_relation_residual()
     if residual != 0.0:
         raise AssertionError(f"block weights broke the product relation: {residual}")
@@ -93,13 +136,14 @@ def block_generators(M: int) -> BlockGeneratorFamily:
 
 
 def rep_operator(g: GroupElement, fam: BlockGeneratorFamily) -> np.ndarray:
-    """Affine representation I + xi1 X1 + xi2 X2 + xi3 X3."""
-    return (
-        np.eye(fam.dim)
-        + g.xi1 * fam.x1
-        + g.xi2 * fam.x2
-        + g.xi3 * fam.x3
-    )
+    """Affine representation I + xi1 X1 + xi2 X2 + xi3 X3, as a dense matrix."""
+    return _assemble(fam.rep_stack(g))
+
+
+def rep_apply(g: GroupElement, fam: BlockGeneratorFamily, phi) -> np.ndarray:
+    """T(g) phi, block by block, without building T(g)."""
+    out = fam.rep_stack(g) @ np.asarray(phi).reshape(fam.M, 3, 1)
+    return out.reshape(fam.dim)
 
 
 def rep_homomorphism_residual(
@@ -109,12 +153,11 @@ def rep_homomorphism_residual(
 
     Zero in exact arithmetic; measured relative to the entry scale of
     T(gh), whose entries grow like M^2, so float rounding does not
-    masquerade as an algebra failure.
+    masquerade as an algebra failure.  Off the diagonal blocks both sides
+    vanish, so the residual is a max over the blocks.
     """
-    from .liecore import group_multiply
-
-    lhs = rep_operator(g, fam) @ rep_operator(h, fam)
-    rhs = rep_operator(group_multiply(g, h), fam)
+    lhs = fam.rep_stack(g) @ fam.rep_stack(h)
+    rhs = fam.rep_stack(group_multiply(g, h))
     scale = max(1.0, float(np.max(np.abs(rhs))))
     return float(np.max(np.abs(lhs - rhs))) / scale
 
@@ -133,10 +176,8 @@ def collapse_identity_residual(fam: BlockGeneratorFamily, chain: ScaleChain) -> 
     """
     if chain.n_max < 2:
         raise UsageError("need the chain built to level 2")
-    expected = np.eye(fam.dim, dtype=complex)
-    for X in fam.gens:
-        expected = expected + 2.0 * (X.T @ X)
-    expected = expected + fam.x3.T @ fam.x3
+    xtx = [S.transpose(0, 2, 1) @ S for S in fam.stacks]
+    expected = _assemble(EYE3 + 2.0 * sum(xtx) + xtx[2])
     return float(np.max(np.abs(chain.gram(2) - expected)))
 
 
@@ -180,19 +221,18 @@ def norm_equivalence_report(
 
 def unboundedness_growth(fam_sizes) -> list:
     """Largest singular value of X_1 per truncation size; equals M exactly."""
-    rows = []
-    for M in fam_sizes:
-        fam = block_generators(int(M))
-        sigma = float(np.linalg.norm(fam.x1, 2))
-        rows.append((int(M), sigma))
-    return rows
+    return [(int(M), _operator_norm(block_generators(int(M)).stacks[0])) for M in fam_sizes]
 
 
 @dataclass(frozen=True)
 class NilpotentResolvent:
-    matrix: np.ndarray
+    stack: np.ndarray           # (M, 3, 3) diagonal blocks of the resolvent
     identity_residual: float    # worst over both factor orders
     operator_norm: float
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        return _assemble(self.stack)
 
 
 def nilpotent_resolvent(
@@ -210,22 +250,25 @@ def nilpotent_resolvent(
         raise UsageError("lam = 0 is excluded: the generator range is not dense")
     if i not in (1, 2, 3):
         raise UsageError("generator index must be 1, 2, or 3")
-    X = fam.gens[i - 1]
-    I = np.eye(fam.dim)
-    R = (lam * I + X) / lam**2
-    A = lam * I - X
+    X = fam.stacks[i - 1]
+    R = (lam * EYE3 + X) / lam**2
+    A = lam * EYE3 - X
     residual = max(
-        float(np.max(np.abs(A @ R - I))),
-        float(np.max(np.abs(R @ A - I))),
+        float(np.max(np.abs(A @ R - EYE3))),
+        float(np.max(np.abs(R @ A - EYE3))),
     )
-    return NilpotentResolvent(R, residual, float(np.linalg.norm(R, 2)))
+    return NilpotentResolvent(R, residual, _operator_norm(R))
+
+
+def _exp_stack(fam: BlockGeneratorFamily, i: int, t: float) -> np.ndarray:
+    if i not in (1, 2, 3):
+        raise UsageError("generator index must be 1, 2, or 3")
+    return EYE3 + t * fam.stacks[i - 1]
 
 
 def exp_generator(fam: BlockGeneratorFamily, i: int, t: float) -> np.ndarray:
     """exp(t X_i) = I + t X_i, exact by nilpotency of order two."""
-    if i not in (1, 2, 3):
-        raise UsageError("generator index must be 1, 2, or 3")
-    return np.eye(fam.dim) + t * fam.gens[i - 1]
+    return _assemble(_exp_stack(fam, i, t))
 
 
 def exp_norm_closed_form(M: int, t: float) -> float:
@@ -238,8 +281,7 @@ def nonextendability_evidence(fam_sizes, t: float) -> list:
     """Rows (M, measured ||exp(t X_1)||, closed form); diverges with M."""
     rows = []
     for M in fam_sizes:
-        fam = block_generators(int(M))
-        measured = float(np.linalg.norm(exp_generator(fam, 1, t), 2))
+        measured = _operator_norm(_exp_stack(block_generators(int(M)), 1, t))
         rows.append((int(M), measured, exp_norm_closed_form(int(M), t)))
     return rows
 
@@ -253,16 +295,7 @@ def h1_operator_norm(fam: BlockGeneratorFamily, g: GroupElement) -> float:
     transforms.  Its limit as n grows is finite, which is the measured
     form of continuity surviving every truncation size.
     """
-    worst = 0.0
-    for n in range(1, fam.M + 1):
-        d = np.array([1.0, 1.0 + n**2, 1.0 + n**2 + n**4])
-        T = np.array(
-            [
-                [1.0, g.xi1 * n, g.xi3 * n**2],
-                [0.0, 1.0, g.xi2 * n],
-                [0.0, 0.0, 1.0],
-            ]
-        )
-        Mblk = (np.sqrt(d)[:, None] * T) / np.sqrt(d)[None, :]
-        worst = max(worst, float(np.linalg.norm(Mblk, 2)))
-    return worst
+    n = np.arange(1, fam.M + 1, dtype=float)
+    n2 = n * n
+    root = np.sqrt(np.stack([np.ones_like(n), 1.0 + n2, 1.0 + n2 + n2 * n2], axis=1))
+    return _operator_norm(root[:, :, None] * fam.rep_stack(g) / root[:, None, :])

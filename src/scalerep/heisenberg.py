@@ -32,16 +32,9 @@ from .hermite import (
     position_matrix,
 )
 from .liecore import GroupElement, group_inverse, second_kind_coords
-from .scale import BoundCheck, GeneratorFamily, ScaleChain, scale_norm
+from .scale import BoundCheck, GeneratorFamily, ScaleChain, scale_norm, support_bound
 
 UNITARITY_DEFECT_TOL = 1e-6
-
-
-def support_bound(phi) -> int:
-    """Index of the highest nonzero coefficient (0 for the zero vector)."""
-    phi = np.asarray(phi)
-    nz = np.nonzero(np.abs(phi) > 0)[0]
-    return int(nz[-1]) if nz.size else 0
 
 
 def effective_support(phi, rtol: float = 1e-8) -> int:

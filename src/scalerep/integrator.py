@@ -22,7 +22,7 @@ import numpy as np
 from . import liecore
 from .errors import UsageError
 from .liecore import GroupElement, ad_series, group_multiply, second_kind_coords
-from .scale import ScaleChain, scale_norm
+from .scale import ScaleChain, scale_norm, support_bound
 
 CHART_BOX_DEFAULT = 2.0
 
@@ -148,17 +148,12 @@ def int_identity_residual(
         raise UsageError(f"generator indices must lie in 1..{ifam.d}")
     phi = np.asarray(phi, dtype=complex)
     chain.family.require_interior(
-        _support(phi), n + 2, what="conjugation series check"
+        support_bound(phi), n + 2, what="conjugation series check"
     )
     E = ifam.evaluators[i - 1]
     lhs = E(t) @ (ifam.gens[j - 1] @ (E(-t) @ phi))
     series = ad_series(ifam.gens[i - 1], ifam.gens[j - 1], t, tol=tol, max_terms=max_terms)
     return scale_norm(chain, lhs - series @ phi, n)
-
-
-def _support(phi) -> int:
-    nz = np.nonzero(np.abs(phi) > 0)[0]
-    return int(nz[-1]) if nz.size else 0
 
 
 @dataclass(frozen=True)
@@ -303,11 +298,6 @@ def dual_operator(A: np.ndarray) -> np.ndarray:
     transpose; the construction is involutive on the nose.
     """
     return np.asarray(A, dtype=complex).conj().T
-
-
-def dual_group_element(Tg_inv: np.ndarray) -> np.ndarray:
-    """V(g) from the representation matrix of g^{-1}."""
-    return dual_operator(Tg_inv)
 
 
 def pairing_residual(Tg: np.ndarray, phi, F) -> float:

@@ -34,6 +34,13 @@ EIGENVALUE_FLOOR = -1e-12
 MONOTONE_SLACK = 1e-12
 
 
+def support_bound(phi) -> int:
+    """Index of the highest nonzero coefficient (0 for the zero vector)."""
+    phi = np.asarray(phi)
+    nz = np.nonzero(np.abs(phi) > 0)[0]
+    return int(nz[-1]) if nz.size else 0
+
+
 @dataclass(frozen=True)
 class GeneratorFamily:
     """Ordered truncated generators acting on a common N-dimensional space.
@@ -217,8 +224,7 @@ def group_bound_check(
     group element being tested.
     """
     phi = np.asarray(phi, dtype=complex)
-    support = int(np.max(np.nonzero(np.abs(phi) > 0)[0])) if np.any(phi) else 0
-    chain.family.require_interior(support, n, what="group bound")
+    chain.family.require_interior(support_bound(phi), n, what="group bound")
     lhs = scale_norm(chain, np.asarray(Tg, dtype=complex) @ phi, n)
     factor = (1.0 + float(np.sum(np.abs(f_matrix)))) ** n
     bound = float(omega) * factor * scale_norm(chain, phi, n)

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from scalerep.blockrep import (
+    CHIS,
     block_generators,
     collapse_identity_residual,
     exp_generator,
@@ -11,6 +14,7 @@ from scalerep.blockrep import (
     nilpotent_resolvent,
     nonextendability_evidence,
     norm_ratio_bounds,
+    rep_apply,
     rep_homomorphism_residual,
     rep_operator,
     two_norm_chain,
@@ -184,3 +188,77 @@ def test_norm_equivalence_report(blocks, block_chain, rng):
     assert report.sample_count == 50
     with pytest.raises(UsageError):
         norm_equivalence_report(block_chain, [np.zeros(blocks.dim)])
+
+
+def _kron_generators(M):
+    # the dense build the block stacks replace
+    n = np.arange(1, M + 1, dtype=float)
+    return tuple(np.kron(np.diag(w), chi) for w, chi in zip((n, n, n * n), CHIS))
+
+
+@pytest.mark.parametrize("M", (1, 7, 50))
+def test_block_stacks_match_dense_oracle(M):
+    eps = np.finfo(float).eps
+    fam = block_generators(M)
+    dense = _kron_generators(M)
+    for X, D in zip(fam.gens, dense):
+        assert np.array_equal(X, D)
+    I = np.eye(fam.dim)
+    rng = np.random.default_rng(M)
+    for _ in range(5):
+        g, h = (GroupElement(*rng.uniform(-2.0, 2.0, 3)) for _ in range(2))
+        T = I + g.xi1 * dense[0] + g.xi2 * dense[1] + g.xi3 * dense[2]
+        assert np.array_equal(rep_operator(g, fam), T)
+        phi = rng.standard_normal(fam.dim) + 1j * rng.standard_normal(fam.dim)
+        Tphi = T @ phi
+        assert np.max(np.abs(rep_apply(g, fam, phi) - Tphi)) <= 4 * eps * np.max(np.abs(Tphi))
+        Th = I + h.xi1 * dense[0] + h.xi2 * dense[1] + h.xi3 * dense[2]
+        gh = group_multiply(g, h)
+        Tgh = I + gh.xi1 * dense[0] + gh.xi2 * dense[1] + gh.xi3 * dense[2]
+        scale = max(1.0, np.max(np.abs(Tgh)))
+        dense_residual = np.max(np.abs(T @ Th - Tgh)) / scale
+        assert abs(rep_homomorphism_residual(fam, g, h) - dense_residual) <= 4 * eps
+    for i in (1, 2, 3):
+        lam = complex(*rng.uniform(0.5, 2.0, 2))
+        R = (lam * I + dense[i - 1]) / lam**2
+        A = lam * I - dense[i - 1]
+        res = nilpotent_resolvent(fam, i, lam)
+        assert np.array_equal(res.matrix, R)
+        dense_residual = max(np.max(np.abs(A @ R - I)), np.max(np.abs(R @ A - I)))
+        entry_scale = np.max(np.abs(A)) * np.max(np.abs(R))
+        assert abs(res.identity_residual - dense_residual) <= 4 * eps * entry_scale
+        assert res.operator_norm == pytest.approx(np.linalg.norm(R, 2), rel=1e-12, abs=0)
+    [(_, sigma)] = unboundedness_growth((M,))
+    assert sigma == pytest.approx(np.linalg.norm(dense[0], 2), rel=1e-12, abs=0)
+    [(_, measured, _)] = nonextendability_evidence((M,), 0.8)
+    assert measured == pytest.approx(np.linalg.norm(I + 0.8 * dense[0], 2), rel=1e-12, abs=0)
+    # level-1 norm of T(g) through the (diagonal) level-1 Gram form
+    g = GroupElement(1.0, -0.5, 0.75)
+    T = I + g.xi1 * dense[0] + g.xi2 * dense[1] + g.xi3 * dense[2]
+    root = np.sqrt(np.diag(I + sum(D.T @ D for D in dense)))
+    oracle = np.linalg.norm(root[:, None] * T / root[None, :], 2)
+    assert h1_operator_norm(fam, g) == pytest.approx(oracle, rel=1e-12, abs=0)
+    # and the per-block loop it vectorises, with unchanged arithmetic
+    loop = 0.0
+    for n in range(1, M + 1):
+        d = np.sqrt([1.0, 1.0 + n**2, 1.0 + n**2 + n**4])
+        Tn = np.array([[1.0, g.xi1 * n, g.xi3 * n**2], [0.0, 1.0, g.xi2 * n], [0.0, 0.0, 1.0]])
+        loop = max(loop, float(np.linalg.norm(d[:, None] * Tn / d[None, :], 2)))
+    assert h1_operator_norm(fam, g) == loop
+
+
+def test_stack_kernels_never_build_dense_matrices():
+    # one dense 6000 x 6000 float matrix alone is 275 MiB
+    g, h = GroupElement(0.3, -1.2, 0.7), GroupElement(-0.4, 0.9, 1.1)
+    tracemalloc.start()
+    try:
+        fam = block_generators(2000)
+        rep_homomorphism_residual(fam, g, h)
+        res = nilpotent_resolvent(fam, 2, 1.5 - 0.5j)
+        assert res.identity_residual < 1e-9 and res.operator_norm > 0
+        unboundedness_growth((2000,))
+        nonextendability_evidence((2000,), 1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 50 * 2**20

@@ -9,8 +9,13 @@ import pytest
 from scalerep.cli import main
 from scalerep.errors import UsageError
 from scalerep.report import CheckRecord, render, to_csv, to_json
+from scalerep import suites
 from scalerep.suites import (
+    DEFAULT_M,
+    DEFAULT_N,
     REQUIRED_ANCHORS,
+    SUITE_NAMES,
+    Case,
     SuiteConfig,
     coverage_map,
     missing_anchors,
@@ -172,3 +177,16 @@ def test_cli_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "nilpotent-l2" in proc.stdout
+
+
+def test_trunc_sets_the_block_count_only_for_nilpotent_l2_alone(monkeypatch):
+    seen = {}
+
+    def spy(cfg, ctx, rec):
+        seen[rec.suite] = (ctx.N, ctx.M)
+
+    monkeypatch.setattr(suites, "SUITES", {name: (Case("spy", (), spy),) for name in SUITE_NAMES})
+    run_suite(SuiteConfig(suite="all", trunc=80))
+    assert seen == dict.fromkeys(SUITE_NAMES, (80, DEFAULT_M))
+    run_suite(SuiteConfig(suite="nilpotent-l2", trunc=80))
+    assert seen["nilpotent-l2"] == (DEFAULT_N, 80)
