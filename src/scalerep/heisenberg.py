@@ -7,8 +7,10 @@ two independent routes:
 
 * ``group_action_analytic`` evaluates the phase/modulation/translation
   formula at shifted quadrature nodes and projects back onto the basis;
-* ``group_action_factored`` multiplies one-parameter matrix exponentials
-  in coordinates of the second kind.
+* ``act_factored`` applies the one-parameter subgroups in coordinates of
+  the second kind, each through its cached eigenbasis (``UnitaryGroup``);
+  ``action_factored`` assembles the same product as a matrix for the
+  callers that need the operator itself.
 
 Cross-validation of the two routes is one of the package's main checks.
 """
@@ -16,7 +18,7 @@ Cross-validation of the two routes is one of the package's main checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -81,6 +83,38 @@ def _as_coeffs(phi) -> np.ndarray:
     return np.asarray(phi, dtype=complex)
 
 
+@dataclass(frozen=True, eq=False)
+class UnitaryGroup:
+    """The one-parameter group t -> exp(-i t H) of a Hermitian matrix H.
+
+    Holds one eigendecomposition H = V diag(w) V^H; both arrays are
+    read-only, since every caller shares them.  ``apply`` evaluates
+    exp(-i t H) v as V (e^{-i t w} * (V^H v)) in O(N^2 k) for v of shape
+    (N,) or (N, k), and is exactly unitary up to rounding for any t.
+    """
+
+    w: np.ndarray
+    V: np.ndarray
+
+    @staticmethod
+    def of(H) -> "UnitaryGroup":
+        w, V = np.linalg.eigh(H)
+        w.setflags(write=False)
+        V.setflags(write=False)
+        return UnitaryGroup(w, V)
+
+    def apply(self, t: float, v) -> np.ndarray:
+        """exp(-i t H) v without forming the matrix."""
+        v = np.asarray(v, dtype=complex)
+        phase = np.exp(-1j * t * self.w)
+        coeffs = self.V.conj().T @ v
+        return self.V @ (phase * coeffs if v.ndim == 1 else phase[:, None] * coeffs)
+
+    def __call__(self, t: float) -> np.ndarray:
+        """Dense matrix of exp(-i t H), for callers that need the operator."""
+        return (self.V * np.exp(-1j * t * self.w)) @ self.V.conj().T
+
+
 class HermiteHeisenberg:
     """Truncated generators and group action on N Hermite modes."""
 
@@ -94,6 +128,7 @@ class HermiteHeisenberg:
         self.x3 = liecore.x3_sign_factor(x3_sign) * np.eye(N, dtype=complex)
         self.gens = (self.x1, self.x2, self.x3)
         self.quad = QuadratureSpec.for_dim(N)
+        self._tables = {}
 
     @property
     def scale_family(self) -> GeneratorFamily:
@@ -113,11 +148,15 @@ class HermiteHeisenberg:
     def automorphism(self, g: GroupElement) -> np.ndarray:
         return liecore.automorphism_matrix(g, self.x3_sign)
 
-    @lru_cache(maxsize=4)
     def _action_tables(self, node_count: int):
-        xs, ws = gauss_hermite(node_count)
-        H = hermite_functions(xs, self.N)
-        return xs, ws, H
+        # per instance, keyed by rule size, so the cache dies with the family
+        tables = self._tables.get(node_count)
+        if tables is None:
+            xs, ws = gauss_hermite(node_count)
+            H = hermite_functions(xs, self.N)
+            H.setflags(write=False)
+            tables = self._tables[node_count] = (xs, ws, H)
+        return tables
 
     def action_analytic(
         self,
@@ -156,15 +195,17 @@ class HermiteHeisenberg:
             )
         return out
 
-    @lru_cache(maxsize=2)
-    def _factor_cache(self):
-        # eigen-decompositions of the Hermitian squares i*X1 and x; the
-        # factored action only needs exponentials of the two tridiagonals
+    @cached_property
+    def subgroups(self) -> tuple:
+        """exp(t X1) and exp(t X2) as groups of the Hermitian i*X1 and x.
+
+        X1 = -i (i X1) and X2 = -i x, so exp(t X_k) = exp(-i t H_k).
+        """
         h1 = 1j * self.x1
-        w1, v1 = np.linalg.eigh(0.5 * (h1 + h1.conj().T))
-        x = position_matrix(self.N)
-        w2, v2 = np.linalg.eigh(x)
-        return (w1, v1), (w2, v2)
+        return (
+            UnitaryGroup.of(0.5 * (h1 + h1.conj().T)),
+            UnitaryGroup.of(position_matrix(self.N)),
+        )
 
     def one_parameter(self, i: int, t: float, method: str = "expm") -> np.ndarray:
         """Matrix of exp(t X_i) for a basis generator (i in 1..3).
@@ -184,15 +225,24 @@ class HermiteHeisenberg:
             return scipy.linalg.expm(t * X)
         if method != "eigh":
             raise UsageError("method must be 'expm' or 'eigh'")
-        (w1, v1), (w2, v2) = self._factor_cache()
-        w, v = (w1, v1) if i == 1 else (w2, v2)
-        return (v * np.exp(-1j * t * w)) @ v.conj().T
+        return self.subgroups[i - 1](t)
 
     def action_factored(self, g: GroupElement, method: str = "expm") -> np.ndarray:
         """Matrix of the action as exp(t1 X1) exp(t2 X2) exp(t3 X3)."""
         t1, t2, t3 = second_kind_coords(g)
         U = self.one_parameter(1, t1, method) @ self.one_parameter(2, t2, method)
         return U * np.exp(t3 * liecore.x3_sign_factor(self.x3_sign))
+
+    def act_factored(self, g: GroupElement, phi) -> np.ndarray:
+        """exp(t1 X1) exp(t2 X2) exp(t3 X3) phi through the cached subgroups.
+
+        The vector form of ``action_factored(g, "eigh") @ phi``; ``phi``
+        may be one vector or an (N, k) block of them.
+        """
+        t1, t2, t3 = second_kind_coords(g)
+        U1, U2 = self.subgroups
+        out = U1.apply(t1, U2.apply(t2, _as_coeffs(phi)))
+        return np.exp(t3 * liecore.x3_sign_factor(self.x3_sign)) * out
 
 
 def hermite_generators(N: int, x3_sign: str = "consistent") -> HermiteHeisenberg:

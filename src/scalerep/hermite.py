@@ -47,11 +47,14 @@ def gauss_hermite(node_count: int):
     The returned weights already include exp(x_q^2), so the integrand is
     the bare function (it must decay like a Gaussian for the rule to make
     sense).  Computed in log space to dodge under/overflow at high order.
+    Every caller shares the cached arrays, so they are read-only.
     """
     if node_count > MAX_NODES:
         raise UsageError(f"node_count {node_count} exceeds {MAX_NODES}")
     x, w = np.polynomial.hermite.hermgauss(node_count)
     w_plain = np.exp(np.log(w) + x * x)
+    x.setflags(write=False)
+    w_plain.setflags(write=False)
     return x, w_plain
 
 

@@ -55,12 +55,13 @@ class ResolventProbe:
             raise UsageError("the laplace method needs Re(lambda) != 0")
 
 
-def estimate_type(evaluator, chain: ScaleChain, n: int, t_grid, phis) -> TypeEstimate:
+def estimate_type(apply, chain: ScaleChain, n: int, t_grid, phis) -> TypeEstimate:
     """Grid infimum of (1/|t|) log sup ||T(t) phi||_n / ||phi||_n.
 
-    ``evaluator`` maps t to the matrix of T(t).  The infimum over a finite
-    grid is an upper bound for the true type; a grid reaching large |t| is
-    needed to resolve type zero to small tolerance.
+    ``apply(t, v)`` returns T(t) v; it is called once per t with the sample
+    vectors stacked as the columns of one (N, k) block.  The infimum over a
+    finite grid is an upper bound for the true type; a grid reaching large
+    |t| is needed to resolve type zero to small tolerance.
     """
     t_grid = [float(t) for t in t_grid]
     if not t_grid or any(t == 0 for t in t_grid):
@@ -69,11 +70,14 @@ def estimate_type(evaluator, chain: ScaleChain, n: int, t_grid, phis) -> TypeEst
     norms = [scale_norm(chain, p, n) for p in phis]
     if not phis or max(norms) <= 1e-30:
         raise UsageError("need at least one sample vector with nonzero norm")
+    block = np.array(phis).T
     omega = np.inf
     for t in t_grid:
-        U = evaluator(t)
+        # one contiguous row per image, so an apply that returns its input
+        # reproduces the sample norms bit for bit (type exactly 0)
+        images = np.ascontiguousarray(apply(t, block).T)
         sup = max(
-            scale_norm(chain, U @ p, n) / nn for p, nn in zip(phis, norms) if nn > 0
+            scale_norm(chain, y, n) / nn for y, nn in zip(images, norms) if nn > 0
         )
         omega = min(omega, np.log(sup) / abs(t))
     return TypeEstimate(n, float(omega), tuple(t_grid), len(phis))
@@ -108,7 +112,7 @@ class LaplaceResult:
 
 
 def resolvent_laplace(
-    evaluator,
+    apply,
     lam: complex,
     phi,
     *,
@@ -120,11 +124,12 @@ def resolvent_laplace(
 ) -> LaplaceResult:
     """Laplace transform of the group: integral of e^{-lam t} T(t) phi.
 
-    Positive Re(lam) integrates over t >= 0; negative Re(lam) uses the
-    mirrored branch over t <= 0.  Composite Gauss-Legendre panels on
-    [0, t_max]; t_max is chosen so the analytic tail bound
-    growth_constant * ||phi|| * e^{-|Re lam| t_max} / |Re lam| sits below
-    0.1 * tol unless supplied explicitly.
+    ``apply(t, v)`` returns T(t) v; it is called once per quadrature node,
+    so the group need not be formed as a matrix.  Positive Re(lam) integrates
+    over t >= 0; negative Re(lam) uses the mirrored branch over t <= 0.
+    Composite Gauss-Legendre panels on [0, t_max]; t_max is chosen so the
+    analytic tail bound growth_constant * ||phi|| * e^{-|Re lam| t_max} /
+    |Re lam| sits below 0.1 * tol unless supplied explicitly.
     """
     phi = np.asarray(phi, dtype=complex)
     lam = complex(lam)
@@ -146,7 +151,7 @@ def resolvent_laplace(
         for xq, wq in zip(xg, wg):
             s = mid + half * xq
             weight = half * wq * np.exp(-lam * sign * s)
-            total = total + weight * (evaluator(sign * s) @ phi)
+            total = total + weight * apply(sign * s, phi)
     total = sign * total
     tail = growth_constant * nrm * np.exp(-a * t_max) / a
     if tail > tol:

@@ -210,7 +210,7 @@ class BoundCheck:
 
 def group_bound_check(
     chain: ScaleChain,
-    Tg: np.ndarray,
+    apply,
     omega: float,
     f_matrix: np.ndarray,
     n: int,
@@ -219,13 +219,14 @@ def group_bound_check(
 ) -> BoundCheck:
     """Check ||Tg phi||_n <= omega (1 + sum |f_ij|)^n ||phi||_n.
 
-    ``omega`` is the caller's ambient-space continuity constant (1 for
-    unitary actions); ``f_matrix`` is the conjugation-law matrix of the
-    group element being tested.
+    ``apply(phi)`` returns Tg phi, the action of the group element being
+    tested; ``omega`` is the caller's ambient-space continuity constant
+    (1 for unitary actions); ``f_matrix`` is the conjugation-law matrix of
+    that element.
     """
     phi = np.asarray(phi, dtype=complex)
     chain.family.require_interior(support_bound(phi), n, what="group bound")
-    lhs = scale_norm(chain, np.asarray(Tg, dtype=complex) @ phi, n)
+    lhs = scale_norm(chain, apply(phi), n)
     factor = (1.0 + float(np.sum(np.abs(f_matrix)))) ** n
     bound = float(omega) * factor * scale_norm(chain, phi, n)
     return BoundCheck(lhs, bound, lhs <= bound * (1.0 + rel_slack))

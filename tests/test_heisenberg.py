@@ -1,9 +1,14 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from scalerep.errors import AccuracyError, UsageError
 from scalerep.heisenberg import (
     SchwartzVector,
+    UnitaryGroup,
     conjugation_residual,
     differentiability_probe,
     effective_support,
@@ -225,3 +230,65 @@ def test_continuity_to_identity(fam, chain, rng):
             values.append(scale_norm(chain, fam.action_analytic(g, phi) - phi, 2))
         assert all(b < a for a, b in zip(values, values[1:]))
         assert values[-1] < 1e-6
+
+
+@pytest.mark.parametrize("N", (8, 64, 160))
+def test_unitary_group_matches_dense_oracles(N):
+    # error budgets from float64 eps and N: products through the same
+    # eigenbasis differ by rounding (~N eps); against expm the eigenvalue
+    # error ~N eps ||H|| is multiplied by |t|, with ||H|| <= sqrt(2N)
+    eps = np.finfo(float).eps
+    hnorm = np.sqrt(2.0 * N)
+    same = 10 * N * eps
+    ts = (0.0, 0.9, -0.9, 37.5)
+    fam = hermite_generators(N)
+    rng = np.random.default_rng(N)
+    for U, X in zip(fam.subgroups, (fam.x1, fam.x2)):
+        assert isinstance(U, UnitaryGroup)
+        v = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+        v /= np.linalg.norm(v)
+        block = rng.standard_normal((N, 3)) + 1j * rng.standard_normal((N, 3))
+        for t in ts:
+            out = U.apply(t, v)
+            assert np.linalg.norm(out - U(t) @ v) <= same
+            oracle = scipy.linalg.expm(t * X) @ v
+            assert np.linalg.norm(out - oracle) <= same * (1 + abs(t) * hnorm)
+            columns = np.stack([U.apply(t, b) for b in block.T], axis=1)
+            assert np.max(np.abs(U.apply(t, block) - columns)) <= same
+            assert abs(np.linalg.norm(out) - 1.0) <= same
+            for s in ts:
+                composed = U.apply(s, out)
+                direct = U.apply(s + t, v)
+                assert np.linalg.norm(composed - direct) <= same * (
+                    1 + (abs(s) + abs(t)) * hnorm
+                )
+
+
+def test_unitary_group_arrays_are_read_only(fam):
+    for U in fam.subgroups:
+        for arr in (U.w, U.V):
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
+
+def test_act_factored_matches_the_assembled_action(fam, rng):
+    for _ in range(5):
+        g = GroupElement(*rng.uniform(-1, 1, 3))
+        phi = random_interior(rng, 64, 16)
+        expect = fam.action_factored(g, "eigh") @ phi
+        assert np.linalg.norm(fam.act_factored(g, phi) - expect) < 1e-12
+    block = np.stack([random_interior(rng, 64, 16) for _ in range(3)], axis=1)
+    expect = fam.action_factored(g, "eigh") @ block
+    assert np.max(np.abs(fam.act_factored(g, block) - expect)) < 1e-12
+
+
+def test_family_caches_do_not_keep_the_family_alive():
+    fam = hermite_generators(16)
+    phi = np.zeros(16, dtype=complex)
+    phi[0] = 1.0
+    fam.action_analytic(GroupElement(0.1, 0.2, 0.3), phi)
+    fam.one_parameter(1, 0.5, "eigh")
+    ref = weakref.ref(fam)
+    del fam
+    gc.collect()
+    assert ref() is None

@@ -62,3 +62,11 @@ def test_quadrature_spec_validation():
 def test_project_requires_node_values():
     with pytest.raises(UsageError):
         project_function(np.zeros(10), 4, QuadratureSpec(16))
+
+
+def test_cached_rule_is_read_only():
+    xs, ws = gauss_hermite(40)
+    for arr in (xs, ws):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    assert gauss_hermite(40)[0] is xs

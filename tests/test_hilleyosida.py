@@ -28,8 +28,8 @@ def x2_evaluator(fam):
     w, V = np.linalg.eigh(x)
     Vh = V.conj().T
 
-    def evaluator(t):
-        return (V * np.exp(-1j * t * w)) @ Vh
+    def evaluator(t, v):
+        return ((V * np.exp(-1j * t * w)) @ Vh) @ v
 
     return evaluator
 
@@ -82,7 +82,7 @@ def test_resolvent_negative_branch(fam, x2_evaluator):
 
 
 def test_laplace_identity_group_scalar():
-    ident = lambda t: np.eye(4, dtype=complex)
+    ident = lambda t, v: v
     phi = np.array([1.0, 2.0, 0.0, -1.0], dtype=complex)
     out = resolvent_laplace(ident, 2.0, phi, tol=1e-10)
     assert np.max(np.abs(out.vector - phi / 2.0)) < 1e-9
@@ -130,7 +130,7 @@ def test_type_estimate_x2_vanishes(fam, chain, x2_evaluator, rng):
 
 
 def test_type_estimate_validation(chain):
-    ident = lambda t: np.eye(64, dtype=complex)
+    ident = lambda t, v: v
     with pytest.raises(UsageError):
         estimate_type(ident, chain, 0, (), [h0()])
     with pytest.raises(UsageError):
@@ -150,7 +150,7 @@ def test_yosida_series_spec_validation():
 
 def test_yosida_reconstruction_converges(fam, chain, x2_evaluator):
     spec = YosidaSeriesSpec(lambda_sequence=(10.0, 20.0, 50.0, 100.0))
-    reference = x2_evaluator(0.5) @ h0()
+    reference = x2_evaluator(0.5, h0())
 
     def apply_resolvent(lam, v):
         return resolvent_matrix(fam.x2, lam) @ v
@@ -172,7 +172,7 @@ def test_yosida_t_zero_and_negative_branch(fam, chain, x2_evaluator):
 
     res0 = yosida_reconstruct(apply_resolvent, spec, 0.0, h0(), chain, 1, h0())
     assert max(d for _, d in res0.trace) == 0.0
-    reference = x2_evaluator(-0.3) @ h0()
+    reference = x2_evaluator(-0.3, h0())
     res = yosida_reconstruct(apply_resolvent, spec, -0.3, h0(), chain, 0, reference)
     assert res.trace[-1][1] < res.trace[0][1]
 

@@ -1,13 +1,16 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import scalerep
 from scalerep.cli import main
 from scalerep.errors import UsageError
+from scalerep.heisenberg import HermiteHeisenberg, UnitaryGroup
 from scalerep.report import CheckRecord, render, to_csv, to_json
 from scalerep import suites
 from scalerep.suites import (
@@ -170,10 +173,14 @@ def test_cli_config_file_with_flag_override(tmp_path, capsys):
 
 
 def test_cli_entry_point_runs():
+    # the child imports the same scalerep as this process, installed or not
+    src = os.path.dirname(os.path.dirname(os.path.abspath(scalerep.__file__)))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "scalerep.cli", "list-suites"],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0
     assert "nilpotent-l2" in proc.stdout
@@ -190,3 +197,19 @@ def test_trunc_sets_the_block_count_only_for_nilpotent_l2_alone(monkeypatch):
     assert seen == dict.fromkeys(SUITE_NAMES, (80, DEFAULT_M))
     run_suite(SuiteConfig(suite="nilpotent-l2", trunc=80))
     assert seen["nilpotent-l2"] == (DEFAULT_N, 80)
+
+
+def test_hermite_suites_never_assemble_a_group_matrix(monkeypatch):
+    # every Hermite check needs only T(g) phi, so no case may build the
+    # N x N unitary of a group element or one-parameter subgroup
+    guarded = ("scale-core", "heisenberg-hermite", "hille-yosida")
+    counts = {name: len(run_suite(SuiteConfig(suite=name))[0]) for name in guarded}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a dense group matrix was assembled")
+
+    monkeypatch.setattr(HermiteHeisenberg, "one_parameter", refuse)
+    monkeypatch.setattr(HermiteHeisenberg, "action_factored", refuse)
+    monkeypatch.setattr(UnitaryGroup, "__call__", refuse)
+    for name in guarded:
+        assert len(run_suite(SuiteConfig(suite=name))[0]) == counts[name]

@@ -133,7 +133,7 @@ def test_recombination_validation(chain):
 
 
 def test_group_bound_identity_element(chain):
-    res = group_bound_check(chain, np.eye(64), 1.0, np.eye(3), 2, h0())
+    res = group_bound_check(chain, lambda v: v, 1.0, np.eye(3), 2, h0())
     assert res.passed
     assert res.bound == pytest.approx((1 + 3.0) ** 2 * scale_norm(chain, h0(), 2))
 
@@ -142,7 +142,7 @@ def test_group_bound_margin_enforced(chain):
     phi = np.zeros(64, dtype=complex)
     phi[62] = 1.0
     with pytest.raises(UsageError):
-        group_bound_check(chain, np.eye(64), 1.0, np.eye(3), 2, phi)
+        group_bound_check(chain, lambda v: v, 1.0, np.eye(3), 2, phi)
 
 
 def test_scale_operator_norm_identity(chain):
