@@ -37,24 +37,6 @@ class TypeEstimate:
     sample_size: int
 
 
-RESOLVENT_METHODS = ("laplace", "closed-form", "matrix-inverse")
-
-
-@dataclass(frozen=True)
-class ResolventProbe:
-    """Description of one resolvent evaluation: where, at which level, how."""
-
-    lam: complex
-    n: int
-    method: str
-
-    def __post_init__(self):
-        if self.method not in RESOLVENT_METHODS:
-            raise UsageError(f"method must be one of {RESOLVENT_METHODS}")
-        if self.method == "laplace" and complex(self.lam).real == 0:
-            raise UsageError("the laplace method needs Re(lambda) != 0")
-
-
 def estimate_type(apply, chain: ScaleChain, n: int, t_grid, phis) -> TypeEstimate:
     """Grid infimum of (1/|t|) log sup ||T(t) phi||_n / ||phi||_n.
 

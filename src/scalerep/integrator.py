@@ -268,29 +268,6 @@ def conjugation_series_vs_automorphism(
     return worst
 
 
-@dataclass(frozen=True)
-class DualPairing:
-    """Standard sesquilinear pairing of the truncation against a scale level.
-
-    At finite dimension the test space, the ambient space, and the
-    antidual coincide as sets; only the norms differ, so the pairing is
-    the ambient inner product and nondegeneracy is automatic.  ``n``
-    names the scale level used for test-side norms in reports.
-    """
-
-    chain: ScaleChain
-    n: int
-
-    def __post_init__(self):
-        if not (0 <= self.n <= self.chain.n_max):
-            raise UsageError(f"level {self.n} outside the chain (0..{self.chain.n_max})")
-
-    def pair(self, phi, F) -> complex:
-        phi = np.asarray(phi, dtype=complex)
-        F = np.asarray(F, dtype=complex)
-        return complex(np.vdot(phi, F))
-
-
 def dual_operator(A: np.ndarray) -> np.ndarray:
     """Operator on the antidual side: <A phi, F> = <phi, dual(A) F>.
 

@@ -282,15 +282,3 @@ def test_global_conditions_verdicts(fam, chain, x2_evaluator, rng):
     assert not verdict.uniform_equicontinuity
     with pytest.raises(UsageError):
         global_conditions_report(estimates[:1], betas[:1])
-
-
-def test_resolvent_probe_type():
-    from scalerep.hilleyosida import ResolventProbe
-
-    probe = ResolventProbe(2.0 + 1j, 1, "laplace")
-    assert probe.method == "laplace"
-    with pytest.raises(UsageError):
-        ResolventProbe(1j, 0, "laplace")
-    with pytest.raises(UsageError):
-        ResolventProbe(1.0, 0, "lu")
-    ResolventProbe(1j, 0, "matrix-inverse")

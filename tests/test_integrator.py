@@ -228,16 +228,3 @@ def test_extension_probe_verdicts():
         extension_probe(block_ladder[:2], t)
     with pytest.raises(UsageError):
         extension_probe([(10, np.eye(2)), (10, np.eye(2)), (11, np.eye(2))], t)
-
-
-def test_dual_pairing_type(chain, rng):
-    from scalerep.integrator import DualPairing
-
-    pairing = DualPairing(chain, 1)
-    phi = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-    F = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-    assert pairing.pair(phi, F) == pytest.approx(complex(np.vdot(phi, F)))
-    # nondegenerate on the truncation: pairing against everything pins the vector
-    assert abs(pairing.pair(phi, phi)) > 0
-    with pytest.raises(UsageError):
-        DualPairing(chain, 9)

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import scalerep
@@ -12,6 +13,7 @@ from scalerep.cli import main
 from scalerep.errors import UsageError
 from scalerep.heisenberg import HermiteHeisenberg, UnitaryGroup
 from scalerep.report import CheckRecord, render, to_csv, to_json
+from scalerep.sampling import case_rng
 from scalerep import suites
 from scalerep.suites import (
     DEFAULT_M,
@@ -19,6 +21,7 @@ from scalerep.suites import (
     REQUIRED_ANCHORS,
     SUITE_NAMES,
     Case,
+    CaseRecorder,
     SuiteConfig,
     coverage_map,
     missing_anchors,
@@ -213,3 +216,60 @@ def test_hermite_suites_never_assemble_a_group_matrix(monkeypatch):
     monkeypatch.setattr(UnitaryGroup, "__call__", refuse)
     for name in guarded:
         assert len(run_suite(SuiteConfig(suite=name))[0]) == counts[name]
+
+
+def recorder():
+    return CaseRecorder(42, "some-suite", "xx-01-case", ("e1.1",))
+
+
+def test_worst_floors_at_zero_and_counts_the_draws():
+    rec = recorder()
+    rec.worst("nonpositive", (v for v in (-3.0, 0.0, -1e-300)), 1e-12, note="kept")
+    rec.worst("positive", [0.25, 2.0, 1.0], 1.5)
+    low, high = rec.records
+    assert (low.measured, low.bound, low.passed) == (0.0, 1e-12, True)
+    assert low.inputs == {"samples": 3, "note": "kept"}
+    assert (high.measured, high.passed, high.inputs) == (2.0, False, {"samples": 3})
+    assert high.case == "xx-01-case/positive" and high.anchors == ("e1.1",)
+
+
+def test_holds_and_raises_record_a_flag_against_zero():
+    rec = recorder()
+    rec.holds("true-flag", True, M=3)
+    rec.holds("false-flag", False)
+    rec.raises("fires", UsageError, lambda: suites.SuiteConfig(n_max=0).validate(), note="n")
+    rec.raises("silent", UsageError, lambda: None)
+    flags = [(r.case.split("/")[1], r.measured, r.bound, r.tolerance, r.passed) for r in rec.records]
+    assert flags == [
+        ("true-flag", 0.0, 0.0, 0.0, True),
+        ("false-flag", 1.0, 0.0, 0.0, False),
+        ("fires", 0.0, 0.0, 0.0, True),
+        ("silent", 1.0, 0.0, 0.0, False),
+    ]
+    assert [r.inputs for r in rec.records] == [{"M": 3}, {}, {"note": "n"}, {}]
+
+
+def test_raises_lets_other_errors_propagate():
+    rec = recorder()
+
+    def wrong():
+        raise ZeroDivisionError("not the expected error")
+
+    with pytest.raises(ZeroDivisionError):
+        rec.raises("fires", UsageError, wrong)
+    assert rec.records == []
+
+
+def test_recorder_stream_is_the_case_stream():
+    expected = case_rng(42, "some-suite", "xx-01-case").standard_normal(8)
+    assert np.array_equal(recorder().rng.standard_normal(8), expected)
+
+
+def test_samples_input_counts_the_draws_below_the_default_depth():
+    # at n_max=2 the per-depth loops run over two depths, not three
+    rows = {}
+    for name in ("scale-core", "heisenberg-hermite"):
+        rows.update((r.case, r.inputs) for r in run_suite(SuiteConfig(suite=name, n_max=2))[0])
+    assert rows["sc-03-monotonicity/random-vectors"]["samples"] == 200
+    assert rows["sc-05-group-bound-generic/random-pairs"]["samples"] == 100
+    assert rows["hh-12-growth-generic/random"]["samples"] == 60
