@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import UsageError
 from .liecore import GroupElement, group_multiply
-from .scale import GeneratorFamily, ScaleChain, build_scale_chain
+from .scale import BlockFamily, ScaleChain, build_scale_chain
 
 CHI1 = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
 CHI2 = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
@@ -68,8 +68,7 @@ class BlockGeneratorFamily:
     The model is stored as ``stacks``: for each generator the (M, 3, 3)
     stack of its diagonal blocks w_i(n) CHI_i, with weights (n, n, n^2).
     The dense matrices ``x1``, ``x2``, ``x3`` are assembled from them on
-    first use and cached; only the Gram chain, the integrator and test
-    oracles need them.
+    first use and cached; only the integrator and test oracles need them.
     """
 
     M: int
@@ -104,16 +103,10 @@ class BlockGeneratorFamily:
         S1, S2, S3 = self.stacks
         return EYE3 + g.xi1 * S1 + g.xi2 * S2 + g.xi3 * S3
 
-    def scale_family(self) -> GeneratorFamily:
-        # block-diagonal, hence exact at every truncation: applications
-        # spread no support and no guard band is consumed
-        return GeneratorFamily(
-            dim=self.dim,
-            gens=self.gens,
-            labels=("X1", "X2", "X3"),
-            interior_bound=self.dim,
-            band_growth=0,
-        )
+    def scale_family(self) -> BlockFamily:
+        """The generators as the scale sees them: their stacks, so the Gram
+        chain is built blockwise and ``x1``/``x2``/``x3`` stay unassembled."""
+        return BlockFamily(self.stacks, ("X1", "X2", "X3"))
 
     def pair_residual(self, i: int, j: int) -> float:
         """Max-entry residual of X_i X_j - delta_{1i} delta_{2j} X_3 (1-based)."""
@@ -163,7 +156,7 @@ def rep_homomorphism_residual(
 
 
 def two_norm_chain(fam: BlockGeneratorFamily, n_max: int = 2) -> ScaleChain:
-    """Norm chain of the block family (collapses beyond level 1)."""
+    """Norm chain of the block family (collapses beyond level 1), as (M, 3, 3) stacks."""
     return build_scale_chain(fam.scale_family(), n_max)
 
 
@@ -172,13 +165,14 @@ def collapse_identity_residual(fam: BlockGeneratorFamily, chain: ScaleChain) -> 
 
     Expanding the recursion with the product relation shows the level-2
     Gram form is this fixed polynomial in the generators; all higher
-    levels follow the same collapse.
+    levels follow the same collapse.  Both sides vanish off the diagonal
+    blocks, so the residual is a max over the block stacks.
     """
     if chain.n_max < 2:
         raise UsageError("need the chain built to level 2")
     xtx = [S.transpose(0, 2, 1) @ S for S in fam.stacks]
-    expected = _assemble(EYE3 + 2.0 * sum(xtx) + xtx[2])
-    return float(np.max(np.abs(chain.gram(2) - expected)))
+    expected = EYE3 + 2.0 * sum(xtx) + xtx[2]
+    return float(np.max(np.abs(chain.gram(2).blocks - expected)))
 
 
 def norm_ratio_bounds() -> tuple:

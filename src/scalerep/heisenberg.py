@@ -34,7 +34,14 @@ from .hermite import (
     position_matrix,
 )
 from .liecore import GroupElement, group_inverse, second_kind_coords
-from .scale import BoundCheck, GeneratorFamily, ScaleChain, scale_norm, support_bound
+from .scale import (
+    BoundCheck,
+    DiagonalGram,
+    GeneratorFamily,
+    ScaleChain,
+    scale_norm,
+    support_bound,
+)
 
 UNITARITY_DEFECT_TOL = 1e-6
 
@@ -132,12 +139,18 @@ class HermiteHeisenberg:
 
     @property
     def scale_family(self) -> GeneratorFamily:
-        """Family entering the norm recursion: the two non-central generators."""
+        """Family entering the norm recursion: the two non-central generators.
+
+        Its Gram forms are diagonal: with X1 = (a - a^+)/sqrt(2) and
+        X2 = -i (a + a^+)/sqrt(2), X1^* D X1 + X2^* D X2 = a D a^+ + a^+ D a
+        for diagonal D, the a D a and a^+ D a^+ terms cancelling exactly.
+        """
         return GeneratorFamily(
             dim=self.N,
             gens=(self.x1, self.x2),
             labels=("X1", "X2"),
             interior_bound=self.N - 1,
+            gram_form=DiagonalGram,
         )
 
     def generator(self, x_coeffs) -> np.ndarray:

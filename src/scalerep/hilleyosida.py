@@ -331,25 +331,29 @@ def e118_bound_check(
 def estimate_beta(
     resolvent_builder,
     chain: ScaleChain,
-    n: int,
+    levels: dict,
     lambdas,
     p_max: int,
-    interior_modes: int,
-) -> float:
-    """Smallest beta consistent with ||R^p||_n <= (lam - beta)^{-p}, measured.
+) -> tuple:
+    """Smallest beta_n consistent with ||R^p||_n <= (lam - beta_n)^{-p}, measured.
 
-    Each measured interior operator norm nu at (lam, p) forces
-    beta >= lam - nu^{-1/p}; the estimate is the maximum over the grid.
+    ``levels`` maps each scale level n to the number of interior modes its
+    operator norms range over; the result holds one beta_n per level, in
+    that order.  Each measured interior operator norm nu at (lam, p) forces
+    beta_n >= lam - nu^{-1/p}; the estimate is the maximum over the grid.
+    Each resolvent and its powers are built once and measured at every
+    level before the next lambda.
     """
-    best = -np.inf
+    best = dict.fromkeys(levels, -np.inf)
     for lam in lambdas:
         R = resolvent_builder(float(lam))
         power = np.eye(R.shape[0], dtype=complex)
         for p in range(1, p_max + 1):
             power = power @ R
-            nu = scale_operator_norm(chain, power, n, interior_modes=interior_modes)
-            best = max(best, float(lam) - nu ** (-1.0 / p))
-    return float(best)
+            for n, modes in levels.items():
+                nu = scale_operator_norm(chain, power, n, interior_modes=modes)
+                best[n] = max(best[n], float(lam) - nu ** (-1.0 / p))
+    return tuple(float(b) for b in best.values())
 
 
 @dataclass(frozen=True)

@@ -6,9 +6,23 @@ The Gram form of level n+1 is produced from level n by
 
 so ``phi^* G_n phi`` is the squared level-n norm.  Increments are positive
 semidefinite by construction, which makes the norm chain monotone without
-any analysis.  Gram forms are materialized densely: at desk-scale
-truncations (a few hundred modes) this keeps every check exact linear
-algebra.
+any analysis.
+
+Gram forms
+----------
+A family declares the structure its Gram forms keep, and the chain stores
+every level in that structure alone:
+
+* ``DiagonalGram`` holds the weights w of G = diag(w), for families whose
+  recursion maps diagonal forms to diagonal forms (the Hermite pair, whose
+  off-diagonal terms cancel exactly):
+  w_{n+1}(k) = w_n(k) + sum_i sum_j |X_i[j, k]|^2 w_n(j);
+* ``BlockGram`` holds the (M, b, b) stack of diagonal blocks, for the
+  block-diagonal families given by their generator stacks (``BlockFamily``);
+* ``DenseGram`` holds the full matrix, for families that declare no
+  structure (orthogonal recombinations, test families).
+
+A scale norm then costs O(N) or O(M b^2) rather than a dense product.
 
 Guard bands
 -----------
@@ -23,9 +37,9 @@ at least one usable interior mode at that depth.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
-import scipy.linalg
 
 from .errors import UsageError
 
@@ -42,41 +56,111 @@ def support_bound(phi) -> int:
 
 
 @dataclass(frozen=True)
-class GeneratorFamily:
-    """Ordered truncated generators acting on a common N-dimensional space.
+class DenseGram:
+    """A Gram form held as its full N x N matrix."""
 
-    ``band_growth`` is the number of extra basis modes one generator
-    application can populate: 1 for the tridiagonal Hermite matrices,
-    0 for block-diagonal operators that are exact at every truncation.
-    """
+    matrix: np.ndarray
 
-    dim: int
-    gens: tuple
-    labels: tuple
-    interior_bound: int
-    band_growth: int = 1
+    @staticmethod
+    def identity(family) -> "DenseGram":
+        return DenseGram(np.eye(family.dim, dtype=complex))
 
-    def __post_init__(self):
-        gens = tuple(np.asarray(g, dtype=complex) for g in self.gens)
-        for lab, g in zip(self.labels, gens):
-            if g.shape != (self.dim, self.dim):
-                raise UsageError(
-                    f"generator {lab} has shape {g.shape}, expected ({self.dim}, {self.dim})"
-                )
-        if len(gens) != len(self.labels):
-            raise UsageError("labels and generators must pair up")
-        if not (0 < self.interior_bound <= self.dim):
-            raise UsageError(
-                f"interior_bound must lie in 1..{self.dim}, got {self.interior_bound}"
-            )
-        if self.band_growth < 0:
-            raise UsageError("band_growth must be >= 0")
-        object.__setattr__(self, "gens", gens)
-        object.__setattr__(self, "labels", tuple(self.labels))
+    def step(self, family) -> "DenseGram":
+        G = self.matrix
+        nxt = G.copy()
+        for X in family.gens:
+            nxt = nxt + X.conj().T @ G @ X
+        return DenseGram(0.5 * (nxt + nxt.conj().T))
+
+    def quadratic(self, phi) -> float:
+        return float(np.real(np.vdot(phi, self.matrix @ phi)))
+
+    def increment_floor(self, prev: "DenseGram") -> float:
+        """Smallest eigenvalue of this form minus ``prev``."""
+        diff = self.matrix - prev.matrix
+        return float(np.min(np.linalg.eigvalsh(0.5 * (diff + diff.conj().T))))
+
+    def hermiticity_residual(self) -> float:
+        return float(np.max(np.abs(self.matrix - self.matrix.conj().T)))
+
+    def identity_residual(self) -> float:
+        return float(np.max(np.abs(self.matrix - np.eye(len(self.matrix)))))
+
+
+@dataclass(frozen=True)
+class DiagonalGram:
+    """A diagonal Gram form held as its (N,) weights."""
+
+    weights: np.ndarray
+
+    @staticmethod
+    def identity(family) -> "DiagonalGram":
+        return DiagonalGram(np.ones(family.dim))
+
+    def step(self, family) -> "DiagonalGram":
+        # diag(X^* diag(w) X)[k] = sum_j |X[j, k]|^2 w(j); the family
+        # declares that the off-diagonal terms cancel over its generators
+        coupling = sum(np.abs(X) ** 2 for X in family.gens)
+        return DiagonalGram(self.weights + coupling.T @ self.weights)
+
+    def quadratic(self, phi) -> float:
+        return float(np.real(np.vdot(phi, self.weights * phi)))
+
+    def increment_floor(self, prev: "DiagonalGram") -> float:
+        return float(np.min(self.weights - prev.weights))
+
+    def hermiticity_residual(self) -> float:
+        return 0.0  # real weights: Hermitian by construction
+
+    def identity_residual(self) -> float:
+        return float(np.max(np.abs(self.weights - 1.0)))
+
+    def max_entry(self) -> float:
+        return float(np.max(np.abs(self.weights)))
+
+
+@dataclass(frozen=True)
+class BlockGram:
+    """A block-diagonal Gram form held as its (M, b, b) stack of diagonal blocks."""
+
+    blocks: np.ndarray
+
+    @staticmethod
+    def identity(family) -> "BlockGram":
+        M, b, _ = family.stacks[0].shape
+        return BlockGram(np.tile(np.eye(b), (M, 1, 1)))
+
+    def step(self, family) -> "BlockGram":
+        B = self.blocks
+        nxt = B.copy()
+        for S in family.stacks:
+            nxt = nxt + _adjoint(S) @ B @ S
+        return BlockGram(0.5 * (nxt + _adjoint(nxt)))
+
+    def quadratic(self, phi) -> float:
+        M, b, _ = self.blocks.shape
+        G_phi = self.blocks @ phi.reshape(M, b, 1)
+        return float(np.real(np.vdot(phi, G_phi.reshape(M * b))))
+
+    def increment_floor(self, prev: "BlockGram") -> float:
+        diff = self.blocks - prev.blocks
+        return float(np.min(np.linalg.eigvalsh(0.5 * (diff + _adjoint(diff)))))
+
+    def hermiticity_residual(self) -> float:
+        return float(np.max(np.abs(self.blocks - _adjoint(self.blocks))))
+
+
+def _adjoint(stack: np.ndarray) -> np.ndarray:
+    return stack.conj().transpose(0, 2, 1)
+
+
+class _GuardBand:
+    """Guard-band bookkeeping of a family with ``labels``, ``interior_bound``
+    and ``band_growth``."""
 
     @property
     def d(self) -> int:
-        return len(self.gens)
+        return len(self.labels)
 
     def max_safe_depth(self) -> int:
         """Largest scale depth that leaves at least one interior mode."""
@@ -98,8 +182,73 @@ class GeneratorFamily:
             )
 
 
+@dataclass(frozen=True)
+class GeneratorFamily(_GuardBand):
+    """Ordered truncated generators acting on a common N-dimensional space.
+
+    ``band_growth`` is the number of extra basis modes one generator
+    application can populate: 1 for the tridiagonal Hermite matrices,
+    0 for block-diagonal operators that are exact at every truncation.
+    ``gram_form`` is the structure the family's Gram forms keep:
+    ``DenseGram`` unless the family declares more (``DiagonalGram``).
+    """
+
+    dim: int
+    gens: tuple
+    labels: tuple
+    interior_bound: int
+    band_growth: int = 1
+    gram_form: type = DenseGram
+
+    def __post_init__(self):
+        gens = tuple(np.asarray(g, dtype=complex) for g in self.gens)
+        for lab, g in zip(self.labels, gens):
+            if g.shape != (self.dim, self.dim):
+                raise UsageError(
+                    f"generator {lab} has shape {g.shape}, expected ({self.dim}, {self.dim})"
+                )
+        if len(gens) != len(self.labels):
+            raise UsageError("labels and generators must pair up")
+        if not (0 < self.interior_bound <= self.dim):
+            raise UsageError(
+                f"interior_bound must lie in 1..{self.dim}, got {self.interior_bound}"
+            )
+        if self.band_growth < 0:
+            raise UsageError("band_growth must be >= 0")
+        object.__setattr__(self, "gens", gens)
+        object.__setattr__(self, "labels", tuple(self.labels))
+
+
+@dataclass(frozen=True)
+class BlockFamily(_GuardBand):
+    """Block-diagonal generators given by (M, b, b) stacks of their diagonal blocks.
+
+    Block-diagonal operators are exact at every truncation: applications
+    spread no support and no guard band is consumed.  The dense generators
+    are never needed, so they are never formed.
+    """
+
+    stacks: tuple
+    labels: tuple
+    band_growth: ClassVar[int] = 0
+    gram_form: ClassVar[type] = BlockGram
+
+    @property
+    def dim(self) -> int:
+        M, b, _ = self.stacks[0].shape
+        return M * b
+
+    @property
+    def interior_bound(self) -> int:
+        return self.dim
+
+
 def recombined_family(family: GeneratorFamily, O: np.ndarray) -> GeneratorFamily:
-    """Family with generators replaced by the recombination sum_j O[i, j] X_j."""
+    """Family with generators replaced by the recombination sum_j O[i, j] X_j.
+
+    The result declares no Gram structure, so its chain is dense: an
+    independent route to the same forms for orthogonal O.
+    """
     O = np.asarray(O, dtype=float)
     d = family.d
     if O.shape != (d, d):
@@ -118,33 +267,30 @@ class ScaleChain:
     """Gram forms G_0 .. G_nmax of the nested scale, plus their family."""
 
     grams: tuple
-    family: GeneratorFamily
+    family: GeneratorFamily | BlockFamily
 
     @property
     def n_max(self) -> int:
         return len(self.grams) - 1
 
-    def gram(self, n: int) -> np.ndarray:
+    def gram(self, n: int):
         if not (0 <= n <= self.n_max):
             raise UsageError(f"scale level {n} outside 0..{self.n_max}")
         return self.grams[n]
 
     def hermiticity_residual(self) -> float:
-        return max(
-            float(np.max(np.abs(G - G.conj().T))) for G in self.grams
-        )
+        return max(G.hermiticity_residual() for G in self.grams)
 
     def increment_eigenvalue_floor(self) -> float:
         """Smallest eigenvalue over all increments G_{n+1} - G_n."""
-        floors = []
-        for n in range(self.n_max):
-            diff = self.grams[n + 1] - self.grams[n]
-            floors.append(float(np.min(np.linalg.eigvalsh(0.5 * (diff + diff.conj().T)))))
+        floors = [
+            self.grams[n + 1].increment_floor(self.grams[n]) for n in range(self.n_max)
+        ]
         return min(floors) if floors else 0.0
 
 
-def build_scale_chain(family: GeneratorFamily, n_max: int) -> ScaleChain:
-    """Run the Gram recursion up to level ``n_max``."""
+def build_scale_chain(family: GeneratorFamily | BlockFamily, n_max: int) -> ScaleChain:
+    """Run the Gram recursion up to level ``n_max`` in the family's Gram form."""
     if n_max < 0:
         raise UsageError("n_max must be >= 0")
     if n_max > family.max_safe_depth():
@@ -152,15 +298,9 @@ def build_scale_chain(family: GeneratorFamily, n_max: int) -> ScaleChain:
             f"depth {n_max} exhausts the guard band; "
             f"maximal safe n_max for this family is {family.max_safe_depth()}"
         )
-    N = family.dim
-    grams = [np.eye(N, dtype=complex)]
+    grams = [family.gram_form.identity(family)]
     for _ in range(n_max):
-        G = grams[-1]
-        nxt = G.copy()
-        for X in family.gens:
-            nxt = nxt + X.conj().T @ G @ X
-        nxt = 0.5 * (nxt + nxt.conj().T)
-        grams.append(nxt)
+        grams.append(grams[-1].step(family))
     return ScaleChain(tuple(grams), family)
 
 
@@ -172,8 +312,7 @@ def scale_norm(chain: ScaleChain, phi, n: int) -> float:
         raise UsageError(
             f"vector has shape {phi.shape}, expected ({chain.family.dim},)"
         )
-    val = float(np.real(np.vdot(phi, G @ phi)))
-    return np.sqrt(max(val, 0.0))
+    return np.sqrt(max(G.quadratic(phi), 0.0))
 
 
 @dataclass(frozen=True)
@@ -238,24 +377,20 @@ def scale_operator_norm(
     n: int,
     interior_modes: int | None = None,
 ) -> float:
-    """Operator norm of A with respect to the level-n norm.
+    """Operator norm of A with respect to the level-n norm of a diagonal chain.
 
-    With ``interior_modes`` set, the supremum runs over inputs supported in
-    that many leading modes (the output is still measured in full), which
-    keeps the estimate honest where truncation contaminates the band edge.
+    With G_n = diag(w), this is the spectral norm of
+    diag(w)^{1/2} A[:, :k] diag(w[:k])^{-1/2}.  With ``interior_modes`` = k
+    set, the supremum runs over inputs supported in that many leading modes
+    (the output is still measured in full), which keeps the estimate honest
+    where truncation contaminates the band edge; by default k = N.
     """
     G = chain.gram(n)
+    if not isinstance(G, DiagonalGram):
+        raise UsageError("scale_operator_norm needs a chain of diagonal Gram forms")
     A = np.asarray(A, dtype=complex)
-    L = scipy.linalg.cholesky(G + 0.0j, lower=True)
-    if interior_modes is None:
-        # sigma_max of L^H A L^{-H}
-        M = L.conj().T @ A @ np.linalg.inv(L.conj().T)
-        return float(np.linalg.norm(M, 2))
-    k = int(interior_modes)
+    k = chain.family.dim if interior_modes is None else int(interior_modes)
     if not (0 < k <= chain.family.dim):
         raise UsageError(f"interior_modes must lie in 1..{chain.family.dim}")
-    Gk = G[:k, :k]
-    Lk = scipy.linalg.cholesky(Gk + 0.0j, lower=True)
-    # sup over phi in the leading-k subspace of ||A phi||_n / ||phi||_n
-    M = L.conj().T @ A[:, :k] @ np.linalg.inv(Lk.conj().T)
-    return float(np.linalg.norm(M, 2))
+    root = np.sqrt(G.weights)
+    return float(np.linalg.norm(root[:, None] * A[:, :k] / root[None, :k], 2))

@@ -38,3 +38,16 @@ def h0(n=N):
     v = np.zeros(n, dtype=complex)
     v[0] = 1.0
     return v
+
+
+def dense_chain(gens, n_max):
+    """The dense Gram recursion the structured forms replace (the oracle)."""
+    G = np.eye(gens[0].shape[0], dtype=complex)
+    grams = [G]
+    for _ in range(n_max):
+        nxt = G.copy()
+        for X in gens:
+            nxt = nxt + X.conj().T @ G @ X
+        G = 0.5 * (nxt + nxt.conj().T)
+        grams.append(G)
+    return grams

@@ -265,17 +265,13 @@ def test_criterion_07_equicontinuity_ladder(fam, chain, x2_subgroup):
         hilleyosida.estimate_type(x2_subgroup, chain, n, grid, phis) for n in (0, 1, 2, 3)
     ]
     lam_grid = (4.5, 5.0, 6.0, 8.0, 11.0, 15.0, 23.0)
-    betas = [
-        hilleyosida.estimate_beta(
-            lambda lam: hilleyosida.resolvent_matrix(fam.x2, lam),
-            chain,
-            n,
-            lambdas=lam_grid,
-            p_max=5,
-            interior_modes=min(N // 4, chain.family.interior_modes(max(n, 1))),
-        )
-        for n in (0, 1, 2, 3)
-    ]
+    betas = hilleyosida.estimate_beta(
+        lambda lam: hilleyosida.resolvent_matrix(fam.x2, lam),
+        chain,
+        {n: min(N // 4, chain.family.interior_modes(max(n, 1))) for n in (0, 1, 2, 3)},
+        lambdas=lam_grid,
+        p_max=5,
+    )
     verdict = hilleyosida.global_conditions_report(estimates, betas, omega_tol=1e-6)
     ok = (
         worst <= 1 + 1e-8

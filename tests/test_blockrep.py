@@ -22,7 +22,9 @@ from scalerep.blockrep import (
 )
 from scalerep.errors import UsageError
 from scalerep.liecore import GroupElement, group_multiply
-from scalerep.scale import scale_norm
+from scalerep.scale import BlockGram, scale_norm
+
+from conftest import dense_chain
 
 coord = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
 elements = st.builds(GroupElement, coord, coord, coord)
@@ -247,9 +249,36 @@ def test_block_stacks_match_dense_oracle(M):
     assert h1_operator_norm(fam, g) == loop
 
 
+@pytest.mark.parametrize("M", (1, 7, 50))
+def test_block_chain_matches_the_dense_recursion(M):
+    fam = block_generators(M)
+    chain = two_norm_chain(fam, n_max=3)
+    oracle = dense_chain(_kron_generators(M), 3)
+    n = np.arange(M)
+    for form, G in zip(chain.grams, oracle):
+        assert isinstance(form, BlockGram) and form.blocks.shape == (M, 3, 3)
+        blocks = G.reshape(M, 3, M, 3).copy()
+        on_block = blocks[n, :, n, :]
+        assert np.array_equal(on_block, form.blocks)
+        blocks[n, :, n, :] = 0.0
+        assert np.max(np.abs(blocks)) == 0.0
+    rng = np.random.default_rng(M)
+    for level, G_n in enumerate(oracle):
+        for _ in range(3):
+            phi = rng.standard_normal(fam.dim) + 1j * rng.standard_normal(fam.dim)
+            dense = np.sqrt(np.vdot(phi, G_n @ phi).real)
+            assert scale_norm(chain, phi, level) == pytest.approx(dense, rel=1e-13, abs=0)
+    floors = [np.min(np.linalg.eigvalsh(b - a)) for a, b in zip(oracle, oracle[1:])]
+    assert chain.increment_eigenvalue_floor() == pytest.approx(min(floors), rel=1e-13, abs=0)
+    assert chain.hermiticity_residual() == 0.0
+    # the chain is built from the stacks: no dense generator was assembled
+    assert not {"x1", "x2", "x3"} & set(vars(fam))
+
+
 def test_stack_kernels_never_build_dense_matrices():
     # one dense 6000 x 6000 float matrix alone is 275 MiB
     g, h = GroupElement(0.3, -1.2, 0.7), GroupElement(-0.4, 0.9, 1.1)
+    rng = np.random.default_rng(2000)
     tracemalloc.start()
     try:
         fam = block_generators(2000)
@@ -258,6 +287,10 @@ def test_stack_kernels_never_build_dense_matrices():
         assert res.identity_residual < 1e-9 and res.operator_norm > 0
         unboundedness_growth((2000,))
         nonextendability_evidence((2000,), 1.0)
+        chain = two_norm_chain(fam)
+        for _ in range(1000):
+            assert scale_norm(chain, rng.standard_normal(fam.dim), 2) > 0
+        assert collapse_identity_residual(fam, chain) <= 1e-12 * 2000**4
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

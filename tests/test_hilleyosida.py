@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.special
 
+from scalerep import hilleyosida, suites
 from scalerep.errors import AccuracyError, ConvergenceError, SingularOperatorError, UsageError
 from scalerep.hermite import gauss_hermite
 from scalerep.hilleyosida import (
@@ -241,18 +242,13 @@ def test_e118_bound_level0(fam, chain):
 
 
 def test_beta_ladder_strictly_increases(fam, chain, rng):
-    betas = []
-    for n in (0, 1, 2):
-        betas.append(
-            estimate_beta(
-                lambda lam: resolvent_matrix(fam.x2, lam),
-                chain,
-                n,
-                lambdas=(4.5, 6.0, 9.0, 15.0, 23.0),
-                p_max=4,
-                interior_modes=16,
-            )
-        )
+    betas = estimate_beta(
+        lambda lam: resolvent_matrix(fam.x2, lam),
+        chain,
+        dict.fromkeys((0, 1, 2), 16),
+        lambdas=(4.5, 6.0, 9.0, 15.0, 23.0),
+        p_max=4,
+    )
     assert betas[0] < betas[1] < betas[2]
     assert betas[0] < 0.1
 
@@ -265,20 +261,40 @@ def test_global_conditions_verdicts(fam, chain, x2_evaluator, rng):
         phis.append(phi / np.linalg.norm(phi))
     grid = (1.0, 1e3, 1e6, 1e7)
     estimates = [estimate_type(x2_evaluator, chain, n, grid, phis) for n in (0, 1, 2)]
-    betas = [
-        estimate_beta(
-            lambda lam: resolvent_matrix(fam.x2, lam),
-            chain,
-            n,
-            lambdas=(4.0, 8.0, 16.0, 23.0),
-            p_max=4,
-            interior_modes=16,
-        )
-        for n in (0, 1, 2)
-    ]
+    betas = estimate_beta(
+        lambda lam: resolvent_matrix(fam.x2, lam),
+        chain,
+        dict.fromkeys((0, 1, 2), 16),
+        lambdas=(4.0, 8.0, 16.0, 23.0),
+        p_max=4,
+    )
     verdict = global_conditions_report(estimates, betas)
     assert verdict.bounded_type
     assert verdict.beta_strictly_increasing
     assert not verdict.uniform_equicontinuity
     with pytest.raises(UsageError):
         global_conditions_report(estimates[:1], betas[:1])
+
+
+def test_global_conditions_build_each_resolvent_once(monkeypatch):
+    # hy-13 measures every level on one resolvent (and its powers) per lambda
+    x2_calls, all_calls = [], []
+    build_x2 = suites.SuiteContext.x2_resolvent
+    build = hilleyosida.resolvent_matrix
+
+    def count_x2(ctx, lam):
+        x2_calls.append(lam)
+        return build_x2(ctx, lam)
+
+    def count(X, lam):
+        all_calls.append(lam)
+        return build(X, lam)
+
+    monkeypatch.setattr(suites.SuiteContext, "x2_resolvent", count_x2)
+    monkeypatch.setattr(hilleyosida, "resolvent_matrix", count)
+    [hy13] = [c for c in suites.SUITES["hille-yosida"] if c.case_id.startswith("hy-13")]
+    monkeypatch.setitem(suites.SUITES, "hille-yosida", (hy13,))
+    records, _ = suites.run_suite(suites.SuiteConfig(suite="hille-yosida"))
+    assert len(records) == 3
+    assert len(x2_calls) == len(set(x2_calls)) == 7   # the x2 lambda grid
+    assert len(all_calls) == 7 + 3                     # plus the phase grid

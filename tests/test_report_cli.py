@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -175,18 +176,70 @@ def test_cli_config_file_with_flag_override(tmp_path, capsys):
     assert "1.0000000000000001e-10" in text or "1e-10" in text
 
 
-def test_cli_entry_point_runs():
+def run_cli_child(*args):
     # the child imports the same scalerep as this process, installed or not
     src = os.path.dirname(os.path.dirname(os.path.abspath(scalerep.__file__)))
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    proc = subprocess.run(
-        [sys.executable, "-m", "scalerep.cli", "list-suites"],
+    return subprocess.run(
+        [sys.executable, "-m", "scalerep.cli", *args],
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=path),
     )
+
+
+def test_cli_entry_point_runs():
+    proc = run_cli_child("list-suites")
     assert proc.returncode == 0
     assert "nilpotent-l2" in proc.stdout
+
+
+def test_scaled_block_run_writes_a_full_report(tmp_path):
+    # the scaled nilpotent-l2 run at 400 blocks (a 1200-dim model)
+    out = tmp_path / "nl400.json"
+    proc = run_cli_child("run", "--suite", "nilpotent-l2", "--trunc", "400", "--out", str(out))
+    assert proc.returncode in (0, 1)
+    assert "Traceback" not in proc.stderr
+    rows = json.loads(out.read_text())
+    assert len(rows) == 24
+    assert {r["case"].split("/")[0] for r in rows} == {
+        c.case_id for c in suites.SUITES["nilpotent-l2"]
+    }
+
+
+def test_cli_refuses_depth_one_for_level_two_suites(tmp_path, capsys, monkeypatch):
+    # sc-02 and hy-02 measure at level 2: refused before any case runs
+    def no_run(cfg):
+        raise AssertionError("a suite started")
+
+    monkeypatch.setattr("scalerep.cli.run_suite", no_run)
+    for suite in ("scale-core", "hille-yosida", "all"):
+        out = tmp_path / f"{suite}.json"
+        assert main(["run", "--suite", suite, "--nmax", "1", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert "n_max must be >= 2" in captured.err
+        assert not out.exists()
+    for suite in ("heisenberg-hermite", "nilpotent-l2"):
+        SuiteConfig(suite=suite, n_max=1).validate()
+
+
+def test_timings_stamp_each_case_time_once(monkeypatch):
+    def three_rows(cfg, ctx, rec):
+        for name in ("a", "b", "c"):
+            rec.check(name, 0.0, 1.0)
+
+    clock = iter([0.0, 1.5, 10.0, 12.25])
+    monkeypatch.setattr(suites, "time", types.SimpleNamespace(perf_counter=lambda: next(clock)))
+    cases = (Case("xx-01", (), three_rows), Case("xx-02", (), three_rows))
+    monkeypatch.setitem(suites.SUITES, "lie-core", cases)
+    records, _ = run_suite(SuiteConfig(suite="lie-core"))
+    assert [r.seconds for r in records] == [1.5, 0.0, 0.0, 2.25, 0.0, 0.0]
+    timed = list(csv.reader(io.StringIO(render(records, "csv", timings=True))))[1:]
+    assert sum(float(r[7]) for r in timed) == 3.75   # the suite's time, counted once
+    default = list(csv.reader(io.StringIO(render(records, "csv"))))[1:]
+    assert {r[7] for r in default} == {"0"}
 
 
 def test_trunc_sets_the_block_count_only_for_nilpotent_l2_alone(monkeypatch):

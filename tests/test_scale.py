@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from scalerep.errors import UsageError
+from scalerep.heisenberg import hermite_generators
 from scalerep.hermite import gauss_hermite
 from scalerep.scale import (
+    DiagonalGram,
     GeneratorFamily,
     build_scale_chain,
     group_bound_check,
@@ -13,7 +16,7 @@ from scalerep.scale import (
     scale_operator_norm,
 )
 
-from conftest import h0
+from conftest import dense_chain, h0
 
 
 def quadrature_h0_norms():
@@ -52,7 +55,7 @@ def test_zero_family_grams_stay_identity():
     fam = GeneratorFamily(8, (np.zeros((8, 8)),) * 2, ("A", "B"), 7)
     chain = build_scale_chain(fam, 3)
     for G in chain.grams:
-        assert np.array_equal(G, np.eye(8))
+        assert np.array_equal(G.matrix, np.eye(8))
 
 
 def test_level_zero_is_euclidean(chain, rng):
@@ -123,8 +126,8 @@ def test_basis_invariance_orthogonal(chain):
     O = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
     alt = build_scale_chain(recombined_family(chain.family, O), 3)
     for a, b in zip(alt.grams, chain.grams):
-        scale = max(1.0, float(np.max(np.abs(b))))
-        assert np.max(np.abs(a - b)) / scale < 1e-12
+        scale = max(1.0, float(np.max(np.abs(b.weights))))
+        assert np.max(np.abs(a.matrix - np.diag(b.weights))) / scale < 1e-12
 
 
 def test_recombination_validation(chain):
@@ -154,7 +157,7 @@ def test_scale_operator_norm_identity(chain):
 
 
 def test_norm_homogeneity_and_triangle(chain, rng):
-    top = float(np.max(np.abs(chain.gram(3))))
+    top = float(np.max(np.abs(chain.gram(3).weights)))
     for _ in range(50):
         phi = rng.standard_normal(64) + 1j * rng.standard_normal(64)
         psi = rng.standard_normal(64) + 1j * rng.standard_normal(64)
@@ -177,3 +180,48 @@ def test_family_validation():
         GeneratorFamily(4, (np.zeros((4, 4)),), ("A",), 9)
     with pytest.raises(UsageError):
         GeneratorFamily(4, (np.zeros((4, 4)),), ("A",), 3, band_growth=-1)
+
+
+def cholesky_operator_norm(G, A, k):
+    """sup over the leading k modes of ||A phi||_G / ||phi||_G, via Cholesky factors."""
+    L = scipy.linalg.cholesky(G, lower=True)
+    Lk = scipy.linalg.cholesky(G[:k, :k], lower=True)
+    return np.linalg.norm(L.conj().T @ A[:, :k] @ np.linalg.inv(Lk.conj().T), 2)
+
+
+@pytest.mark.parametrize("N", (8, 64, 160, 320))
+def test_diagonal_chain_matches_the_dense_recursion(N):
+    eps = np.finfo(float).eps
+    family = hermite_generators(N).scale_family
+    n_max = min(3, family.max_safe_depth())
+    chain = build_scale_chain(family, n_max)
+    oracle = dense_chain(family.gens, n_max)
+    for n, (G, form) in enumerate(zip(oracle, chain.grams)):
+        assert isinstance(form, DiagonalGram) and form.weights.shape == (N,)
+        # the off-diagonal terms of X1 and X2 cancel exactly, not to rounding
+        assert np.max(np.abs(G - np.diag(np.diag(G)))) == 0.0
+        assert np.max(np.abs(np.diag(G).imag)) == 0.0
+        # positive sums: at most a few roundings per level
+        rel = np.abs(np.diag(G).real - form.weights) / form.weights
+        assert np.max(rel) <= 4 * n * eps
+    rng = np.random.default_rng(N)
+    A = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
+    floors = [np.min(np.linalg.eigvalsh(b - a)) for a, b in zip(oracle, oracle[1:])]
+    assert chain.increment_eigenvalue_floor() == pytest.approx(min(floors), rel=1e-13, abs=0)
+    for n, G in enumerate(oracle):
+        for phi in A[:, :3].T:
+            dense = np.sqrt(np.vdot(phi, G @ phi).real)
+            assert scale_norm(chain, phi, n) == pytest.approx(dense, rel=1e-13, abs=0)
+        for k in (N, max(1, N // 4)):
+            oracle_norm = cholesky_operator_norm(G, A, k)
+            modes = None if k == N else k
+            measured = scale_operator_norm(chain, A, n, interior_modes=modes)
+            assert measured == pytest.approx(oracle_norm, rel=1e-13, abs=0)
+
+
+def test_scale_operator_norm_needs_a_diagonal_chain(block_chain):
+    fam = GeneratorFamily(8, (np.zeros((8, 8)),) * 2, ("A", "B"), 7)
+    with pytest.raises(UsageError):
+        scale_operator_norm(build_scale_chain(fam, 1), np.eye(8), 1)
+    with pytest.raises(UsageError):
+        scale_operator_norm(block_chain, np.eye(block_chain.family.dim), 1)
