@@ -12,6 +12,11 @@ two independent routes:
   ``action_factored`` assembles the same product as a matrix for the
   callers that need the operator itself.
 
+Each one-parameter group t -> exp(t X_i) has one evaluator,
+``evaluators[i - 1]``: the cached ``subgroups`` for X1 and X2 and the
+scalar phase for X3.  ``one_parameter``, both factored routes and the
+chart integrator all go through them.
+
 Cross-validation of the two routes is one of the package's main checks.
 """
 
@@ -21,7 +26,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from . import liecore
 from .errors import AccuracyError, UsageError
@@ -44,19 +48,20 @@ from .scale import (
 )
 
 UNITARITY_DEFECT_TOL = 1e-6
+SUPPORT_RTOL = 1e-8
 
 
-def effective_support(phi, rtol: float = 1e-8) -> int:
-    """Highest mode carrying more than ``rtol`` of the vector's norm.
+def effective_support(phi) -> int:
+    """Highest mode carrying more than ``SUPPORT_RTOL`` of the vector's norm.
 
     Action outputs acquire numerically tiny tails across the whole
     truncation; those are harmless to feed back in, so preconditions on
     support use this measure rather than exact zeros.  Mass the
-    precondition cannot see is bounded by rtol^2 of the squared norm,
+    precondition cannot see is bounded by SUPPORT_RTOL^2 of the squared norm,
     far below the unitarity-defect guard that runs on every action.
     """
     phi = np.asarray(phi)
-    cutoff = rtol * float(np.linalg.norm(phi))
+    cutoff = SUPPORT_RTOL * float(np.linalg.norm(phi))
     nz = np.nonzero(np.abs(phi) > cutoff)[0]
     return int(nz[-1]) if nz.size else 0
 
@@ -175,7 +180,6 @@ class HermiteHeisenberg:
         self,
         g: GroupElement,
         phi,
-        quad: QuadratureSpec | None = None,
         defect_tol: float = UNITARITY_DEFECT_TOL,
     ) -> np.ndarray:
         """Coefficients of x -> exp(-i xi3) exp(-i x xi2) phi(x + xi1).
@@ -194,8 +198,7 @@ class HermiteHeisenberg:
                 f"effective support {sb} exceeds N/2 = {self.N // 2}; "
                 "translation and modulation would spread past the guard band"
             )
-        quad = quad or self.quad
-        xs, ws, H = self._action_tables(quad.node_count)
+        xs, ws, H = self._action_tables(self.quad.node_count)
         shifted = evaluate_series(phi, xs + g.xi1)
         integrand = np.exp(-1j * g.xi3) * np.exp(-1j * xs * g.xi2) * shifted
         out = H @ (ws * integrand)
@@ -220,37 +223,29 @@ class HermiteHeisenberg:
             UnitaryGroup.of(position_matrix(self.N)),
         )
 
-    def one_parameter(self, i: int, t: float, method: str = "expm") -> np.ndarray:
-        """Matrix of exp(t X_i) for a basis generator (i in 1..3).
+    @cached_property
+    def evaluators(self) -> tuple:
+        """t -> exp(t X_i) for i = 1, 2, 3: the two subgroups and the central phase."""
+        s, eye = liecore.x3_sign_factor(self.x3_sign), np.eye(self.N, dtype=complex)
+        return (*self.subgroups, lambda t: np.exp(t * s) * eye)
 
-        ``method="expm"`` uses scaling-and-squaring; ``method="eigh"``
-        exponentiates through the Hermitian eigendecomposition, which keeps
-        the factors exactly unitary for arbitrarily large t.
-        """
-        if i == 3:
-            return np.exp(t * liecore.x3_sign_factor(self.x3_sign)) * np.eye(
-                self.N, dtype=complex
-            )
-        if i not in (1, 2):
+    def one_parameter(self, i: int, t: float) -> np.ndarray:
+        """Matrix of exp(t X_i) for a basis generator (i in 1..3)."""
+        if i not in (1, 2, 3):
             raise UsageError("generator index must be 1, 2, or 3")
-        if method == "expm":
-            X = self.x1 if i == 1 else self.x2
-            return scipy.linalg.expm(t * X)
-        if method != "eigh":
-            raise UsageError("method must be 'expm' or 'eigh'")
-        return self.subgroups[i - 1](t)
+        return self.evaluators[i - 1](t)
 
-    def action_factored(self, g: GroupElement, method: str = "expm") -> np.ndarray:
+    def action_factored(self, g: GroupElement) -> np.ndarray:
         """Matrix of the action as exp(t1 X1) exp(t2 X2) exp(t3 X3)."""
         t1, t2, t3 = second_kind_coords(g)
-        U = self.one_parameter(1, t1, method) @ self.one_parameter(2, t2, method)
-        return U * np.exp(t3 * liecore.x3_sign_factor(self.x3_sign))
+        U1, U2 = self.subgroups
+        return (U1(t1) @ U2(t2)) * np.exp(t3 * liecore.x3_sign_factor(self.x3_sign))
 
     def act_factored(self, g: GroupElement, phi) -> np.ndarray:
         """exp(t1 X1) exp(t2 X2) exp(t3 X3) phi through the cached subgroups.
 
-        The vector form of ``action_factored(g, "eigh") @ phi``; ``phi``
-        may be one vector or an (N, k) block of them.
+        The vector form of ``action_factored(g) @ phi``; ``phi`` may be one
+        vector or an (N, k) block of them.
         """
         t1, t2, t3 = second_kind_coords(g)
         U1, U2 = self.subgroups

@@ -99,9 +99,7 @@ def resolvent_laplace(
     phi,
     *,
     tol: float = 1e-8,
-    growth_constant: float = 1.0,
-    panel_width: float = 0.5,
-    nodes_per_panel: int = 16,
+    nodes_per_panel: int = 16,  # bench/layertrace.py reads it to count nodes
     t_max: float | None = None,
 ) -> LaplaceResult:
     """Laplace transform of the group: integral of e^{-lam t} T(t) phi.
@@ -109,9 +107,9 @@ def resolvent_laplace(
     ``apply(t, v)`` returns T(t) v; it is called once per quadrature node,
     so the group need not be formed as a matrix.  Positive Re(lam) integrates
     over t >= 0; negative Re(lam) uses the mirrored branch over t <= 0.
-    Composite Gauss-Legendre panels on [0, t_max]; t_max is chosen so the
-    analytic tail bound growth_constant * ||phi|| * e^{-|Re lam| t_max} /
-    |Re lam| sits below 0.1 * tol unless supplied explicitly.
+    Composite Gauss-Legendre panels of width 0.5 on [0, t_max]; t_max is
+    chosen so the tail bound ||phi|| * e^{-|Re lam| t_max} / |Re lam| of a
+    contraction group sits below 0.1 * tol unless supplied explicitly.
     """
     phi = np.asarray(phi, dtype=complex)
     lam = complex(lam)
@@ -121,9 +119,9 @@ def resolvent_laplace(
     nrm = float(np.linalg.norm(phi))
     if t_max is None:
         target = 0.1 * tol * max(nrm, 1e-300)
-        t_max = float(np.log(growth_constant * max(nrm, 1e-300) / target) / a)
+        t_max = float(np.log(max(nrm, 1e-300) / target) / a)
     sign = 1.0 if lam.real > 0 else -1.0
-    panels = max(1, int(np.ceil(t_max / panel_width)))
+    panels = max(1, int(np.ceil(t_max / 0.5)))
     xg, wg = scipy.special.roots_legendre(nodes_per_panel)
     total = np.zeros_like(phi)
     edges = np.linspace(0.0, t_max, panels + 1)
@@ -135,7 +133,7 @@ def resolvent_laplace(
             weight = half * wq * np.exp(-lam * sign * s)
             total = total + weight * apply(sign * s, phi)
     total = sign * total
-    tail = growth_constant * nrm * np.exp(-a * t_max) / a
+    tail = nrm * np.exp(-a * t_max) / a
     if tail > tol:
         raise AccuracyError(
             f"tail bound {tail:.2e} exceeds tol {tol:.2e} at t_max={t_max:g}",
@@ -144,21 +142,18 @@ def resolvent_laplace(
     return LaplaceResult(total, float(t_max), panels, float(tail))
 
 
-def resolvent_closed_form_x2(
-    lam: complex, phi, N: int, quad: QuadratureSpec | None = None
-) -> np.ndarray:
+def resolvent_closed_form_x2(lam: complex, phi, N: int) -> np.ndarray:
     """Coefficients of x -> phi(x) / (lam + i x), projected onto N modes.
 
     The multiplication-operator form of the resolvent of the modulation
     generator; defined off the imaginary axis, where the denominator never
-    vanishes.
+    vanishes.  The projection uses the default rule for N modes.
     """
     lam = complex(lam)
     if lam.real == 0:
         raise UsageError("closed-form resolvent needs Re(lambda) != 0")
     phi = np.asarray(phi, dtype=complex)
-    quad = quad or QuadratureSpec.for_dim(N)
-    xs, ws = gauss_hermite(quad.node_count)
+    xs, ws = gauss_hermite(QuadratureSpec.for_dim(N).node_count)
     vals = evaluate_series(phi, xs) / (lam + 1j * xs)
     H = hermite_functions(xs, N)
     return H @ (ws * vals)

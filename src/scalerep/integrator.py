@@ -71,14 +71,9 @@ class EvaluatorCheck:
     derivative_residual: float
 
 
-def evaluator_invariants(
-    ifam: IntegrableFamily,
-    phis,
-    s: float = 0.3,
-    t: float = 0.45,
-    h: float = 1e-6,
-) -> list:
+def evaluator_invariants(ifam: IntegrableFamily, phis) -> list:
     """Per generator: E(s)E(t) = E(s+t) on samples, and dE/dt(0) = X."""
+    s, t, h = 0.3, 0.45, 1e-6  # law at (s, t); central-difference step h
     phis = [np.asarray(p, dtype=complex) for p in phis]
     out = []
     for label, E, X in zip(ifam.labels, ifam.evaluators, ifam.gens):
@@ -135,8 +130,6 @@ def int_identity_residual(
     phi,
     chain: ScaleChain,
     n: int,
-    tol: float = 1e-14,
-    max_terms: int = 64,
 ) -> float:
     """Residual of the conjugation series identity applied to phi.
 
@@ -152,7 +145,7 @@ def int_identity_residual(
     )
     E = ifam.evaluators[i - 1]
     lhs = E(t) @ (ifam.gens[j - 1] @ (E(-t) @ phi))
-    series = ad_series(ifam.gens[i - 1], ifam.gens[j - 1], t, tol=tol, max_terms=max_terms)
+    series = ad_series(ifam.gens[i - 1], ifam.gens[j - 1], t)
     return scale_norm(chain, lhs - series @ phi, n)
 
 
@@ -203,9 +196,9 @@ def translated_derivative_residual(
     phi,
     chain: ScaleChain,
     n: int,
-    h: float = 1e-3,
 ) -> float:
     """Residual of d/dt T(exp(t x) g) phi = X T(exp(t x) g) phi."""
+    h = 1e-3  # central-difference step
     phi = np.asarray(phi, dtype=complex)
     X = ifam.generator(x_coeffs)
     mid = group_multiply(liecore.chart_exp(x_coeffs, t), g)
@@ -223,9 +216,8 @@ def interpolation_constancy_residual(
     phi,
     chain: ScaleChain,
     n: int,
-    s_grid=(0.0, 0.25, 0.5, 0.75, 1.0),
 ) -> float:
-    """Spread of s -> T(exp(s x)) T(exp((t-s) x) g) phi over the grid.
+    """Spread of s -> T(exp(s x)) T(exp((t-s) x) g) phi over s = 0, 1/4, ..., 1.
 
     Constancy of this interpolating path is what forces the chart product
     to be a homomorphism; the residual is the largest level-n distance
@@ -233,7 +225,7 @@ def interpolation_constancy_residual(
     """
     phi = np.asarray(phi, dtype=complex)
     values = []
-    for s in s_grid:
+    for s in (0.0, 0.25, 0.5, 0.75, 1.0):
         left = integrate_chart(ifam, liecore.chart_exp(x_coeffs, s * t))
         right = integrate_chart(
             ifam, group_multiply(liecore.chart_exp(x_coeffs, (1 - s) * t), g)
@@ -286,14 +278,13 @@ def pairing_residual(Tg: np.ndarray, phi, F) -> float:
     return abs(lhs - rhs)
 
 
-def dual_generator_residual(
-    ifam: IntegrableFamily, i: int, F, h: float = 1e-4
-) -> float:
+def dual_generator_residual(ifam: IntegrableFamily, i: int, F) -> float:
     """Finite-difference generator of t -> V(exp(t x_i)) against -dual(X_i).
 
     V(t) applied to a functional is dual(E(-t)); the derivative at 0 is
     minus the dual of the generator.
     """
+    h = 1e-4  # central-difference step
     F = np.asarray(F, dtype=complex)
     E = ifam.evaluators[i - 1]
     Vp = dual_operator(E(-h)) @ F

@@ -52,6 +52,11 @@ TYPE_T_GRID = (1.0, 10.0, 100.0, 1e3, 1e4, 1e5, 1e6, 1e7)
 DIFF_T_GRID = tuple(1e-2 * 0.5**k for k in range(11))
 BLOCK_LADDER = (10, 50, 100)
 HERMITE_LADDER = (32, 64, 128)
+# Fewest modes heisenberg-hermite runs to the end at.  Below it hh-03 loses
+# mass past the truncation (N <= 28) or hh-07/hh-08 draw vectors past the
+# action's N/2 support limit (N = 53 dies at 37 of seeds 0-39); 54 completes
+# at every seed 0-39, at --nmax 2, 3 and 4 and with --x3-sign paper.
+HERMITE_SUITE_MIN_TRUNC = 54
 
 TOL_DEFAULTS = {
     "algebraic": 1e-12,
@@ -133,8 +138,11 @@ class SuiteConfig:
                 raise UsageError(
                     f"unknown tolerance key {key!r}; known: {sorted(TOL_DEFAULTS)}"
                 )
-        if self.trunc is not None and self.trunc < 8:
-            raise UsageError("truncation must be at least 8")
+        hermite = self.suite in ("heisenberg-hermite", "all")
+        floor = HERMITE_SUITE_MIN_TRUNC if hermite else 8
+        if self.trunc is not None and self.trunc < floor:
+            where = " for heisenberg-hermite" if hermite else ""
+            raise UsageError(f"truncation must be at least {floor}{where}")
 
 
 class SuiteContext:
@@ -198,20 +206,22 @@ class SuiteContext:
         fam = self.chain.family
         return min(self.N // 4, fam.interior_modes(depth))
 
-    def _integrable(self, gens, evaluate) -> integrator.IntegrableFamily:
+    def _integrable(self, gens, evaluators) -> integrator.IntegrableFamily:
         return integrator.IntegrableFamily(
             gens=gens,
-            evaluators=tuple((lambda t, i=i: evaluate(i, t)) for i in (1, 2, 3)),
+            evaluators=evaluators,
             labels=("X1", "X2", "X3"),
             chart_box=self.cfg.chart_box,
         )
 
     def hermite_integrable(self) -> integrator.IntegrableFamily:
-        return self._integrable(self.hermite.gens, self.hermite.one_parameter)
+        """Chart family on the Hermite evaluators every Hermite suite shares."""
+        return self._integrable(self.hermite.gens, self.hermite.evaluators)
 
     def block_integrable(self) -> integrator.IntegrableFamily:
         fam = self.blocks
-        return self._integrable(fam.gens, lambda i, t: blockrep.exp_generator(fam, i, t))
+        evaluators = tuple((lambda t, i=i: blockrep.exp_generator(fam, i, t)) for i in (1, 2, 3))
+        return self._integrable(fam.gens, evaluators)
 
 
 def _cached_resolvent(ctx: SuiteContext):
@@ -1619,7 +1629,7 @@ def _in_dual_pairing(cfg, ctx, rec):
         g = group_element(rec.rng, cfg.chart_box)
         phi = interior_vector(rec.rng, ctx.N, ctx.N)
         F = interior_vector(rec.rng, ctx.N, ctx.N)
-        return integrator.pairing_residual(ctx.hermite.action_factored(g, "eigh"), phi, F)
+        return integrator.pairing_residual(ctx.hermite.action_factored(g), phi, F)
 
     # the pairing is the ambient inner product; level 1 names the test-side scale
     rec.worst(
@@ -1661,7 +1671,7 @@ def _in_extension_hermite(cfg, ctx, rec):
         ladder = []
         for N in HERMITE_LADDER:
             fam = hermite_generators(N, cfg.x3_sign)
-            ladder.append((N, fam.one_parameter(i, t, method="eigh")))
+            ladder.append((N, fam.evaluators[i - 1](t)))
         verdict = integrator.extension_probe(ladder, t, label=label)
         rec.holds(
             f"{label}-extends",

@@ -376,7 +376,7 @@ def test_criterion_09_integrator(fam, chain, blocks):
     worst_pair = 0.0
     for _ in range(100):
         g = group_element(rng, 2.0)
-        Tg = fam.action_factored(g, "eigh")
+        Tg = fam.action_factored(g)
         worst_pair = max(
             worst_pair,
             integrator.pairing_residual(
@@ -386,7 +386,7 @@ def test_criterion_09_integrator(fam, chain, blocks):
     hermite_verdicts = []
     for i in (1, 2, 3):
         ladder = [
-            (n, hermite_generators(n).one_parameter(i, 1.0, method="eigh"))
+            (n, hermite_generators(n).one_parameter(i, 1.0))
             for n in (32, 64, 128)
         ]
         hermite_verdicts.append(integrator.extension_probe(ladder, 1.0).verdict)

@@ -122,13 +122,12 @@ def test_action_accuracy_signal(fam):
 
 
 def test_factored_route_matches_analytic(fam, rng):
-    for method in ("expm", "eigh"):
-        for _ in range(5):
-            g = GroupElement(*rng.uniform(-1, 1, 3))
-            phi = random_interior(rng, 64, 16)
-            a = fam.action_analytic(g, phi)
-            b = fam.action_factored(g, method) @ phi
-            assert np.linalg.norm(a - b) < 1e-6
+    for _ in range(5):
+        g = GroupElement(*rng.uniform(-1, 1, 3))
+        phi = random_interior(rng, 64, 16)
+        a = fam.action_analytic(g, phi)
+        b = fam.action_factored(g) @ phi
+        assert np.linalg.norm(a - b) < 1e-6
 
 
 def test_factored_modulation_is_multiplication(fam, rng):
@@ -141,8 +140,6 @@ def test_factored_modulation_is_multiplication(fam, rng):
 def test_one_parameter_validation(fam):
     with pytest.raises(UsageError):
         fam.one_parameter(4, 0.1)
-    with pytest.raises(UsageError):
-        fam.one_parameter(1, 0.1, method="pade99")
 
 
 def test_conjugation_identity_and_modulation(fam, chain, rng):
@@ -216,8 +213,8 @@ def test_action_homomorphism_factored(fam, rng):
         g = GroupElement(*rng.uniform(-1, 1, 3))
         h = GroupElement(*rng.uniform(-1, 1, 3))
         phi = random_interior(rng, 64, 16)
-        lhs = fam.action_factored(g, "eigh") @ (fam.action_factored(h, "eigh") @ phi)
-        rhs = fam.action_factored(group_multiply(g, h), "eigh") @ phi
+        lhs = fam.action_factored(g) @ (fam.action_factored(h) @ phi)
+        rhs = fam.action_factored(group_multiply(g, h)) @ phi
         assert np.linalg.norm(lhs - rhs) < 1e-7
 
 
@@ -275,10 +272,10 @@ def test_act_factored_matches_the_assembled_action(fam, rng):
     for _ in range(5):
         g = GroupElement(*rng.uniform(-1, 1, 3))
         phi = random_interior(rng, 64, 16)
-        expect = fam.action_factored(g, "eigh") @ phi
+        expect = fam.action_factored(g) @ phi
         assert np.linalg.norm(fam.act_factored(g, phi) - expect) < 1e-12
     block = np.stack([random_interior(rng, 64, 16) for _ in range(3)], axis=1)
-    expect = fam.action_factored(g, "eigh") @ block
+    expect = fam.action_factored(g) @ block
     assert np.max(np.abs(fam.act_factored(g, block) - expect)) < 1e-12
 
 
@@ -287,7 +284,7 @@ def test_family_caches_do_not_keep_the_family_alive():
     phi = np.zeros(16, dtype=complex)
     phi[0] = 1.0
     fam.action_analytic(GroupElement(0.1, 0.2, 0.3), phi)
-    fam.one_parameter(1, 0.5, "eigh")
+    fam.one_parameter(1, 0.5)
     ref = weakref.ref(fam)
     del fam
     gc.collect()

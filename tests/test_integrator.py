@@ -194,7 +194,7 @@ def test_dual_operator_properties(fam, rng):
 def test_dual_pairing_for_group(fam, rng):
     for _ in range(20):
         g = GroupElement(*rng.uniform(-2, 2, 3))
-        Tg = fam.action_factored(g, "eigh")
+        Tg = fam.action_factored(g)
         phi = rng.standard_normal(64) + 1j * rng.standard_normal(64)
         F = rng.standard_normal(64) + 1j * rng.standard_normal(64)
         assert pairing_residual(Tg, phi, F) < 1e-10 * np.linalg.norm(phi) * np.linalg.norm(F)
@@ -211,7 +211,7 @@ def test_extension_probe_verdicts():
     hermite_ladder = []
     for N in (32, 64, 128):
         fam = hermite_generators(N)
-        hermite_ladder.append((N, fam.one_parameter(1, t, method="eigh")))
+        hermite_ladder.append((N, fam.one_parameter(1, t)))
     verdict = extension_probe(hermite_ladder, t, label="X1")
     assert verdict.verdict == "extends"
     assert all(abs(v - 1.0) < 1e-8 for v in verdict.norms)

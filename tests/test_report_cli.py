@@ -8,6 +8,7 @@ import types
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import scalerep
 from scalerep.cli import main
@@ -269,6 +270,58 @@ def test_hermite_suites_never_assemble_a_group_matrix(monkeypatch):
     monkeypatch.setattr(UnitaryGroup, "__call__", refuse)
     for name in guarded:
         assert len(run_suite(SuiteConfig(suite=name))[0]) == counts[name]
+
+
+def test_integrator_runs_on_the_cached_subgroups_without_expm(monkeypatch):
+    cfg = SuiteConfig(suite="integrator")
+    count = len(run_suite(cfg)[0])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("scipy.linalg.expm was called")
+
+    monkeypatch.setattr(scipy.linalg, "expm", refuse)
+    assert len(run_suite(cfg)[0]) == count
+    ctx = suites.SuiteContext(cfg)
+    evaluators = ctx.hermite_integrable().evaluators
+    for i in (1, 2):
+        for t in (0.0, 0.37, -1.9):
+            assert np.array_equal(evaluators[i - 1](t), ctx.hermite.subgroups[i - 1](t))
+
+
+def test_validate_refuses_hermite_truncations_below_the_floor():
+    assert suites.HERMITE_SUITE_MIN_TRUNC == 54
+    for suite in ("heisenberg-hermite", "all"):
+        with pytest.raises(UsageError, match="at least 54 for heisenberg-hermite"):
+            SuiteConfig(suite=suite, trunc=53).validate()
+        SuiteConfig(suite=suite, trunc=54).validate()
+    for suite in SUITE_NAMES:
+        if suite != "heisenberg-hermite":
+            SuiteConfig(suite=suite, trunc=53).validate()
+
+
+def test_cli_refuses_a_hermite_truncation_the_suite_cannot_finish(tmp_path, capsys, monkeypatch):
+    # hh-07 used to refuse its own vectors at N = 32, after six cases had run
+    def no_run(cfg):
+        raise AssertionError("a suite started")
+
+    monkeypatch.setattr("scalerep.cli.run_suite", no_run)
+    out = tmp_path / "hh32.json"
+    assert main(["run", "--suite", "heisenberg-hermite", "--trunc", "32", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert "Traceback" not in captured.err
+    assert "at least 54 for heisenberg-hermite" in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", (42, 0, 7))
+def test_heisenberg_hermite_completes_at_the_floor(seed):
+    cfg = SuiteConfig(suite="heisenberg-hermite", trunc=suites.HERMITE_SUITE_MIN_TRUNC, seed=seed)
+    records, _ = run_suite(cfg)
+    assert {r.case.split("/")[0] for r in records} == {
+        c.case_id for c in suites.SUITES["heisenberg-hermite"]
+    }
 
 
 def recorder():
