@@ -5,8 +5,8 @@ generator is a multiple of the identity whose sign follows the package-wide
 ``x3_sign`` convention (see ``liecore``).  The group action is available by
 two independent routes:
 
-* ``group_action_analytic`` evaluates the phase/modulation/translation
-  formula at shifted quadrature nodes and projects back onto the basis;
+* ``HermiteHeisenberg.action_analytic`` evaluates the phase/modulation/
+  translation formula at shifted nodes and projects back onto the basis;
 * ``act_factored`` applies the one-parameter subgroups in coordinates of
   the second kind, each through its cached eigenbasis (``UnitaryGroup``);
   ``action_factored`` assembles the same product as a matrix for the
@@ -121,6 +121,11 @@ class UnitaryGroup:
         phase = np.exp(-1j * t * self.w)
         coeffs = self.V.conj().T @ v
         return self.V @ (phase * coeffs if v.ndim == 1 else phase[:, None] * coeffs)
+
+    def integrate(self, ts, weights, v) -> np.ndarray:
+        """sum_q weights[q] exp(-i ts[q] H) v as V ((sum_q weights[q] e^{-i ts[q] w}) * (V^H v))."""
+        phases = np.exp(-1j * np.outer(self.w, ts)) @ np.asarray(weights, dtype=complex)
+        return self.V @ (phases * (self.V.conj().T @ np.asarray(v, dtype=complex)))
 
     def __call__(self, t: float) -> np.ndarray:
         """Dense matrix of exp(-i t H), for callers that need the operator."""

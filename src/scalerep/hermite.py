@@ -73,10 +73,11 @@ def hermite_functions(xs, n_modes: int) -> np.ndarray:
 
 
 def evaluate_series(coeffs, xs) -> np.ndarray:
-    """Pointwise values of sum_k coeffs[k] h_k at xs."""
+    """Pointwise values of sum_k coeffs[k] h_k at xs, up to the last nonzero coefficient."""
     coeffs = np.asarray(coeffs, dtype=complex)
-    H = hermite_functions(xs, coeffs.size)
-    return coeffs @ H
+    nz = np.flatnonzero(coeffs)
+    coeffs = coeffs[: nz[-1] + 1 if nz.size else 1]
+    return coeffs @ hermite_functions(xs, coeffs.size)
 
 
 def project_function(values_at_nodes, n_modes: int, quad: QuadratureSpec) -> np.ndarray:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 from math import factorial, inf, sqrt
 
 import numpy as np
@@ -191,6 +191,12 @@ class SuiteContext:
         h0[0] = 1.0
         h0.flags.writeable = False
         return h0
+
+    @cached_property
+    def h0_resolvents(self) -> dict:
+        """lam -> (Laplace result, (lam - X2)^{-1} h0) at lam = 1, 2, 4, for hy-05 and hy-07."""
+        laplace = partial(hilleyosida.resolvent_laplace, self.x2_subgroup, phi=self.h0, tol=1e-8)
+        return {lam: (laplace(lam), self.x2_resolvent(lam) @ self.h0) for lam in (1.0, 2.0, 4.0)}
 
     def x2_resolvent(self, lam) -> np.ndarray:
         """Resolvent matrix (lam - X2)^{-1}, built afresh on every call."""
@@ -984,11 +990,7 @@ def _hy_resolvent_matrix(cfg, ctx, rec):
 def _hy_laplace_vs_matrix(cfg, ctx, rec):
     h0 = ctx.h0
     tol = cfg.tolerance("resolvent_agreement")
-    for lam in (1.0, 2.0, 4.0):
-        result = hilleyosida.resolvent_laplace(
-            ctx.x2_subgroup.apply, lam, h0, tol=1e-8
-        )
-        Rm = ctx.x2_resolvent(lam) @ h0
+    for lam, (result, Rm) in ctx.h0_resolvents.items():
         for n in (0, 1):
             rec.check(
                 f"lam{lam:g}-level{n}",
@@ -998,7 +1000,7 @@ def _hy_laplace_vs_matrix(cfg, ctx, rec):
             )
     # negative real-part branch
     lam = -2.0
-    result = hilleyosida.resolvent_laplace(ctx.x2_subgroup.apply, lam, h0, tol=1e-8)
+    result = hilleyosida.resolvent_laplace(ctx.x2_subgroup, lam, h0, tol=1e-8)
     Rm = ctx.x2_resolvent(lam) @ h0
     rec.check("negative-branch", float(np.linalg.norm(result.vector - Rm)), tol)
 
@@ -1015,9 +1017,8 @@ def _hy_closed_form_value(cfg, ctx, rec):
 def _hy_triple_agreement(cfg, ctx, rec):
     h0 = ctx.h0
     tol = cfg.tolerance("resolvent_agreement")
-    for lam in (1.0, 2.0, 4.0):
-        laplace = hilleyosida.resolvent_laplace(ctx.x2_subgroup.apply, lam, h0, tol=1e-8).vector
-        matrix = ctx.x2_resolvent(lam) @ h0
+    for lam, (result, matrix) in ctx.h0_resolvents.items():
+        laplace = result.vector
         closed = hilleyosida.resolvent_closed_form_x2(lam, h0, ctx.N)
         for n in (0, 1):
             rec.check(

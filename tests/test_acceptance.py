@@ -11,6 +11,7 @@ import scipy.special
 
 from scalerep import blockrep, hilleyosida, integrator, liecore
 from scalerep.heisenberg import (
+    UnitaryGroup,
     differentiability_probe,
     hermite_generators,
     norm_bound_sharp_check,
@@ -53,6 +54,11 @@ def x2_subgroup(fam):
     w, V = np.linalg.eigh(x)
     Vh = V.conj().T
     return lambda t, v: ((V * np.exp(-1j * t * w)) @ Vh) @ v
+
+
+@pytest.fixture(scope="module")
+def x2_group(fam):
+    return UnitaryGroup.of((1j * fam.x2).real)
 
 
 def test_criterion_01_algebraic_exactness(blocks):
@@ -181,12 +187,12 @@ def test_criterion_04_differentiability(fam, chain):
     assert ok
 
 
-def test_criterion_05_resolvent_triple(fam, chain, x2_subgroup):
+def test_criterion_05_resolvent_triple(fam, chain, x2_group):
     h0 = np.zeros(N, dtype=complex)
     h0[0] = 1.0
     worst = {}
     for lam in (1.0, 2.0, 4.0):
-        laplace = hilleyosida.resolvent_laplace(x2_subgroup, lam, h0, tol=1e-8).vector
+        laplace = hilleyosida.resolvent_laplace(x2_group, lam, h0, tol=1e-8).vector
         matrix = hilleyosida.resolvent_matrix(fam.x2, lam) @ h0
         closed = hilleyosida.resolvent_closed_form_x2(lam, h0, N)
         worst[lam] = max(

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from scalerep import hermite
 from scalerep.errors import UsageError
+from scalerep.heisenberg import hermite_generators
 from scalerep.hermite import (
     QuadratureSpec,
     derivative_matrix,
@@ -11,6 +13,7 @@ from scalerep.hermite import (
     position_matrix,
     project_function,
 )
+from scalerep.liecore import GroupElement
 
 
 def test_basis_orthonormal_by_quadrature():
@@ -70,3 +73,35 @@ def test_cached_rule_is_read_only():
         with pytest.raises(ValueError):
             arr[0] = 0.0
     assert gauss_hermite(40)[0] is xs
+
+
+def _series_vectors():
+    rng = np.random.default_rng(3)
+    tail = np.zeros(160, dtype=complex)
+    tail[:20] = rng.standard_normal(20) + 1j * rng.standard_normal(20)
+    dense = rng.standard_normal(160) + 1j * rng.standard_normal(160)
+    return {"zero-tail": tail, "dense": dense, "zero": np.zeros(160, dtype=complex)}
+
+
+@pytest.mark.parametrize("kind", ["zero-tail", "dense", "zero"])
+def test_series_cut_is_bit_identical(kind):
+    # oracle: the series over all modes, exact zeros included
+    coeffs = _series_vectors()[kind]
+    xs = gauss_hermite(320)[0] + 0.7
+    full = coeffs @ hermite_functions(xs, coeffs.size)
+    assert np.array_equal(evaluate_series(coeffs, xs), full)
+
+
+def test_action_evaluates_only_the_live_modes(monkeypatch):
+    fam = hermite_generators(160)
+    phi = _series_vectors()["zero-tail"]
+    modes = []
+    build = hermite.hermite_functions
+
+    def spy(xs, n_modes):
+        modes.append(n_modes)
+        return build(xs, n_modes)
+
+    monkeypatch.setattr(hermite, "hermite_functions", spy)
+    fam.action_analytic(GroupElement(0.3, -0.2, 0.1), phi)
+    assert modes and max(modes) <= 21

@@ -4,6 +4,7 @@ import scipy.special
 
 from scalerep import hilleyosida, suites
 from scalerep.errors import AccuracyError, ConvergenceError, SingularOperatorError, UsageError
+from scalerep.heisenberg import UnitaryGroup
 from scalerep.hermite import gauss_hermite
 from scalerep.hilleyosida import (
     YosidaSeriesSpec,
@@ -18,6 +19,7 @@ from scalerep.hilleyosida import (
     resolvent_matrix,
     yosida_reconstruct,
 )
+from scalerep.sampling import interior_vector
 from scalerep.scale import scale_norm
 
 from conftest import h0
@@ -33,6 +35,11 @@ def x2_evaluator(fam):
         return ((V * np.exp(-1j * t * w)) @ Vh) @ v
 
     return evaluator
+
+
+@pytest.fixture(scope="module")
+def x2_group(fam):
+    return UnitaryGroup.of((1j * fam.x2).real)
 
 
 def quadrature_resolvent_norm_sq(lam):
@@ -65,39 +72,76 @@ def test_resolvent_matrix_basic():
         resolvent_matrix(np.diag([1.0, 2.0, 3.0]), 2.0)
 
 
-def test_resolvent_routes_agree_at_moderate_lambda(fam, chain, x2_evaluator):
+def test_resolvent_routes_agree_at_moderate_lambda(fam, chain, x2_group):
     for lam in (2.0, 4.0):
         matrix = resolvent_matrix(fam.x2, lam) @ h0()
         closed = resolvent_closed_form_x2(lam, h0(), 64)
-        laplace = resolvent_laplace(x2_evaluator, lam, h0(), tol=1e-8).vector
+        laplace = resolvent_laplace(x2_group, lam, h0(), tol=1e-8).vector
         for n in (0, 1):
             assert scale_norm(chain, matrix - closed, n) < 1e-6
             assert scale_norm(chain, laplace - matrix, n) < 1e-6
 
 
-def test_resolvent_negative_branch(fam, x2_evaluator):
+def test_resolvent_negative_branch(fam, x2_group):
     lam = -2.0
-    laplace = resolvent_laplace(x2_evaluator, lam, h0(), tol=1e-8)
+    laplace = resolvent_laplace(x2_group, lam, h0(), tol=1e-8)
     matrix = resolvent_matrix(fam.x2, lam) @ h0()
     assert np.linalg.norm(laplace.vector - matrix) < 1e-6
 
 
 def test_laplace_identity_group_scalar():
-    ident = lambda t, v: v
+    ident = UnitaryGroup.of(np.zeros((4, 4)))
     phi = np.array([1.0, 2.0, 0.0, -1.0], dtype=complex)
     out = resolvent_laplace(ident, 2.0, phi, tol=1e-10)
     assert np.max(np.abs(out.vector - phi / 2.0)) < 1e-9
 
 
-def test_laplace_tail_control(x2_evaluator):
-    res_small = resolvent_laplace(x2_evaluator, 0.5, h0(), tol=1e-6)
-    res_big = resolvent_laplace(x2_evaluator, 4.0, h0(), tol=1e-6)
+def test_laplace_tail_control(x2_group):
+    res_small = resolvent_laplace(x2_group, 0.5, h0(), tol=1e-6)
+    res_big = resolvent_laplace(x2_group, 4.0, h0(), tol=1e-6)
     assert res_small.t_max > res_big.t_max
     assert res_small.tail_bound <= 1e-6
     with pytest.raises(UsageError):
-        resolvent_laplace(x2_evaluator, 1j, h0())
+        resolvent_laplace(x2_group, 1j, h0())
     with pytest.raises(AccuracyError):
-        resolvent_laplace(x2_evaluator, 1.0, h0(), tol=1e-10, t_max=2.0)
+        resolvent_laplace(x2_group, 1.0, h0(), tol=1e-10, t_max=2.0)
+
+
+def laplace_by_nodes(apply, lam, phi, tol, nodes_per_panel=16):
+    # oracle: the per-node loop the spectral sum replaces, one apply per node
+    lam = complex(lam)
+    a = abs(lam.real)
+    nrm = float(np.linalg.norm(phi))
+    t_max = float(np.log(nrm / (0.1 * tol * nrm)) / a)
+    sign = 1.0 if lam.real > 0 else -1.0
+    panels = max(1, int(np.ceil(t_max / 0.5)))
+    xg, wg = scipy.special.roots_legendre(nodes_per_panel)
+    total = np.zeros_like(phi)
+    edges = np.linspace(0.0, t_max, panels + 1)
+    for left, right in zip(edges[:-1], edges[1:]):
+        half = 0.5 * (right - left)
+        mid = 0.5 * (right + left)
+        for xq, wq in zip(xg, wg):
+            s = mid + half * xq
+            weight = half * wq * np.exp(-lam * sign * s)
+            total = total + weight * apply(sign * s, phi)
+    return sign * total, t_max, panels, nrm * np.exp(-a * t_max) / a
+
+
+def test_spectral_laplace_sum_matches_per_node_loop(x2_group, x2_evaluator, monkeypatch):
+    phis = (h0(), interior_vector(np.random.default_rng(5), 64, 16))
+
+    def no_apply(self, t, v):
+        raise AssertionError("resolvent_laplace must not apply the group per node")
+
+    for lam in (1.0, 2.0, 4.0, -2.0, 0.5):
+        for phi in phis:
+            vector, t_max, panels, tail = laplace_by_nodes(x2_evaluator, lam, phi, 1e-8)
+            with monkeypatch.context() as m:
+                m.setattr(UnitaryGroup, "apply", no_apply)
+                got = resolvent_laplace(x2_group, lam, phi, tol=1e-8)
+            assert np.linalg.norm(got.vector - vector) <= 1e-13 * np.linalg.norm(phi)
+            assert (got.t_max, got.panels, got.tail_bound) == (t_max, panels, tail)
 
 
 def test_resolvent_first_identity(fam):
