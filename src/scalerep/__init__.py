@@ -2,7 +2,7 @@
 group representations at finite truncation."""
 
 from .errors import AccuracyError, ConvergenceError, SingularOperatorError, UsageError
-from .heisenberg import HermiteHeisenberg, SchwartzVector, hermite_generators
+from .heisenberg import HermiteHeisenberg, hermite_generators
 from .liecore import GroupElement, StructureConstants, heisenberg_constants
 from .scale import GeneratorFamily, ScaleChain, build_scale_chain, scale_norm
 from .suites import SuiteConfig, run_suite
@@ -16,7 +16,6 @@ __all__ = [
     "GroupElement",
     "HermiteHeisenberg",
     "ScaleChain",
-    "SchwartzVector",
     "SingularOperatorError",
     "StructureConstants",
     "SuiteConfig",

@@ -29,14 +29,7 @@ import numpy as np
 
 from . import liecore
 from .errors import AccuracyError, UsageError
-from .hermite import (
-    QuadratureSpec,
-    derivative_matrix,
-    evaluate_series,
-    gauss_hermite,
-    hermite_functions,
-    position_matrix,
-)
+from .hermite import derivative_matrix, evaluate_series, position_matrix, projection_rule
 from .liecore import GroupElement, group_inverse, second_kind_coords
 from .scale import (
     BoundCheck,
@@ -64,35 +57,6 @@ def effective_support(phi) -> int:
     cutoff = SUPPORT_RTOL * float(np.linalg.norm(phi))
     nz = np.nonzero(np.abs(phi) > cutoff)[0]
     return int(nz[-1]) if nz.size else 0
-
-
-@dataclass(frozen=True)
-class SchwartzVector:
-    """Coefficient vector in the Hermite basis with an explicit support bound."""
-
-    coeffs: np.ndarray
-    support_bound: int
-
-    def __post_init__(self):
-        coeffs = np.asarray(self.coeffs, dtype=complex)
-        if coeffs.ndim != 1:
-            raise UsageError("coefficients must form a 1-d vector")
-        if self.support_bound >= coeffs.size:
-            raise UsageError("support_bound outside the truncation")
-        if np.any(np.abs(coeffs[self.support_bound + 1 :]) > 0):
-            raise UsageError("coefficients beyond support_bound must be exactly zero")
-        object.__setattr__(self, "coeffs", coeffs)
-
-    @staticmethod
-    def from_coeffs(coeffs) -> "SchwartzVector":
-        coeffs = np.asarray(coeffs, dtype=complex)
-        return SchwartzVector(coeffs, support_bound(coeffs))
-
-
-def _as_coeffs(phi) -> np.ndarray:
-    if isinstance(phi, SchwartzVector):
-        return phi.coeffs
-    return np.asarray(phi, dtype=complex)
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,8 +108,6 @@ class HermiteHeisenberg:
         self.x2 = (-1j) * position_matrix(N).astype(complex)
         self.x3 = liecore.x3_sign_factor(x3_sign) * np.eye(N, dtype=complex)
         self.gens = (self.x1, self.x2, self.x3)
-        self.quad = QuadratureSpec.for_dim(N)
-        self._tables = {}
 
     @property
     def scale_family(self) -> GeneratorFamily:
@@ -171,16 +133,6 @@ class HermiteHeisenberg:
     def automorphism(self, g: GroupElement) -> np.ndarray:
         return liecore.automorphism_matrix(g, self.x3_sign)
 
-    def _action_tables(self, node_count: int):
-        # per instance, keyed by rule size, so the cache dies with the family
-        tables = self._tables.get(node_count)
-        if tables is None:
-            xs, ws = gauss_hermite(node_count)
-            H = hermite_functions(xs, self.N)
-            H.setflags(write=False)
-            tables = self._tables[node_count] = (xs, ws, H)
-        return tables
-
     def action_analytic(
         self,
         g: GroupElement,
@@ -194,7 +146,7 @@ class HermiteHeisenberg:
         so any drop in the squared norm measures mass pushed past the
         truncation; a drop above ``defect_tol`` raises ``AccuracyError``.
         """
-        phi = _as_coeffs(phi)
+        phi = np.asarray(phi, dtype=complex)
         if phi.shape != (self.N,):
             raise UsageError(f"vector must have {self.N} modes, got {phi.shape}")
         sb = effective_support(phi)
@@ -203,7 +155,7 @@ class HermiteHeisenberg:
                 f"effective support {sb} exceeds N/2 = {self.N // 2}; "
                 "translation and modulation would spread past the guard band"
             )
-        xs, ws, H = self._action_tables(self.quad.node_count)
+        xs, ws, H = projection_rule(self.N)
         shifted = evaluate_series(phi, xs + g.xi1)
         integrand = np.exp(-1j * g.xi3) * np.exp(-1j * xs * g.xi2) * shifted
         out = H @ (ws * integrand)
@@ -254,7 +206,7 @@ class HermiteHeisenberg:
         """
         t1, t2, t3 = second_kind_coords(g)
         U1, U2 = self.subgroups
-        out = U1.apply(t1, U2.apply(t2, _as_coeffs(phi)))
+        out = U1.apply(t1, U2.apply(t2, phi))
         return np.exp(t3 * liecore.x3_sign_factor(self.x3_sign)) * out
 
 
@@ -271,7 +223,7 @@ def conjugation_residual(
     n: int,
 ) -> float:
     """Level-n residual of T(g) X_i T(g^-1) phi against the conjugation law."""
-    phi = _as_coeffs(phi)
+    phi = np.asarray(phi, dtype=complex)
     chain.family.require_interior(support_bound(phi), n + 1, what="conjugation check")
     if i not in (1, 2, 3):
         raise UsageError("generator index must be 1, 2, or 3")
@@ -289,7 +241,7 @@ def measured_conjugation_offset(
 
     Used to record the sign of the central offset rather than assert it.
     """
-    phi = _as_coeffs(phi)
+    phi = np.asarray(phi, dtype=complex)
     ginv = group_inverse(g)
     lhs = fam.action_analytic(g, fam.gens[i - 1] @ fam.action_analytic(ginv, phi))
     diff = lhs - fam.gens[i - 1] @ phi
@@ -318,7 +270,7 @@ def differentiability_probe(
     The grid must be decreasing; first-order convergence means consecutive
     residuals shrink roughly like the step ratio.
     """
-    phi = _as_coeffs(phi)
+    phi = np.asarray(phi, dtype=complex)
     t_grid = [float(t) for t in t_grid]
     if any(t <= 0 for t in t_grid) or any(
         b >= a for a, b in zip(t_grid, t_grid[1:])
@@ -351,7 +303,7 @@ def norm_bound_sharp_check(
     rel_slack: float = 1e-6,
 ) -> BoundCheck:
     """Check ||T(g) phi||_n <= (1 + xi1^2 + xi2^2)^{n/2} ||phi||_n."""
-    phi = _as_coeffs(phi)
+    phi = np.asarray(phi, dtype=complex)
     chain.family.require_interior(support_bound(phi), n, what="sharp growth bound")
     lhs = scale_norm(chain, fam.action_analytic(g, phi), n)
     factor = (1.0 + g.xi1**2 + g.xi2**2) ** (n / 2.0)

@@ -13,7 +13,6 @@ Gaussian decay can be fed directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -22,22 +21,6 @@ from .errors import UsageError
 
 # exp(x^2) overflows once nodes pass ~sqrt(709); cap well below that
 MAX_NODES = 320
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Gauss-Hermite rule size used for projections onto the basis."""
-
-    node_count: int
-
-    def __post_init__(self):
-        if not (2 <= self.node_count <= MAX_NODES):
-            raise UsageError(f"node_count must lie in 2..{MAX_NODES}")
-
-    @staticmethod
-    def for_dim(N: int) -> "QuadratureSpec":
-        """Default rule for an N-mode truncation: 2N nodes."""
-        return QuadratureSpec(min(2 * N, MAX_NODES))
 
 
 @lru_cache(maxsize=8)
@@ -80,16 +63,20 @@ def evaluate_series(coeffs, xs) -> np.ndarray:
     return coeffs @ hermite_functions(xs, coeffs.size)
 
 
-def project_function(values_at_nodes, n_modes: int, quad: QuadratureSpec) -> np.ndarray:
-    """Coefficients <h_m, f> for f given by its values at the quadrature nodes."""
-    xs, ws = gauss_hermite(quad.node_count)
-    vals = np.asarray(values_at_nodes, dtype=complex)
-    if vals.shape != xs.shape:
-        raise UsageError(
-            f"need values at the {xs.size} quadrature nodes, got shape {vals.shape}"
-        )
-    H = hermite_functions(xs, n_modes)
-    return H @ (ws * vals)
+@lru_cache(maxsize=8)
+def projection_rule(N: int):
+    """Nodes, plain weights and H[k, q] = h_k(x_q) of the rule that projects onto N modes.
+
+    The coefficients of f are <h_m, f> ~= (H @ (ws * f(xs)))[m] on a rule
+    of 2N nodes, capped at ``MAX_NODES``.  Every caller shares the cached
+    arrays, so they are read-only.
+    """
+    if N < 1:
+        raise UsageError("need at least one mode")
+    xs, ws = gauss_hermite(min(2 * N, MAX_NODES))
+    H = hermite_functions(xs, N)
+    H.setflags(write=False)
+    return xs, ws, H
 
 
 def position_matrix(N: int) -> np.ndarray:

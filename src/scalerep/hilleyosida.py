@@ -18,10 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.special
 
 from .errors import AccuracyError, ConvergenceError, SingularOperatorError, UsageError
-from .hermite import QuadratureSpec, evaluate_series, gauss_hermite, hermite_functions
+from .hermite import evaluate_series, projection_rule
 from .scale import BoundCheck, ScaleChain, scale_norm, scale_operator_norm
 
 RESOLVENT_RESIDUAL_TOL = 1e-10
@@ -123,7 +122,7 @@ def resolvent_laplace(
         t_max = float(np.log(max(nrm, 1e-300) / target) / a)
     sign = 1.0 if lam.real > 0 else -1.0
     panels = max(1, int(np.ceil(t_max / 0.5)))
-    xg, wg = scipy.special.roots_legendre(nodes_per_panel)
+    xg, wg = np.polynomial.legendre.leggauss(nodes_per_panel)
     edges = np.linspace(0.0, t_max, panels + 1)
     half = 0.5 * (edges[1:] - edges[:-1])[:, None]
     mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
@@ -144,15 +143,15 @@ def resolvent_closed_form_x2(lam: complex, phi, N: int) -> np.ndarray:
 
     The multiplication-operator form of the resolvent of the modulation
     generator; defined off the imaginary axis, where the denominator never
-    vanishes.  The projection uses the default rule for N modes.
+    vanishes.  The projection uses ``projection_rule(N)``, the rule of the
+    analytic group action.
     """
     lam = complex(lam)
     if lam.real == 0:
         raise UsageError("closed-form resolvent needs Re(lambda) != 0")
     phi = np.asarray(phi, dtype=complex)
-    xs, ws = gauss_hermite(QuadratureSpec.for_dim(N).node_count)
+    xs, ws, H = projection_rule(N)
     vals = evaluate_series(phi, xs) / (lam + 1j * xs)
-    H = hermite_functions(xs, N)
     return H @ (ws * vals)
 
 

@@ -7,7 +7,6 @@ import scipy.linalg
 
 from scalerep.errors import AccuracyError, UsageError
 from scalerep.heisenberg import (
-    SchwartzVector,
     UnitaryGroup,
     conjugation_residual,
     differentiability_probe,
@@ -28,17 +27,6 @@ def random_interior(rng, n, modes):
     phi = np.zeros(n, dtype=complex)
     phi[:modes] = rng.standard_normal(modes) + 1j * rng.standard_normal(modes)
     return phi / np.linalg.norm(phi)
-
-
-def test_schwartz_vector_invariants():
-    v = SchwartzVector.from_coeffs([1.0, 2.0, 0.0, 0.0])
-    assert v.support_bound == 1
-    with pytest.raises(UsageError):
-        SchwartzVector(np.array([1.0, 0.0, 3.0]), support_bound=1)
-    with pytest.raises(UsageError):
-        SchwartzVector(np.ones((2, 2)), support_bound=0)
-    assert support_bound(np.zeros(5)) == 0
-    assert effective_support(np.array([1.0, 1e-12, 1e-12])) == 0
 
 
 def test_generator_entry_against_quadrature(fam):
@@ -104,6 +92,9 @@ def test_action_unitary(fam, rng):
 
 
 def test_action_support_precondition(fam):
+    assert support_bound(np.zeros(5)) == 0
+    assert support_bound(np.array([1.0, 2.0, 0.0, 0.0])) == 1
+    assert effective_support(np.array([1.0, 1e-12, 1e-12])) == 0
     phi = np.zeros(64, dtype=complex)
     phi[40] = 1.0
     with pytest.raises(UsageError):

@@ -5,13 +5,13 @@ from scalerep import hermite
 from scalerep.errors import UsageError
 from scalerep.heisenberg import hermite_generators
 from scalerep.hermite import (
-    QuadratureSpec,
+    MAX_NODES,
     derivative_matrix,
     evaluate_series,
     gauss_hermite,
     hermite_functions,
     position_matrix,
-    project_function,
+    projection_rule,
 )
 from scalerep.liecore import GroupElement
 
@@ -44,27 +44,21 @@ def test_derivative_matrix_against_finite_differences():
     assert np.max(np.abs(fd - exact)) < 1e-9
 
 
-def test_project_roundtrip():
-    quad = QuadratureSpec(128)
-    xs, _ = gauss_hermite(quad.node_count)
+def test_projection_rule():
+    xs, ws, H = projection_rule(32)
+    assert projection_rule(32)[2] is H
+    for arr in (xs, ws, H):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    assert xs is gauss_hermite(64)[0] and H.shape == (32, 64)
+    assert projection_rule(MAX_NODES)[0].size == MAX_NODES
+    with pytest.raises(UsageError):
+        projection_rule(0)
+    # round trip: project the values of a 32-mode series back onto 32 modes
     rng = np.random.default_rng(1)
     coeffs = rng.standard_normal(32) + 1j * rng.standard_normal(32)
-    values = evaluate_series(coeffs, xs)
-    back = project_function(values, 32, quad)
+    back = H @ (ws * evaluate_series(coeffs, xs))
     assert np.max(np.abs(back - coeffs)) < 1e-12
-
-
-def test_quadrature_spec_validation():
-    with pytest.raises(UsageError):
-        QuadratureSpec(1)
-    with pytest.raises(UsageError):
-        QuadratureSpec(10_000)
-    assert QuadratureSpec.for_dim(64).node_count == 128
-
-
-def test_project_requires_node_values():
-    with pytest.raises(UsageError):
-        project_function(np.zeros(10), 4, QuadratureSpec(16))
 
 
 def test_cached_rule_is_read_only():
@@ -95,6 +89,7 @@ def test_series_cut_is_bit_identical(kind):
 def test_action_evaluates_only_the_live_modes(monkeypatch):
     fam = hermite_generators(160)
     phi = _series_vectors()["zero-tail"]
+    projection_rule(160)  # build the cached table first: the spy counts the series only
     modes = []
     build = hermite.hermite_functions
 

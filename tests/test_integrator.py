@@ -6,6 +6,7 @@ from scalerep.errors import UsageError
 from scalerep.heisenberg import hermite_generators
 from scalerep.integrator import (
     IntegrableFamily,
+    conjugation_coefficients,
     conjugation_series_vs_automorphism,
     derivative_identity_check,
     dual_generator_residual,
@@ -19,8 +20,8 @@ from scalerep.integrator import (
     pairing_residual,
     translated_derivative_residual,
 )
-from scalerep.liecore import GroupElement, chart_exp, group_multiply
-from scalerep.scale import scale_norm
+from scalerep.liecore import GroupElement, ad_series, chart_exp, group_multiply
+from scalerep.scale import build_scale_chain, scale_norm
 
 
 @pytest.fixture(scope="module")
@@ -128,6 +129,32 @@ def test_int_identity_nilpotent_two_terms(ifam, fam, chain, rng):
     comm = fam.x1 @ fam.x2 - fam.x2 @ fam.x1
     rhs = (fam.x2 + t * comm) @ phi
     assert scale_norm(chain, lhs - rhs, 1) < 1e-6
+
+
+def test_conjugation_coefficients_match_the_exact_matrix_model():
+    # oracle: the ad series on the 3x3 matrix model, which terminates exactly
+    for i in (1, 2, 3):
+        for j in (1, 2, 3):
+            for t in (0.0, 0.7, -1.3):
+                c = conjugation_coefficients(i, j, t)
+                model = sum(ck * X for ck, X in zip(c, blockrep.CHIS))
+                series = ad_series(blockrep.CHIS[i - 1], blockrep.CHIS[j - 1], t)
+                assert np.array_equal(series, model)
+    assert np.array_equal(conjugation_coefficients(1, 2, 0.5), [0.0, 1.0, 0.5])
+    assert np.array_equal(conjugation_coefficients(2, 1, 0.5), [1.0, 0.0, -0.5])
+
+
+@pytest.mark.parametrize("n_modes", (64, 160))
+def test_int_identity_holds_across_the_whole_chart(n_modes):
+    # |t| = 1 at (1, 2) and (2, 1): an ad series summed on the truncated
+    # matrices does not terminate there
+    hfam = hermite_generators(n_modes)
+    ifam = IntegrableFamily(hfam.gens, hfam.evaluators, ("X1", "X2", "X3"))
+    chain = build_scale_chain(hfam.scale_family, 2)
+    phi = interior(np.random.default_rng(5), n_modes, n_modes // 8)
+    for i, j in ((1, 2), (2, 1), (1, 3)):
+        for t in (-1.0, 1.0):
+            assert int_identity_residual(ifam, i, j, t, phi, chain, 1) < 1e-12
 
 
 def test_int_identity_blocks_exact(bfam, blocks, block_chain, rng):

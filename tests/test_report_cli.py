@@ -177,16 +177,33 @@ def test_cli_config_file_with_flag_override(tmp_path, capsys):
     assert "1.0000000000000001e-10" in text or "1e-10" in text
 
 
-def run_cli_child(*args):
+def run_child(*args):
     # the child imports the same scalerep as this process, installed or not
     src = os.path.dirname(os.path.dirname(os.path.abspath(scalerep.__file__)))
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     return subprocess.run(
-        [sys.executable, "-m", "scalerep.cli", *args],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=path),
     )
+
+
+def run_cli_child(*args):
+    return run_child("-m", "scalerep.cli", *args)
+
+
+def test_hille_yosida_runs_without_scipy():
+    # the Laplace panels and the hy-06 oracle come from numpy and math
+    proc = run_child(
+        "-c",
+        "import sys\n"
+        "from scalerep.suites import SuiteConfig, run_suite\n"
+        "run_suite(SuiteConfig(suite='hille-yosida'))\n"
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_cli_entry_point_runs():
@@ -321,6 +338,16 @@ def test_heisenberg_hermite_completes_at_the_floor(seed):
     records, _ = run_suite(cfg)
     assert {r.case.split("/")[0] for r in records} == {
         c.case_id for c in suites.SUITES["heisenberg-hermite"]
+    }
+
+
+@pytest.mark.parametrize("seed", (0, 41))
+def test_integrator_completes_where_it_used_to_raise(seed):
+    # seed 0: the in-06 series summed on truncated matrices never converged;
+    # seed 41: an in-05 product left the chart box
+    records, _ = run_suite(SuiteConfig(suite="integrator", seed=seed))
+    assert {r.case.split("/")[0] for r in records} == {
+        c.case_id for c in suites.SUITES["integrator"]
     }
 
 
