@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import UsageError
 from .liecore import GroupElement, group_multiply
-from .scale import BlockFamily, ScaleChain, build_scale_chain
+from .scale import BlockGram, ScaleChain, _GuardBand, build_scale_chain
 
 CHI1 = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
 CHI2 = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
@@ -62,20 +62,29 @@ def _operator_norm(stack: np.ndarray) -> float:
 
 
 @dataclass(frozen=True)
-class BlockGeneratorFamily:
+class BlockGeneratorFamily(_GuardBand):
     """The three 3M x 3M block-diagonal generators at block count M.
 
     The model is stored as ``stacks``: for each generator the (M, 3, 3)
     stack of its diagonal blocks w_i(n) CHI_i, with weights (n, n, n^2).
     The dense matrices ``x1``, ``x2``, ``x3`` are assembled from them on
     first use and cached; only the integrator and test oracles need them.
+
+    As a scale family it is exact at every truncation: applications spread
+    no support and consume no guard band, and its Gram chain is built
+    blockwise from the stacks, so the dense matrices stay unassembled.
     """
 
     M: int
+    labels = ("X1", "X2", "X3")
+    band_growth = 0
+    gram_form = BlockGram
 
     @property
     def dim(self) -> int:
         return 3 * self.M
+
+    interior_bound = dim
 
     @cached_property
     def stacks(self) -> tuple:
@@ -102,11 +111,6 @@ class BlockGeneratorFamily:
         """(M, 3, 3) diagonal blocks of T(g) = I + xi1 X1 + xi2 X2 + xi3 X3."""
         S1, S2, S3 = self.stacks
         return EYE3 + g.xi1 * S1 + g.xi2 * S2 + g.xi3 * S3
-
-    def scale_family(self) -> BlockFamily:
-        """The generators as the scale sees them: their stacks, so the Gram
-        chain is built blockwise and ``x1``/``x2``/``x3`` stay unassembled."""
-        return BlockFamily(self.stacks, ("X1", "X2", "X3"))
 
     def pair_residual(self, i: int, j: int) -> float:
         """Max-entry residual of X_i X_j - delta_{1i} delta_{2j} X_3 (1-based)."""
@@ -157,7 +161,7 @@ def rep_homomorphism_residual(
 
 def two_norm_chain(fam: BlockGeneratorFamily, n_max: int = 2) -> ScaleChain:
     """Norm chain of the block family (collapses beyond level 1), as (M, 3, 3) stacks."""
-    return build_scale_chain(fam.scale_family(), n_max)
+    return build_scale_chain(fam, n_max)
 
 
 def collapse_identity_residual(fam: BlockGeneratorFamily, chain: ScaleChain) -> float:

@@ -15,17 +15,20 @@ Subcommands:
     Print the (suite, case) -> anchor manifest and confirm every
     in-scope identity identifier is exercised at least once.
 
-A JSON config file may supply any flag (same key names, hyphens as
-underscores); explicit flags override the file.
+A JSON config file may supply any field of ``SuiteConfig``, under its
+field name or its flag spelling (``format``, ``nmax``, ``lambda``);
+explicit flags override the file.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
 from .errors import UsageError
+from .liecore import X3_SIGN_CHOICES
 from .report import render, write_report
 from .suites import (
     SUITE_NAMES,
@@ -35,20 +38,10 @@ from .suites import (
     run_suite,
 )
 
-CONFIG_KEYS = {
-    "suite",
-    "trunc",
-    "n_max",
-    "seed",
-    "x3_sign",
-    "lambda_sequence",
-    "t_grid",
-    "chart_box",
-    "tol",
-    "out",
-    "fmt",
-    "timings",
-}
+# in declaration order, so flags are read, and their errors raised, in a fixed order
+CONFIG_KEYS = tuple(f.name for f in dataclasses.fields(SuiteConfig))
+# flag spellings a config file may use in place of the field name
+FLAG_SPELLINGS = {"format": "fmt", "nmax": "n_max", "lambda": "lambda_sequence"}
 
 
 def _parse_tol_items(items) -> dict:
@@ -84,51 +77,30 @@ def _load_config_file(path: str) -> dict:
         raise UsageError(f"config file {path} is not valid JSON: {exc}")
     if not isinstance(data, dict):
         raise UsageError("config file must hold a JSON object")
-    unknown = set(data) - CONFIG_KEYS - {"format", "nmax", "lambda"}
+    unknown = set(data) - set(CONFIG_KEYS) - set(FLAG_SPELLINGS)
     if unknown:
         raise UsageError(f"unknown config keys: {sorted(unknown)}")
-    # accept the flag spellings as aliases
-    if "format" in data:
-        data["fmt"] = data.pop("format")
-    if "nmax" in data:
-        data["n_max"] = data.pop("nmax")
-    if "lambda" in data:
-        data["lambda_sequence"] = data.pop("lambda")
-    for key in ("lambda_sequence", "t_grid"):
-        if key in data:
-            data[key] = tuple(float(v) for v in data[key])
+    for spelling, key in FLAG_SPELLINGS.items():
+        if spelling in data:
+            data[key] = data.pop(spelling)
+    if "lambda_sequence" in data:
+        data["lambda_sequence"] = tuple(float(v) for v in data["lambda_sequence"])
     if "tol" in data and not isinstance(data["tol"], dict):
         raise UsageError("config key 'tol' must be an object")
     return data
 
 
 def build_config(args) -> SuiteConfig:
-    settings = {}
-    if args.config:
-        settings.update(_load_config_file(args.config))
-    if args.suite is not None:
-        settings["suite"] = args.suite
-    if args.trunc is not None:
-        settings["trunc"] = args.trunc
-    if args.nmax is not None:
-        settings["n_max"] = args.nmax
-    if args.seed is not None:
-        settings["seed"] = args.seed
-    if args.x3_sign is not None:
-        settings["x3_sign"] = args.x3_sign
-    if args.lam is not None:
-        settings["lambda_sequence"] = _parse_lambda(args.lam)
-    if args.out is not None:
-        settings["out"] = args.out
-    if args.format is not None:
-        settings["fmt"] = args.format
-    if args.timings:
-        settings["timings"] = True
-    flag_tol = _parse_tol_items(args.tol)
-    if flag_tol:
-        merged = dict(settings.get("tol", {}))
-        merged.update(flag_tol)
-        settings["tol"] = merged
+    settings = _load_config_file(args.config) if args.config else {}
+    for key in CONFIG_KEYS:
+        value = getattr(args, key)
+        if key == "lambda_sequence" and value is not None:
+            value = _parse_lambda(value)
+        elif key == "tol":
+            # --tol items add to the file's tolerances rather than replace them
+            value = {**settings.get("tol", {}), **_parse_tol_items(value)} or None
+        if value is not None:
+            settings[key] = value
     cfg = SuiteConfig(**settings)
     cfg.validate()
     return cfg
@@ -186,20 +158,21 @@ def make_parser() -> argparse.ArgumentParser:
     run.add_argument("--suite", choices=SUITE_NAMES + ("all",), default=None)
     run.add_argument("--trunc", type=int, default=None,
                      help="Hermite mode count (block count for nilpotent-l2)")
-    run.add_argument("--nmax", type=int, default=None, help="scale depth")
+    run.add_argument("--nmax", dest="n_max", metavar="NMAX", type=int, default=None,
+                     help="scale depth")
     run.add_argument("--seed", type=int, default=None)
-    run.add_argument("--x3-sign", dest="x3_sign", choices=("consistent", "paper"),
+    run.add_argument("--x3-sign", dest="x3_sign", choices=X3_SIGN_CHOICES,
                      default=None,
                      help="central generator sign: consistent = -i (derived "
                           "from the group action), paper = +i (alternate)")
     run.add_argument("--tol", action="append", metavar="KEY=VAL",
                      help="tolerance override, repeatable")
-    run.add_argument("--lambda", dest="lam", metavar="A,B,C", default=None,
+    run.add_argument("--lambda", dest="lambda_sequence", metavar="A,B,C", default=None,
                      help="reconstruction lambda sequence")
     run.add_argument("--out", default=None, help="report file path (stdout if omitted)")
-    run.add_argument("--format", choices=("json", "csv"), default=None)
+    run.add_argument("--format", dest="fmt", choices=("json", "csv"), default=None)
     run.add_argument("--config", default=None, help="JSON config file; flags override")
-    run.add_argument("--timings", action="store_true",
+    run.add_argument("--timings", action="store_true", default=None,
                      help="include measured wall times (report no longer "
                           "byte-reproducible)")
     run.set_defaults(func=cmd_run)

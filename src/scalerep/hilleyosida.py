@@ -24,6 +24,7 @@ from .hermite import evaluate_series, projection_rule
 from .scale import BoundCheck, ScaleChain, scale_norm, scale_operator_norm
 
 RESOLVENT_RESIDUAL_TOL = 1e-10
+DEFAULT_LAMBDAS = (10.0, 20.0, 50.0, 100.0)
 
 
 @dataclass(frozen=True)
@@ -159,7 +160,7 @@ def resolvent_closed_form_x2(lam: complex, phi, N: int) -> np.ndarray:
 class YosidaSeriesSpec:
     """Parameters of the exponential reconstruction limit."""
 
-    lambda_sequence: tuple = (10.0, 20.0, 50.0, 100.0)
+    lambda_sequence: tuple = DEFAULT_LAMBDAS
     j_max: int = 512
     term_tol: float = 1e-14
 

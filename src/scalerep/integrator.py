@@ -25,7 +25,8 @@ from .errors import UsageError
 from .liecore import GroupElement, group_multiply, second_kind_coords
 from .scale import ScaleChain, scale_norm, support_bound
 
-CHART_BOX_DEFAULT = 2.0
+# the chart: group elements whose coordinates all satisfy |xi_k| <= CHART_BOX
+CHART_BOX = 2.0
 
 
 @dataclass(frozen=True)
@@ -35,7 +36,6 @@ class IntegrableFamily:
     gens: tuple                 # d square matrices
     evaluators: tuple           # d callables t -> matrix
     labels: tuple
-    chart_box: float = CHART_BOX_DEFAULT
 
     def __post_init__(self):
         if not (len(self.gens) == len(self.evaluators) == len(self.labels)):
@@ -58,10 +58,10 @@ class IntegrableFamily:
         return sum(c * X for c, X in zip(x_coeffs, self.gens))
 
     def check_in_chart(self, g: GroupElement):
-        if max(abs(g.xi1), abs(g.xi2), abs(g.xi3)) > self.chart_box:
+        if max(abs(g.xi1), abs(g.xi2), abs(g.xi3)) > CHART_BOX:
             raise UsageError(
                 f"group element ({g.xi1:g},{g.xi2:g},{g.xi3:g}) outside the "
-                f"chart box |xi| <= {self.chart_box:g}"
+                f"chart box |xi| <= {CHART_BOX:g}"
             )
 
 

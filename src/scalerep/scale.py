@@ -18,7 +18,8 @@ every level in that structure alone:
   off-diagonal terms cancel exactly):
   w_{n+1}(k) = w_n(k) + sum_i sum_j |X_i[j, k]|^2 w_n(j);
 * ``BlockGram`` holds the (M, b, b) stack of diagonal blocks, for the
-  block-diagonal families given by their generator stacks (``BlockFamily``);
+  block-diagonal families given by their generator stacks (the block model,
+  ``blockrep.BlockGeneratorFamily``);
 * ``DenseGram`` holds the full matrix, for families that declare no
   structure (orthogonal recombinations, test families).
 
@@ -37,7 +38,6 @@ at least one usable interior mode at that depth.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import ClassVar
 
 import numpy as np
 
@@ -156,7 +156,7 @@ def _adjoint(stack: np.ndarray) -> np.ndarray:
 
 class _GuardBand:
     """Guard-band bookkeeping of a family with ``labels``, ``interior_bound``
-    and ``band_growth``."""
+    and ``band_growth``; the base of every family a scale chain is built on."""
 
     @property
     def d(self) -> int:
@@ -219,30 +219,6 @@ class GeneratorFamily(_GuardBand):
         object.__setattr__(self, "labels", tuple(self.labels))
 
 
-@dataclass(frozen=True)
-class BlockFamily(_GuardBand):
-    """Block-diagonal generators given by (M, b, b) stacks of their diagonal blocks.
-
-    Block-diagonal operators are exact at every truncation: applications
-    spread no support and no guard band is consumed.  The dense generators
-    are never needed, so they are never formed.
-    """
-
-    stacks: tuple
-    labels: tuple
-    band_growth: ClassVar[int] = 0
-    gram_form: ClassVar[type] = BlockGram
-
-    @property
-    def dim(self) -> int:
-        M, b, _ = self.stacks[0].shape
-        return M * b
-
-    @property
-    def interior_bound(self) -> int:
-        return self.dim
-
-
 def recombined_family(family: GeneratorFamily, O: np.ndarray) -> GeneratorFamily:
     """Family with generators replaced by the recombination sum_j O[i, j] X_j.
 
@@ -267,7 +243,7 @@ class ScaleChain:
     """Gram forms G_0 .. G_nmax of the nested scale, plus their family."""
 
     grams: tuple
-    family: GeneratorFamily | BlockFamily
+    family: _GuardBand
 
     @property
     def n_max(self) -> int:
@@ -289,7 +265,7 @@ class ScaleChain:
         return min(floors) if floors else 0.0
 
 
-def build_scale_chain(family: GeneratorFamily | BlockFamily, n_max: int) -> ScaleChain:
+def build_scale_chain(family: _GuardBand, n_max: int) -> ScaleChain:
     """Run the Gram recursion up to level ``n_max`` in the family's Gram form."""
     if n_max < 0:
         raise UsageError("n_max must be >= 0")

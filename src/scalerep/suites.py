@@ -33,6 +33,7 @@ from .heisenberg import (
     norm_bound_sharp_check,
 )
 from .hermite import gauss_hermite
+from .integrator import CHART_BOX
 from .liecore import GroupElement, group_inverse, group_multiply
 from .report import CheckRecord
 from .sampling import case_rng, group_element, interior_vector
@@ -47,7 +48,6 @@ from .scale import (
 
 DEFAULT_N = 64
 DEFAULT_M = 50
-DEFAULT_LAMBDAS = (10.0, 20.0, 50.0, 100.0)
 TYPE_T_GRID = (1.0, 10.0, 100.0, 1e3, 1e4, 1e5, 1e6, 1e7)
 DIFF_T_GRID = tuple(1e-2 * 0.5**k for k in range(11))
 BLOCK_LADDER = (10, 50, 100)
@@ -57,6 +57,12 @@ HERMITE_LADDER = (32, 64, 128)
 # action's N/2 support limit (N = 53 dies at 37 of seeds 0-39); 54 completes
 # at every seed 0-39, at --nmax 2, 3 and 4 and with --x3-sign paper.
 HERMITE_SUITE_MIN_TRUNC = 54
+# Fewest modes the integrator suite runs to the end at.  Below it a chart
+# check raises AccuracyError: at N = 8 for all of seeds 0-39, at N = 9 for
+# 36, N = 10 for 13, N = 12 for seed 33.  N = 11 and 13-16 complete at every
+# seed 0-39, at --nmax 1-4 and with either --x3-sign; N = 13-16, 20, 24 and
+# 32 also complete at seeds 40-199.
+INTEGRATOR_MIN_TRUNC = 13
 
 TOL_DEFAULTS = {
     "algebraic": 1e-12,
@@ -104,9 +110,7 @@ class SuiteConfig:
     n_max: int = 3
     seed: int = 42
     x3_sign: str = "consistent"
-    lambda_sequence: tuple = DEFAULT_LAMBDAS
-    t_grid: tuple = TYPE_T_GRID
-    chart_box: float = 2.0
+    lambda_sequence: tuple = hilleyosida.DEFAULT_LAMBDAS
     tol: dict = field(default_factory=dict)
     out: str | None = None
     fmt: str = "json"
@@ -138,11 +142,16 @@ class SuiteConfig:
                 raise UsageError(
                     f"unknown tolerance key {key!r}; known: {sorted(TOL_DEFAULTS)}"
                 )
-        hermite = self.suite in ("heisenberg-hermite", "all")
-        floor = HERMITE_SUITE_MIN_TRUNC if hermite else 8
+        floor, where = 8, ""
+        for name, least in (
+            ("integrator", INTEGRATOR_MIN_TRUNC),
+            ("heisenberg-hermite", HERMITE_SUITE_MIN_TRUNC),
+        ):
+            if self.suite in (name, "all"):
+                floor, where = least, f" for {name}"
         if self.trunc is not None and self.trunc < floor:
-            where = " for heisenberg-hermite" if hermite else ""
             raise UsageError(f"truncation must be at least {floor}{where}")
+        hilleyosida.YosidaSeriesSpec(lambda_sequence=self.lambda_sequence)
 
 
 class SuiteContext:
@@ -206,7 +215,7 @@ class SuiteContext:
         """Support budget for action-based checks at scale depth ``depth``.
 
         N/4 keeps the translated/modulated image inside the truncation to
-        round-off at chart displacements up to the default box, on top of
+        round-off at chart displacements up to the chart box, on top of
         the guard-band margin the scale depth consumes.
         """
         fam = self.chain.family
@@ -217,7 +226,6 @@ class SuiteContext:
             gens=gens,
             evaluators=evaluators,
             labels=("X1", "X2", "X3"),
-            chart_box=self.cfg.chart_box,
         )
 
     def hermite_integrable(self) -> integrator.IntegrableFamily:
@@ -370,7 +378,7 @@ def _lc_group_basic(cfg, ctx, rec):
     )
 
     def residual():
-        g = group_element(rec.rng, cfg.chart_box)
+        g = group_element(rec.rng, CHART_BOX)
         return max(
             np.max(np.abs(group_multiply(g, group_inverse(g)).as_array())),
             np.max(np.abs(group_multiply(group_inverse(g), g).as_array())),
@@ -382,7 +390,7 @@ def _lc_group_basic(cfg, ctx, rec):
 
 def _lc_associativity(cfg, ctx, rec):
     triples = (
-        [group_element(rec.rng, cfg.chart_box) for _ in range(3)] for _ in range(1000)
+        [group_element(rec.rng, CHART_BOX) for _ in range(3)] for _ in range(1000)
     )
     rec.worst(
         "triples",
@@ -402,9 +410,9 @@ def _lc_second_kind(cfg, ctx, rec):
         rec.check(name, np.max(np.abs(np.array(ts) - np.array(expect))), tol)
 
     def residual():
-        g = group_element(rec.rng, cfg.chart_box)
+        g = group_element(rec.rng, CHART_BOX)
         back = liecore.second_kind_compose(*liecore.second_kind_coords(g))
-        t_random = rec.rng.uniform(-cfg.chart_box, cfg.chart_box, 3)
+        t_random = rec.rng.uniform(-CHART_BOX, CHART_BOX, 3)
         again = liecore.second_kind_coords(liecore.second_kind_compose(*t_random))
         return max(
             np.max(np.abs(back.as_array() - g.as_array())),
@@ -425,13 +433,12 @@ def _lc_chart_exp(cfg, ctx, rec):
 
 
 def _lc_auto_homomorphism(cfg, ctx, rec):
-    box = cfg.chart_box
     for sign in liecore.X3_SIGN_CHOICES:
         rec.worst(
             f"pairs-{sign}",
             (
                 liecore.automorphism_homomorphism_residual(
-                    group_element(rec.rng, box), group_element(rec.rng, box), sign
+                    group_element(rec.rng, CHART_BOX), group_element(rec.rng, CHART_BOX), sign
                 )
                 for _ in range(1000)
             ),
@@ -458,7 +465,7 @@ def _lc_auto_identity(cfg, ctx, rec):
         tol,
     )
     for sign in liecore.X3_SIGN_CHOICES:
-        draws = (group_element(rec.rng, cfg.chart_box) for _ in range(500))
+        draws = (group_element(rec.rng, CHART_BOX) for _ in range(500))
         rec.worst(
             f"random-{sign}",
             (liecore.automorphism_identity_residual(sc, g, sign) for g in draws),
@@ -599,7 +606,7 @@ def _group_bound_ratios(cfg, ctx, rng, per_level):
     slack = cfg.tolerance("growth_slack")
 
     def ratio(n):
-        g = group_element(rng, cfg.chart_box)
+        g = group_element(rng, CHART_BOX)
         phi = interior_vector(rng, ctx.N, ctx.action_modes(n))
         act = lambda v: ctx.hermite.act_factored(g, v)
         f = ctx.hermite.automorphism(g)
@@ -711,7 +718,7 @@ def _hh_unitarity(cfg, ctx, rec):
     tol = cfg.tolerance("unitarity")
 
     def defects():
-        g = group_element(rec.rng, cfg.chart_box)
+        g = group_element(rec.rng, CHART_BOX)
         phi = interior_vector(rec.rng, ctx.N, ctx.action_modes(0))
         return tuple(
             abs(float(np.linalg.norm(act(g, phi))) - 1.0)
@@ -822,7 +829,7 @@ def _hh_conjugation_sign(cfg, ctx, rec):
 
 def _hh_growth_sharp_random(cfg, ctx, rec):
     def ratio(n):
-        g = group_element(rec.rng, cfg.chart_box)
+        g = group_element(rec.rng, CHART_BOX)
         phi = interior_vector(rec.rng, ctx.N, ctx.action_modes(n))
         return norm_bound_sharp_check(ctx.hermite, ctx.chain, g, phi, n).ratio
 
@@ -940,7 +947,7 @@ def _hy_type_x2(cfg, ctx, rec):
     phis = _phis_for_type(cfg, ctx)
     tol = cfg.tolerance("omega")
     for n in range(0, min(cfg.n_max, 3) + 1):
-        est = hilleyosida.estimate_type(ctx.x2_subgroup.apply, ctx.chain, n, cfg.t_grid, phis)
+        est = hilleyosida.estimate_type(ctx.x2_subgroup.apply, ctx.chain, n, TYPE_T_GRID, phis)
         rec.check(f"level{n}", abs(est.omega_n), tol, sample_size=est.sample_size)
 
 
@@ -951,7 +958,7 @@ def _hy_type_trivial(cfg, ctx, rec):
     rec.check("identity-group", abs(est.omega_n), cfg.tolerance("algebraic"))
     sign = liecore.x3_sign_factor(cfg.x3_sign)
     phase = lambda t, v: np.exp(t * sign) * v
-    est = hilleyosida.estimate_type(phase, ctx.chain, 2, cfg.t_grid, phis)
+    est = hilleyosida.estimate_type(phase, ctx.chain, 2, TYPE_T_GRID, phis)
     rec.check("phase-subgroup", abs(est.omega_n), cfg.tolerance("omega"))
 
 
@@ -1165,7 +1172,7 @@ def _hy_global_conditions(cfg, ctx, rec):
     top = float(n_top)
     lam_grid = (top + 1.5, top + 2.0, top + 3.0, top + 5.0, top + 8.0, top + 12.0, top + 20.0)
     estimates = [
-        hilleyosida.estimate_type(ctx.x2_subgroup.apply, ctx.chain, n, cfg.t_grid, phis)
+        hilleyosida.estimate_type(ctx.x2_subgroup.apply, ctx.chain, n, TYPE_T_GRID, phis)
         for n in levels
     ]
     betas = hilleyosida.estimate_beta(ctx.x2_resolvent, ctx.chain, levels, lam_grid, p_max=5)
@@ -1267,12 +1274,11 @@ def _nl_rep_homomorphism(cfg, ctx, rec):
         fam, GroupElement(1, 0, 0), GroupElement(0, 1, 0)
     )
     rec.check("frozen-pair", named, tol)
-    box = cfg.chart_box
     rec.worst(
         "random-pairs",
         (
             blockrep.rep_homomorphism_residual(
-                fam, group_element(rec.rng, box), group_element(rec.rng, box)
+                fam, group_element(rec.rng, CHART_BOX), group_element(rec.rng, CHART_BOX)
             )
             for _ in range(1000)
         ),
@@ -1421,7 +1427,7 @@ def _in_chart_vs_blockrep(cfg, ctx, rec):
     ifam = ctx.block_integrable()
 
     def gap():
-        g = group_element(rec.rng, cfg.chart_box)
+        g = group_element(rec.rng, CHART_BOX)
         U = integrator.integrate_chart(ifam, g)
         T = blockrep.rep_operator(g, ctx.blocks)
         return float(np.max(np.abs(U - T))) / max(1.0, float(np.max(np.abs(T))))
@@ -1435,7 +1441,7 @@ def _in_homomorphism(cfg, ctx, rec):
     def residual(ifam, chain, dim, modes):
         g = group_element(rng, 0.9)
         h = group_element(rng, 0.9)
-        if max(abs(v) for v in group_multiply(g, h).as_array()) > cfg.chart_box:
+        if max(abs(v) for v in group_multiply(g, h).as_array()) > CHART_BOX:
             return 0.0  # product outside the chart: drawn, but measures nothing
         phi = interior_vector(rng, dim, modes)
         return integrator.homomorphism_residual(ifam, g, h, phi, chain, 1)
@@ -1469,7 +1475,7 @@ def _in_inverse_consistency(cfg, ctx, rec):
         g = group_element(rec.rng, 0.8)
         h = group_element(rec.rng, 0.8)
         products = (group_multiply(g, h), group_multiply(group_inverse(h), group_inverse(g)))
-        if max(abs(v) for p in products for v in p.as_array()) > cfg.chart_box:
+        if max(abs(v) for p in products for v in p.as_array()) > CHART_BOX:
             return 0.0  # a product outside the chart: drawn, but measures nothing
         phi = interior_vector(rec.rng, ctx.N, ctx.action_modes(2))
         r1 = integrator.homomorphism_residual(ifam, g, h, phi, ctx.chain, 1)
@@ -1628,7 +1634,7 @@ def _in_series_vs_automorphism(cfg, ctx, rec):
 
 def _in_dual_pairing(cfg, ctx, rec):
     def residual():
-        g = group_element(rec.rng, cfg.chart_box)
+        g = group_element(rec.rng, CHART_BOX)
         phi = interior_vector(rec.rng, ctx.N, ctx.N)
         F = interior_vector(rec.rng, ctx.N, ctx.N)
         return integrator.pairing_residual(ctx.hermite.action_factored(g), phi, F)

@@ -103,7 +103,7 @@ def test_criterion_01_algebraic_exactness(blocks):
 
 def test_criterion_02_scale_monotonicity(fam, chain, blocks):
     floor = chain.increment_eigenvalue_floor()
-    block_chain = build_scale_chain(blocks.scale_family(), N_MAX)
+    block_chain = build_scale_chain(blocks, N_MAX)
     floor_b = block_chain.increment_eigenvalue_floor()
     xs, ws = gauss_hermite(160)
     g = np.pi ** (-0.25) * np.exp(-0.5 * xs * xs)

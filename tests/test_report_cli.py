@@ -9,9 +9,10 @@ import types
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 import scalerep
-from scalerep.cli import main
+from scalerep.cli import build_config, main, make_parser
 from scalerep.errors import UsageError
 from scalerep.heisenberg import HermiteHeisenberg, UnitaryGroup
 from scalerep.report import CheckRecord, render, to_csv, to_json
@@ -114,6 +115,10 @@ def test_config_validation():
         SuiteConfig(trunc=4).validate()
     with pytest.raises(UsageError):
         SuiteConfig(x3_sign="mystery").validate()
+    # hy-10's reconstruction rule, applied before any case runs
+    for lams in ((50.0, 20.0), (-1.0, 2.0)):
+        with pytest.raises(UsageError, match="lambda_sequence must be"):
+            SuiteConfig(lambda_sequence=lams).validate()
 
 
 def test_cli_list_suites(capsys):
@@ -166,10 +171,21 @@ def test_cli_config_file_with_flag_override(tmp_path, capsys):
                 "suite": "lie-core",
                 "seed": 11,
                 "format": "csv",
+                "nmax": 2,
+                "lambda": [5, 6],
                 "tol": {"algebraic": 1e-10},
             }
         )
     )
+
+    def fields(*flags):
+        c = build_config(make_parser().parse_args(["run", "--config", str(cfg), *flags]))
+        return c.fmt, c.n_max, c.lambda_sequence, c.seed
+
+    # the flag spellings reach their fields, and a flag beats the file
+    assert fields() == ("csv", 2, (5.0, 6.0), 11)
+    flagged = fields("--format", "json", "--nmax", "4", "--lambda", "7,8", "--seed", "12")
+    assert flagged == ("json", 4, (7.0, 8.0), 12)
     out = tmp_path / "r.csv"
     code = main(["run", "--config", str(cfg), "--seed", "12", "--out", str(out)])
     assert code == 0
@@ -330,6 +346,86 @@ def test_cli_refuses_a_hermite_truncation_the_suite_cannot_finish(tmp_path, caps
     assert "Traceback" not in captured.err
     assert "at least 54 for heisenberg-hermite" in captured.err
     assert not out.exists()
+
+
+def test_validate_refuses_integrator_truncations_below_the_floor():
+    assert suites.INTEGRATOR_MIN_TRUNC == 13
+    with pytest.raises(UsageError, match="at least 13 for integrator"):
+        SuiteConfig(suite="integrator", trunc=12).validate()
+    SuiteConfig(suite="integrator", trunc=13).validate()
+    with pytest.raises(UsageError, match="at least 54 for heisenberg-hermite"):
+        SuiteConfig(suite="all", trunc=13).validate()
+
+
+@pytest.fixture
+def no_case_runs(monkeypatch):
+    def refuse(cfg, ctx, rec):
+        raise AssertionError(f"case {rec.case} ran")
+
+    spy = {name: (Case("spy", (), refuse),) for name in SUITE_NAMES}
+    monkeypatch.setattr(suites, "SUITES", spy)
+
+
+@pytest.mark.parametrize(
+    "argv, config, message",
+    [
+        (["--suite", "all", "--lambda", "50,20"], None, "strictly increasing"),
+        # a leading minus sign needs the = form, or argparse reads it as a flag
+        (["--lambda=-1,2"], None, "must be positive"),
+        ([], {"chart_box": -1}, "unknown config keys: ['chart_box']"),
+        ([], {"t_grid": [0, 1]}, "unknown config keys: ['t_grid']"),
+        (["--suite", "integrator", "--trunc", "8"], None, "at least 13 for integrator"),
+        (["--suite", "integrator", "--trunc", "12"], None, "at least 13 for integrator"),
+    ],
+    ids=["lambda-decreasing", "lambda-negative", "chart-box-key", "t-grid-key",
+         "integrator-trunc-8", "integrator-trunc-12"],
+)
+def test_cli_refuses_before_any_case_runs(tmp_path, capsys, no_case_runs, argv, config, message):
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        argv = [*argv, "--config", str(path)]
+    out = tmp_path / "report.json"
+    assert main(["run", *argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert message in captured.err
+    assert not out.exists()
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    suite=st.sampled_from(SUITE_NAMES + ("all",)),
+    trunc=st.integers(1, 80),
+    n_max=st.integers(0, 5),
+    lams=st.lists(st.sampled_from((-1.0, 0.0, 10.0, 20.0, 50.0)), min_size=1, max_size=4),
+)
+def test_cli_refusals_are_one_line_and_run_nothing(suite, trunc, n_max, lams):
+    cfg = SuiteConfig(suite=suite, trunc=trunc, n_max=n_max, lambda_sequence=tuple(lams))
+    try:
+        cfg.validate()
+    except UsageError:
+        pass
+    else:
+        return  # an accepted draw would run its suites; the property is about refusals
+    argv = ["run", "--suite", suite, "--trunc", str(trunc), "--nmax", str(n_max),
+            f"--lambda={','.join(map(str, lams))}"]
+    err = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("scalerep.cli.run_suite", lambda cfg: pytest.fail("a suite started"))
+        mp.setattr(sys, "stderr", err)
+        assert main(argv) == 2
+    assert len(err.getvalue().splitlines()) == 1
+
+
+def test_integrator_writes_a_report_at_its_floor(tmp_path):
+    # seed 33 is the one seed of 0-39 at which N = 12 raises AccuracyError
+    out = tmp_path / "in13.json"
+    code = main(["run", "--suite", "integrator", "--trunc", "13", "--seed", "33", "--out", str(out)])
+    assert code in (0, 1)
+    cases = {row["case"].split("/")[0] for row in json.loads(out.read_text())}
+    assert cases == {c.case_id for c in suites.SUITES["integrator"]}
 
 
 @pytest.mark.parametrize("seed", (42, 0, 7))
