@@ -15,7 +15,8 @@ Subcommands:
     Print the (suite, case) -> anchor manifest and confirm every
     in-scope identity identifier is exercised at least once.
 
-A JSON config file may supply any field of ``SuiteConfig``, under its
+A JSON config file may supply any field of ``SuiteConfig``, as a value of
+the field's type (``validate`` refuses any other), under its
 field name or its flag spelling (``format``, ``nmax``, ``lambda``);
 explicit flags override the file.
 """
@@ -83,8 +84,8 @@ def _load_config_file(path: str) -> dict:
     for spelling, key in FLAG_SPELLINGS.items():
         if spelling in data:
             data[key] = data.pop(spelling)
-    if "lambda_sequence" in data:
-        data["lambda_sequence"] = tuple(float(v) for v in data["lambda_sequence"])
+    if isinstance(data.get("lambda_sequence"), list):
+        data["lambda_sequence"] = tuple(data["lambda_sequence"])
     if "tol" in data and not isinstance(data["tol"], dict):
         raise UsageError("config key 'tol' must be an object")
     return data

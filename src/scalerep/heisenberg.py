@@ -44,19 +44,47 @@ UNITARITY_DEFECT_TOL = 1e-6
 SUPPORT_RTOL = 1e-8
 
 
-def effective_support(phi) -> int:
+def effective_support(phi):
     """Highest mode carrying more than ``SUPPORT_RTOL`` of the vector's norm.
 
     Action outputs acquire numerically tiny tails across the whole
     truncation; those are harmless to feed back in, so preconditions on
     support use this measure rather than exact zeros.  Mass the
     precondition cannot see is bounded by SUPPORT_RTOL^2 of the squared norm,
-    far below the unitarity-defect guard that runs on every action.
+    far below the unitarity-defect guard that runs on every action.  An
+    (N, K) block gives the K column supports.
     """
     phi = np.asarray(phi)
+    if phi.ndim == 2:
+        return np.array([effective_support(col) for col in phi.T], dtype=int)
     cutoff = SUPPORT_RTOL * float(np.linalg.norm(phi))
     nz = np.nonzero(np.abs(phi) > cutoff)[0]
     return int(nz[-1]) if nz.size else 0
+
+
+def _group_columns(g, phi) -> list:
+    """One group element per column of ``phi``.
+
+    A single element serves a vector or every column of a block; otherwise
+    ``g`` is a sequence of one element per column of an (N, K) block.
+    """
+    if isinstance(g, GroupElement):
+        return [g] * (np.shape(phi)[1] if np.ndim(phi) == 2 else 1)
+    gs = list(g)
+    if np.ndim(phi) != 2 or len(gs) != np.shape(phi)[1]:
+        raise UsageError(
+            f"need one group element per block column: {len(gs)} for shape {np.shape(phi)}"
+        )
+    return gs
+
+
+def _chart_coords(g, phi):
+    """(xi1, xi2, xi3) of the element acting on each column of ``phi``.
+
+    Three floats for a vector, three (K,) arrays for an (N, K) block.
+    """
+    coords = np.array([(e.xi1, e.xi2, e.xi3) for e in _group_columns(g, phi)]).T
+    return coords if np.ndim(phi) == 2 else coords[:, 0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,12 +107,16 @@ class UnitaryGroup:
         V.setflags(write=False)
         return UnitaryGroup(w, V)
 
-    def apply(self, t: float, v) -> np.ndarray:
-        """exp(-i t H) v without forming the matrix."""
+    def apply(self, t, v) -> np.ndarray:
+        """exp(-i t H) v without forming the matrix.
+
+        ``v`` is one vector or an (N, K) block; a (K,) array ``t`` gives
+        column k its own time t[k] through the phase matrix e^{-i w (x) t}.
+        """
         v = np.asarray(v, dtype=complex)
-        phase = np.exp(-1j * t * self.w)
+        phase = np.exp(-1j * np.multiply.outer(self.w, t))
         coeffs = self.V.conj().T @ v
-        return self.V @ (phase * coeffs if v.ndim == 1 else phase[:, None] * coeffs)
+        return self.V @ (phase[:, None] * coeffs if phase.ndim < v.ndim else phase * coeffs)
 
     def integrate(self, ts, weights, v) -> np.ndarray:
         """sum_q weights[q] exp(-i ts[q] H) v as V ((sum_q weights[q] e^{-i ts[q] w}) * (V^H v))."""
@@ -135,7 +167,7 @@ class HermiteHeisenberg:
 
     def action_analytic(
         self,
-        g: GroupElement,
+        g,
         phi,
         defect_tol: float = UNITARITY_DEFECT_TOL,
     ) -> np.ndarray:
@@ -145,28 +177,38 @@ class HermiteHeisenberg:
         and projected back onto the first N modes.  The action is unitary,
         so any drop in the squared norm measures mass pushed past the
         truncation; a drop above ``defect_tol`` raises ``AccuracyError``.
+
+        Block form: ``phi`` an (N, K) block and ``g`` a sequence of K group
+        elements (or one for every column) act column by column, with one
+        pass of the series recurrence over the (2N, K) shifted nodes and one
+        projection product; both guards run per column.  A single vector is
+        the K = 1 case.
         """
         phi = np.asarray(phi, dtype=complex)
-        if phi.shape != (self.N,):
+        if phi.shape[:1] != (self.N,) or phi.ndim > 2:
             raise UsageError(f"vector must have {self.N} modes, got {phi.shape}")
-        sb = effective_support(phi)
-        if sb > self.N // 2:
-            raise UsageError(
-                f"effective support {sb} exceeds N/2 = {self.N // 2}; "
-                "translation and modulation would spread past the guard band"
-            )
+        block = phi.reshape(self.N, -1)
+        xi1, xi2, xi3 = _chart_coords(g, block)
+        for sb in effective_support(block):
+            if sb > self.N // 2:
+                raise UsageError(
+                    f"effective support {sb} exceeds N/2 = {self.N // 2}; "
+                    "translation and modulation would spread past the guard band"
+                )
         xs, ws, H = projection_rule(self.N)
-        shifted = evaluate_series(phi, xs + g.xi1)
-        integrand = np.exp(-1j * g.xi3) * np.exp(-1j * xs * g.xi2) * shifted
-        out = H @ (ws * integrand)
-        defect = float(np.vdot(phi, phi).real - np.vdot(out, out).real)
-        if abs(defect) > defect_tol * max(1.0, float(np.vdot(phi, phi).real)):
+        shifted = evaluate_series(block, xs[:, None] + xi1)
+        integrand = np.exp(-1j * xi3) * np.exp(-1j * xs[:, None] * xi2) * shifted
+        # one real product over the interleaved real and imaginary parts
+        out = (H @ (ws[:, None] * integrand).view(float)).view(complex)
+        before = np.einsum("ij,ij->j", block.conj(), block).real
+        defects = before - np.einsum("ij,ij->j", out.conj(), out).real
+        for k in np.flatnonzero(np.abs(defects) > defect_tol * np.maximum(1.0, before)):
             raise AccuracyError(
-                f"projection lost {defect:.3e} of the squared norm for g="
-                f"({g.xi1:g},{g.xi2:g},{g.xi3:g})",
-                residual=defect,
+                f"projection lost {defects[k]:.3e} of the squared norm for g="
+                f"({xi1[k]:g},{xi2[k]:g},{xi3[k]:g})",
+                residual=float(defects[k]),
             )
-        return out
+        return out.reshape(phi.shape)
 
     @cached_property
     def subgroups(self) -> tuple:
@@ -198,13 +240,17 @@ class HermiteHeisenberg:
         U1, U2 = self.subgroups
         return (U1(t1) @ U2(t2)) * np.exp(t3 * liecore.x3_sign_factor(self.x3_sign))
 
-    def act_factored(self, g: GroupElement, phi) -> np.ndarray:
+    def act_factored(self, g, phi) -> np.ndarray:
         """exp(t1 X1) exp(t2 X2) exp(t3 X3) phi through the cached subgroups.
 
         The vector form of ``action_factored(g) @ phi``; ``phi`` may be one
-        vector or an (N, k) block of them.
+        vector or an (N, K) block of them.  For a block, ``g`` may also be a
+        sequence of K group elements, giving each column its own (t1, t2, t3).
         """
-        t1, t2, t3 = second_kind_coords(g)
+        if isinstance(g, GroupElement):
+            t1, t2, t3 = second_kind_coords(g)
+        else:
+            t1, t2, t3 = np.array([second_kind_coords(e) for e in _group_columns(g, phi)]).T
         U1, U2 = self.subgroups
         out = U1.apply(t1, U2.apply(t2, phi))
         return np.exp(t3 * liecore.x3_sign_factor(self.x3_sign)) * out
@@ -217,21 +263,33 @@ def hermite_generators(N: int, x3_sign: str = "consistent") -> HermiteHeisenberg
 def conjugation_residual(
     fam: HermiteHeisenberg,
     chain: ScaleChain,
-    g: GroupElement,
-    i: int,
+    g,
+    i,
     phi,
     n: int,
-) -> float:
-    """Level-n residual of T(g) X_i T(g^-1) phi against the conjugation law."""
+):
+    """Level-n residual of T(g) X_i T(g^-1) phi against the conjugation law.
+
+    Block form: an (N, K) block with a sequence of K group elements and K
+    generator indices (or one of either for every column) gives the K
+    column residuals.
+    """
     phi = np.asarray(phi, dtype=complex)
-    chain.family.require_interior(support_bound(phi), n + 1, what="conjugation check")
-    if i not in (1, 2, 3):
+    chain.family.require_interior(int(np.max(support_bound(phi))), n + 1, what="conjugation check")
+    block = phi if phi.ndim == 2 else phi[:, None]
+    gs = _group_columns(g, block)
+    idx = np.broadcast_to(np.asarray(i), len(gs))
+    if not np.isin(idx, (1, 2, 3)).all():
         raise UsageError("generator index must be 1, 2, or 3")
-    ginv = group_inverse(g)
-    lhs = fam.action_analytic(g, fam.gens[i - 1] @ fam.action_analytic(ginv, phi))
-    f = fam.automorphism(ginv)
-    rhs = sum(f[i - 1, j] * (fam.gens[j] @ phi) for j in range(3))
-    return scale_norm(chain, lhs - rhs, n)
+    ginv = [group_inverse(e) for e in gs]
+    inner = fam.action_analytic(ginv, block)
+    for j in (1, 2, 3):
+        inner[:, idx == j] = fam.gens[j - 1] @ inner[:, idx == j]
+    lhs = fam.action_analytic(gs, inner)
+    f = np.array([fam.automorphism(e)[k - 1] for e, k in zip(ginv, idx)])
+    rhs = sum(f[:, j] * (fam.gens[j] @ block) for j in range(3))
+    residuals = scale_norm(chain, lhs - rhs, n)
+    return residuals if phi.ndim == 2 else residuals[0]
 
 
 def measured_conjugation_offset(
@@ -279,11 +337,11 @@ def differentiability_probe(
     chain.family.require_interior(support_bound(phi), n + 1, what="differentiability probe")
     X = fam.generator(x_coeffs)
     ref = X @ phi
-    residuals = []
-    for t in t_grid:
-        g = liecore.chart_exp(x_coeffs, t)
-        diff = (fam.action_analytic(g, phi) - phi) / t - ref
-        residuals.append(scale_norm(chain, diff, n))
+    # every step acts on phi at once: one block of len(t_grid) columns
+    gs = [liecore.chart_exp(x_coeffs, t) for t in t_grid]
+    images = fam.action_analytic(gs, np.repeat(phi[:, None], len(gs), axis=1))
+    diffs = (images - phi[:, None]) / np.array(t_grid) - ref[:, None]
+    residuals = scale_norm(chain, diffs, n).tolist()
     ratios = tuple(
         residuals[k] / residuals[k + 1] if residuals[k + 1] > 0 else np.inf
         for k in range(len(residuals) - 1)
@@ -297,15 +355,20 @@ def differentiability_probe(
 def norm_bound_sharp_check(
     fam: HermiteHeisenberg,
     chain: ScaleChain,
-    g: GroupElement,
+    g,
     phi,
     n: int,
     rel_slack: float = 1e-6,
 ) -> BoundCheck:
-    """Check ||T(g) phi||_n <= (1 + xi1^2 + xi2^2)^{n/2} ||phi||_n."""
+    """Check ||T(g) phi||_n <= (1 + xi1^2 + xi2^2)^{n/2} ||phi||_n.
+
+    Block form: an (N, K) block with a sequence of K group elements gives
+    K-long ``lhs``, ``bound`` and ``passed``.
+    """
     phi = np.asarray(phi, dtype=complex)
-    chain.family.require_interior(support_bound(phi), n, what="sharp growth bound")
+    chain.family.require_interior(int(np.max(support_bound(phi))), n, what="sharp growth bound")
     lhs = scale_norm(chain, fam.action_analytic(g, phi), n)
-    factor = (1.0 + g.xi1**2 + g.xi2**2) ** (n / 2.0)
+    xi1, xi2, _ = _chart_coords(g, phi)
+    factor = (1.0 + xi1**2 + xi2**2) ** (n / 2.0)
     bound = factor * scale_norm(chain, phi, n)
     return BoundCheck(lhs, bound, lhs <= bound * (1.0 + rel_slack))

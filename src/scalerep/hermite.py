@@ -41,26 +41,45 @@ def gauss_hermite(node_count: int):
     return x, w_plain
 
 
+def _hermite_rows(xs):
+    """h_0(xs), h_1(xs), ... by the recurrence, one array of the shape of ``xs`` per mode."""
+    prev = np.pi ** (-0.25) * np.exp(-0.5 * xs * xs)
+    yield prev
+    cur = np.sqrt(2.0) * xs * prev
+    k = 1
+    while True:
+        yield cur
+        prev, cur = cur, np.sqrt(2.0 / (k + 1)) * xs * cur - np.sqrt(k / (k + 1.0)) * prev
+        k += 1
+
+
 def hermite_functions(xs, n_modes: int) -> np.ndarray:
     """Matrix H[k, q] = h_k(xs[q]) for k < n_modes."""
     xs = np.asarray(xs, dtype=float)
     if n_modes < 1:
         raise UsageError("n_modes must be >= 1")
     H = np.empty((n_modes, xs.size))
-    H[0] = np.pi ** (-0.25) * np.exp(-0.5 * xs * xs)
-    if n_modes > 1:
-        H[1] = np.sqrt(2.0) * xs * H[0]
-    for k in range(1, n_modes - 1):
-        H[k + 1] = np.sqrt(2.0 / (k + 1)) * xs * H[k] - np.sqrt(k / (k + 1.0)) * H[k - 1]
+    for k, row in zip(range(n_modes), _hermite_rows(xs)):
+        H[k] = row
     return H
 
 
 def evaluate_series(coeffs, xs) -> np.ndarray:
-    """Pointwise values of sum_k coeffs[k] h_k at xs, up to the last nonzero coefficient."""
+    """Pointwise values of sum_k coeffs[k] h_k at xs, up to the last nonzero coefficient.
+
+    Block form: ``coeffs`` of shape (n, K) and nodes ``xs`` of shape (q, K)
+    give column j the series of coeffs[:, j] at xs[:, j].  Each term is
+    added into one accumulator as the recurrence produces it, so no table
+    of all modes at all nodes is built; a column with fewer live modes adds
+    exact zeros for the rest.
+    """
     coeffs = np.asarray(coeffs, dtype=complex)
-    nz = np.flatnonzero(coeffs)
-    coeffs = coeffs[: nz[-1] + 1 if nz.size else 1]
-    return coeffs @ hermite_functions(xs, coeffs.size)
+    xs = np.asarray(xs, dtype=float)
+    nz = np.flatnonzero(coeffs.reshape(len(coeffs), -1).any(axis=1))
+    total = np.zeros(np.broadcast_shapes(xs.shape, coeffs.shape[1:]), dtype=complex)
+    for c, h in zip(coeffs[: nz[-1] + 1 if nz.size else 1], _hermite_rows(xs)):
+        total += c * h
+    return total
 
 
 @lru_cache(maxsize=8)

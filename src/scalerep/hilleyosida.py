@@ -48,19 +48,18 @@ def estimate_type(apply, chain: ScaleChain, n: int, t_grid, phis) -> TypeEstimat
     t_grid = [float(t) for t in t_grid]
     if not t_grid or any(t == 0 for t in t_grid):
         raise UsageError("t_grid must be nonempty and exclude 0")
-    phis = [np.asarray(p, dtype=complex) for p in phis]
-    norms = [scale_norm(chain, p, n) for p in phis]
-    if not phis or max(norms) <= 1e-30:
+    if not len(phis):
         raise UsageError("need at least one sample vector with nonzero norm")
-    block = np.array(phis).T
+    block = np.array(phis, dtype=complex).T
+    norms = scale_norm(chain, block, n)
+    if max(norms) <= 1e-30:
+        raise UsageError("need at least one sample vector with nonzero norm")
+    live = norms > 0
     omega = np.inf
     for t in t_grid:
-        # one contiguous row per image, so an apply that returns its input
-        # reproduces the sample norms bit for bit (type exactly 0)
-        images = np.ascontiguousarray(apply(t, block).T)
-        sup = max(
-            scale_norm(chain, y, n) / nn for y, nn in zip(images, norms) if nn > 0
-        )
+        # block norms equal the column norms bit for bit, so an apply that
+        # returns its input reproduces the sample norms (type exactly 0)
+        sup = max(scale_norm(chain, apply(t, block), n)[live] / norms[live])
         omega = min(omega, np.log(sup) / abs(t))
     return TypeEstimate(n, float(omega), tuple(t_grid), len(phis))
 
@@ -82,6 +81,50 @@ def resolvent_matrix(X: np.ndarray, lam: complex) -> np.ndarray:
             f"resolvent residual {residual:.2e} at lam={lam}",
             condition_estimate=float(np.linalg.cond(A)),
         )
+    return R
+
+
+def resolvent_skew_tridiagonal(X: np.ndarray, lam: complex) -> np.ndarray:
+    """(lam I - X)^{-1} for a skew-Hermitian tridiagonal X, by elimination without pivoting.
+
+    The pivots of lam I - X are d_0 = lam - X[0, 0] and
+    d_k = lam - X[k, k] + |X[k, k-1]|^2 / d_{k-1}.  The diagonal of X is
+    imaginary and Re(1/d) has the sign of Re d, so by induction
+    Re d_k >= Re lam when Re lam > 0 (and <= when Re lam < 0): every pivot
+    has |d_k| >= |Re lam|, so the elimination cannot break down off the
+    imaginary axis.  That bound stands in for the residual guard of
+    ``resolvent_matrix``.  All columns of I are eliminated at once, in
+    O(N^2); no row is ever swapped, as partial pivoting would not swap one
+    either.
+    """
+    X = np.asarray(X, dtype=complex)
+    lam = complex(lam)
+    if lam.real == 0:
+        raise SingularOperatorError(
+            f"lam={lam} lies on the imaginary axis, where no pivot bound holds",
+            condition_estimate=np.inf,
+        )
+    band = [np.diagonal(X, k) for k in (-1, 0, 1)]
+    if (
+        np.count_nonzero(X) != sum(map(np.count_nonzero, band))
+        or np.any(band[1].real)
+        or not np.array_equal(band[2], -band[0].conj())
+    ):
+        raise UsageError("X must be skew-Hermitian and tridiagonal")
+    sub, diag, sup = -band[0], lam - band[1], -band[2]
+    N = len(diag)
+    pivots = np.empty(N, dtype=complex)
+    pivots[0] = diag[0]
+    R = np.eye(N, dtype=complex)
+    for k in range(1, N):
+        mult = sub[k - 1] / pivots[k - 1]
+        pivots[k] = diag[k] - mult * sup[k - 1]
+        R[k, :k] -= mult * R[k - 1, :k]
+    R[N - 1] /= pivots[N - 1]
+    for k in range(N - 2, -1, -1):
+        row = R[k]
+        row -= sup[k] * R[k + 1]
+        row /= pivots[k]
     return R
 
 
@@ -271,17 +314,15 @@ def equicontinuity_bound_check(
         raise UsageError(f"bound needs |Re lambda| > n; got lam={lam}, n={n}")
     if p_max < 1:
         raise UsageError("p_max must be >= 1")
-    phis = [np.asarray(p, dtype=complex) for p in phis]
+    block = np.array(phis, dtype=complex).T
+    base = scale_norm(chain, block, n)
+    # zero samples carry no ratio; the powers act on the rest as one block
+    w, base = block[:, base > 0], base[base > 0]
     worst = np.zeros(p_max)
-    for phi in phis:
-        base = scale_norm(chain, phi, n)
-        if base == 0:
-            continue
-        w = phi
-        for p in range(1, p_max + 1):
-            w = apply_resolvent(lam, w)
-            ratio = scale_norm(chain, w, n) / (base * (abs(lam) - n) ** (-p))
-            worst[p - 1] = max(worst[p - 1], ratio)
+    for p in range(1, p_max + 1):
+        w = apply_resolvent(lam, w)
+        ratio = scale_norm(chain, w, n) / (base * (abs(lam) - n) ** (-p))
+        worst[p - 1] = max(0.0, *ratio)
     rows = tuple(
         (p, float(worst[p - 1]), (abs(lam) - n) ** (-p)) for p in range(1, p_max + 1)
     )

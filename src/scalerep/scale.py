@@ -48,9 +48,15 @@ EIGENVALUE_FLOOR = -1e-12
 MONOTONE_SLACK = 1e-12
 
 
-def support_bound(phi) -> int:
-    """Index of the highest nonzero coefficient (0 for the zero vector)."""
+def support_bound(phi):
+    """Index of the highest nonzero coefficient (0 for the zero vector).
+
+    An (N, K) block gives the K column bounds.
+    """
     phi = np.asarray(phi)
+    if phi.ndim == 2:
+        live = np.abs(phi) > 0
+        return np.where(live.any(axis=0), len(phi) - 1 - np.argmax(live[::-1], axis=0), 0)
     nz = np.nonzero(np.abs(phi) > 0)[0]
     return int(nz[-1]) if nz.size else 0
 
@@ -280,15 +286,24 @@ def build_scale_chain(family: _GuardBand, n_max: int) -> ScaleChain:
     return ScaleChain(tuple(grams), family)
 
 
-def scale_norm(chain: ScaleChain, phi, n: int) -> float:
-    """Level-n norm sqrt(phi^* G_n phi); level 0 is the Euclidean norm."""
+def scale_norm(chain: ScaleChain, phi, n: int):
+    """Level-n norm sqrt(phi^* G_n phi); level 0 is the Euclidean norm.
+
+    An (N, K) block gives the K column norms.  Every vector is read as one
+    contiguous row, so its form sums in the same order whatever the memory
+    layout it came in: a column's norm in a block is bit-identical to the
+    norm of that column alone.
+    """
     phi = np.asarray(phi, dtype=complex)
     G = chain.gram(n)
-    if phi.shape != (chain.family.dim,):
+    if phi.shape[:1] != (chain.family.dim,) or phi.ndim > 2:
         raise UsageError(
-            f"vector has shape {phi.shape}, expected ({chain.family.dim},)"
+            f"vector has shape {phi.shape}, expected ({chain.family.dim},) "
+            f"or ({chain.family.dim}, K)"
         )
-    return np.sqrt(max(G.quadratic(phi), 0.0))
+    rows = np.ascontiguousarray(phi.T).reshape(-1, chain.family.dim)
+    norms = np.array([np.sqrt(max(G.quadratic(row), 0.0)) for row in rows])
+    return norms if phi.ndim == 2 else norms[0]
 
 
 @dataclass(frozen=True)
@@ -319,8 +334,11 @@ class BoundCheck:
     passed: bool
 
     @property
-    def ratio(self) -> float:
-        return self.lhs / self.bound if self.bound > 0 else np.inf
+    def ratio(self):
+        """lhs / bound, infinite where the bound is not positive; per column for a block."""
+        bound = np.asarray(self.bound)
+        ratio = np.where(bound > 0, self.lhs / np.where(bound > 0, bound, 1.0), np.inf)
+        return float(ratio) if ratio.ndim == 0 else ratio
 
 
 def group_bound_check(
@@ -337,12 +355,14 @@ def group_bound_check(
     ``apply(phi)`` returns Tg phi, the action of the group element being
     tested; ``omega`` is the caller's ambient-space continuity constant
     (1 for unitary actions); ``f_matrix`` is the conjugation-law matrix of
-    that element.
+    that element.  Block form: an (N, K) block, an ``apply`` acting on it
+    column by column and a (K, d, d) stack of matrices give K-long
+    ``lhs``, ``bound`` and ``passed``.
     """
     phi = np.asarray(phi, dtype=complex)
-    chain.family.require_interior(support_bound(phi), n, what="group bound")
+    chain.family.require_interior(int(np.max(support_bound(phi))), n, what="group bound")
     lhs = scale_norm(chain, apply(phi), n)
-    factor = (1.0 + float(np.sum(np.abs(f_matrix)))) ** n
+    factor = (1.0 + np.sum(np.abs(f_matrix), axis=(-2, -1))) ** n
     bound = float(omega) * factor * scale_norm(chain, phi, n)
     return BoundCheck(lhs, bound, lhs <= bound * (1.0 + rel_slack))
 

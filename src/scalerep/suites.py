@@ -15,9 +15,11 @@ whose validity range is not pinned down.  They never gate the exit status.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from functools import cache, cached_property, partial
+from dataclasses import dataclass, field, fields
+from functools import cached_property, partial
 from math import erfc, factorial, inf, sqrt
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -110,8 +112,8 @@ class SuiteConfig:
     n_max: int = 3
     seed: int = 42
     x3_sign: str = "consistent"
-    lambda_sequence: tuple = hilleyosida.DEFAULT_LAMBDAS
-    tol: dict = field(default_factory=dict)
+    lambda_sequence: tuple[float, ...] = hilleyosida.DEFAULT_LAMBDAS
+    tol: dict[str, float] = field(default_factory=dict)
     out: str | None = None
     fmt: str = "json"
     timings: bool = False
@@ -122,6 +124,11 @@ class SuiteConfig:
         return float(self.tol.get(key, TOL_DEFAULTS[key]))
 
     def validate(self):
+        hints = get_type_hints(SuiteConfig)
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not _has_type(value, hints[f.name]):
+                raise UsageError(f"config value {f.name}={value!r} is not of type {f.type}")
         if self.suite not in SUITE_NAMES + ("all",):
             raise UsageError(
                 f"unknown suite {self.suite!r}; expected one of {SUITE_NAMES + ('all',)}"
@@ -154,11 +161,32 @@ class SuiteConfig:
         hilleyosida.YosidaSeriesSpec(lambda_sequence=self.lambda_sequence)
 
 
+def _has_type(value, kind) -> bool:
+    """Whether a config value has a ``SuiteConfig`` field type.
+
+    A bool is no number, though Python counts it as an int; an int is a
+    float; a tuple field takes a list, as JSON writes one.
+    """
+    origin, args = get_origin(kind), get_args(kind)
+    if origin is UnionType:
+        return any(_has_type(value, a) for a in args)
+    if origin is tuple:
+        return isinstance(value, (tuple, list)) and all(_has_type(v, args[0]) for v in value)
+    if origin is dict:
+        return isinstance(value, dict) and all(
+            _has_type(k, args[0]) and _has_type(v, args[1]) for k, v in value.items()
+        )
+    if isinstance(value, bool):
+        return kind is bool
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
 class SuiteContext:
     """Lazily built shared objects (families, chains) for one configuration."""
 
     def __init__(self, cfg: SuiteConfig):
         self.cfg = cfg
+        self._last_x2_resolvent = (None, None)
 
     @property
     def N(self) -> int:
@@ -207,9 +235,34 @@ class SuiteContext:
         laplace = partial(hilleyosida.resolvent_laplace, self.x2_subgroup, phi=self.h0, tol=1e-8)
         return {lam: (laplace(lam), self.x2_resolvent(lam) @ self.h0) for lam in (1.0, 2.0, 4.0)}
 
+    @cached_property
+    def x2_type_estimates(self) -> list:
+        """Type of the X2 subgroup at levels 0..min(n_max, 3) on the 20
+        "type-samples" vectors, for hy-01 and hy-13."""
+        phis = _phis_for_type(self.cfg, self)
+        return [
+            hilleyosida.estimate_type(self.x2_subgroup.apply, self.chain, n, TYPE_T_GRID, phis)
+            for n in range(0, min(self.cfg.n_max, 3) + 1)
+        ]
+
     def x2_resolvent(self, lam) -> np.ndarray:
-        """Resolvent matrix (lam - X2)^{-1}, built afresh on every call."""
-        return hilleyosida.resolvent_matrix(self.hermite.x2, lam)
+        """Resolvent matrix (lam - X2)^{-1} by tridiagonal elimination, read-only.
+
+        The context keeps the last one it built, keyed by lam: each case
+        uses a resolvent in one run of calls (hy-10's series terms, hy-11's
+        powers) before it moves to the next lambda.  Keeping every one
+        would save 9 of hille-yosida's 50 solves but hold 41 N x N matrices
+        (15 MiB more peak memory at N = 160).
+        """
+        if self._last_x2_resolvent[0] != lam:
+            R = hilleyosida.resolvent_skew_tridiagonal(self.hermite.x2, lam)
+            R.setflags(write=False)
+            self._last_x2_resolvent = (lam, R)
+        return self._last_x2_resolvent[1]
+
+    def apply_x2_resolvent(self, lam, v) -> np.ndarray:
+        """R(lam) v for X2, on one vector or a block of them."""
+        return self.x2_resolvent(lam) @ v
 
     def action_modes(self, depth: int) -> int:
         """Support budget for action-based checks at scale depth ``depth``.
@@ -236,12 +289,6 @@ class SuiteContext:
         fam = self.blocks
         evaluators = tuple((lambda t, i=i: blockrep.exp_generator(fam, i, t)) for i in (1, 2, 3))
         return self._integrable(fam.gens, evaluators)
-
-
-def _cached_resolvent(ctx: SuiteContext):
-    """apply(lam, v) -> R(lam) v for X2, building each R(lam) once per case."""
-    resolvent = cache(ctx.x2_resolvent)
-    return lambda lam, v: resolvent(lam) @ v
 
 
 class CaseRecorder:
@@ -601,18 +648,27 @@ def _sc_psd_increments(cfg, ctx, rec):
     rec.check("block-family", max(0.0, -floor_b), cfg.tolerance("algebraic"))
 
 
+def _draw_pairs(rng, ctx, count, box, modes):
+    """``count`` draws of a group element and then an interior vector.
+
+    Returns the elements and the (N, count) block of vectors, so a case
+    evaluates all its samples in one block call.
+    """
+    gs, phis = [], []
+    for _ in range(count):
+        gs.append(group_element(rng, box))
+        phis.append(interior_vector(rng, ctx.N, modes))
+    return gs, np.array(phis).T
+
+
 def _group_bound_ratios(cfg, ctx, rng, per_level):
     """Generic group-bound ratios at random (g, phi), ``per_level`` per depth."""
     slack = cfg.tolerance("growth_slack")
-
-    def ratio(n):
-        g = group_element(rng, CHART_BOX)
-        phi = interior_vector(rng, ctx.N, ctx.action_modes(n))
-        act = lambda v: ctx.hermite.act_factored(g, v)
-        f = ctx.hermite.automorphism(g)
-        return group_bound_check(ctx.chain, act, 1.0, f, n, phi, rel_slack=slack).ratio
-
-    return (ratio(n) for n in range(1, min(cfg.n_max, 3) + 1) for _ in range(per_level))
+    for n in range(1, min(cfg.n_max, 3) + 1):
+        gs, block = _draw_pairs(rng, ctx, per_level, CHART_BOX, ctx.action_modes(n))
+        f = np.array([ctx.hermite.automorphism(g) for g in gs])
+        act = partial(ctx.hermite.act_factored, gs)
+        yield from group_bound_check(ctx.chain, act, 1.0, f, n, block, rel_slack=slack).ratio
 
 
 def _sc_group_bound(cfg, ctx, rec):
@@ -716,18 +772,12 @@ def _hh_commutator(cfg, ctx, rec):
 
 def _hh_unitarity(cfg, ctx, rec):
     tol = cfg.tolerance("unitarity")
-
-    def defects():
-        g = group_element(rec.rng, CHART_BOX)
-        phi = interior_vector(rec.rng, ctx.N, ctx.action_modes(0))
-        return tuple(
-            abs(float(np.linalg.norm(act(g, phi))) - 1.0)
-            for act in (ctx.hermite.action_analytic, ctx.hermite.act_factored)
-        )
-
-    rows = [defects() for _ in range(50)]
-    rec.worst("analytic-route", (a for a, _ in rows), tol)
-    rec.worst("factored-route", (f for _, f in rows), tol)
+    gs, block = _draw_pairs(rec.rng, ctx, 50, CHART_BOX, ctx.action_modes(0))
+    for name, act in (
+        ("analytic-route", ctx.hermite.action_analytic),
+        ("factored-route", ctx.hermite.act_factored),
+    ):
+        rec.worst(name, np.abs(np.linalg.norm(act(gs, block), axis=0) - 1.0), tol)
 
 
 def _hh_identity_phase(cfg, ctx, rec):
@@ -747,14 +797,10 @@ def _hh_route_agreement(cfg, ctx, rec):
     rng = rec.rng
     tol = cfg.tolerance("route_agreement")
 
-    def gap():
-        g = group_element(rng, 1.0)
-        phi = interior_vector(rng, ctx.N, ctx.N // 4)
-        return ctx.hermite.action_analytic(g, phi) - ctx.hermite.act_factored(g, phi)
-
-    gaps = [gap() for _ in range(40)]
-    rec.worst("l2-distance", (float(np.linalg.norm(d)) for d in gaps), tol)
-    rec.worst("level1-distance", (scale_norm(ctx.chain, d, 1) for d in gaps), tol)
+    gs, block = _draw_pairs(rng, ctx, 40, 1.0, ctx.N // 4)
+    gaps = ctx.hermite.action_analytic(gs, block) - ctx.hermite.act_factored(gs, block)
+    rec.worst("l2-distance", np.linalg.norm(gaps, axis=0), tol)
+    rec.worst("level1-distance", scale_norm(ctx.chain, gaps, 1), tol)
     g = GroupElement(0, 0.9, 0)
     phi = interior_vector(rng, ctx.N, ctx.N // 4)
     a = ctx.hermite.action_analytic(g, phi)
@@ -763,18 +809,20 @@ def _hh_route_agreement(cfg, ctx, rec):
 
 
 def _hh_action_homomorphism(cfg, ctx, rec):
-    def residual(act, box, modes):
-        g = group_element(rec.rng, box)
-        h = group_element(rec.rng, box)
-        phi = interior_vector(rec.rng, ctx.N, modes)
-        return float(np.linalg.norm(act(g, act(h, phi)) - act(group_multiply(g, h), phi)))
+    def residuals(act, box, modes, count):
+        gs, hs, phis = [], [], []
+        for _ in range(count):
+            gs.append(group_element(rec.rng, box))
+            hs.append(group_element(rec.rng, box))
+            phis.append(interior_vector(rec.rng, ctx.N, modes))
+        block = np.array(phis).T
+        gh = [group_multiply(g, h) for g, h in zip(gs, hs)]
+        return np.linalg.norm(act(gs, act(hs, block)) - act(gh, block), axis=0)
 
     tol = cfg.tolerance("homomorphism_l0")
-    factored = ctx.hermite.act_factored
-    rec.worst("factored-route", (residual(factored, 1.0, ctx.N // 4) for _ in range(50)), tol)
+    rec.worst("factored-route", residuals(ctx.hermite.act_factored, 1.0, ctx.N // 4, 50), tol)
     # analytic-route composition spreads support twice; use small vectors
-    analytic = ctx.hermite.action_analytic
-    rec.worst("analytic-route", (residual(analytic, 0.5, ctx.N // 8) for _ in range(10)), tol)
+    rec.worst("analytic-route", residuals(ctx.hermite.action_analytic, 0.5, ctx.N // 8, 10), tol)
 
 
 def _hh_conjugation(cfg, ctx, rec):
@@ -794,13 +842,13 @@ def _hh_conjugation(cfg, ctx, rec):
     )
     rec.check("modulation-on-x1", named, tol, g=(0.0, 0.8, 0.0))
 
-    def residual():
-        g = group_element(rng, 1.0)
-        i = int(rng.integers(1, 4))
-        phi = interior_vector(rng, ctx.N, modes)
-        return conjugation_residual(ctx.hermite, ctx.chain, g, i, phi, n)
-
-    rec.worst("random", (residual() for _ in range(30)), tol, convention=cfg.x3_sign)
+    gs, idx, phis = [], [], []
+    for _ in range(30):
+        gs.append(group_element(rng, 1.0))
+        idx.append(int(rng.integers(1, 4)))
+        phis.append(interior_vector(rng, ctx.N, modes))
+    residuals = conjugation_residual(ctx.hermite, ctx.chain, gs, idx, np.array(phis).T, n)
+    rec.worst("random", residuals, tol, convention=cfg.x3_sign)
 
 
 def _hh_conjugation_sign(cfg, ctx, rec):
@@ -828,14 +876,11 @@ def _hh_conjugation_sign(cfg, ctx, rec):
 
 
 def _hh_growth_sharp_random(cfg, ctx, rec):
-    def ratio(n):
-        g = group_element(rec.rng, CHART_BOX)
-        phi = interior_vector(rec.rng, ctx.N, ctx.action_modes(n))
-        return norm_bound_sharp_check(ctx.hermite, ctx.chain, g, phi, n).ratio
-
     bound = 1.0 + cfg.tolerance("growth_slack")
     for n in range(1, min(cfg.n_max, 3) + 1):
-        rec.worst(f"level{n}", (ratio(n) for _ in range(100)), bound)
+        gs, block = _draw_pairs(rec.rng, ctx, 100, CHART_BOX, ctx.action_modes(n))
+        check = norm_bound_sharp_check(ctx.hermite, ctx.chain, gs, block, n)
+        rec.worst(f"level{n}", check.ratio, bound)
 
 
 def _hh_growth_sharp_instances(cfg, ctx, rec):
@@ -883,12 +928,9 @@ def _hh_continuity(cfg, ctx, rec):
     for axis, x in (("x1", (1, 0, 0)), ("x2", (0, 1, 0)), ("x3", (0, 0, 1))):
         for n in range(0, min(cfg.n_max, 2) + 1):
             phi = interior_vector(rng, ctx.N, 8)
-            values = []
-            for t in t_values:
-                g = liecore.chart_exp(x, t)
-                values.append(
-                    scale_norm(ctx.chain, ctx.hermite.action_analytic(g, phi) - phi, n)
-                )
+            gs = [liecore.chart_exp(x, t) for t in t_values]
+            images = ctx.hermite.action_analytic(gs, np.repeat(phi[:, None], len(gs), axis=1))
+            values = scale_norm(ctx.chain, images - phi[:, None], n).tolist()
             monotone = all(b <= a * 1.01 for a, b in zip(values, values[1:]))
             rec.check(
                 f"{axis}-level{n}",
@@ -944,11 +986,9 @@ def _phis_for_type(cfg, ctx, count=20):
 
 
 def _hy_type_x2(cfg, ctx, rec):
-    phis = _phis_for_type(cfg, ctx)
     tol = cfg.tolerance("omega")
-    for n in range(0, min(cfg.n_max, 3) + 1):
-        est = hilleyosida.estimate_type(ctx.x2_subgroup.apply, ctx.chain, n, TYPE_T_GRID, phis)
-        rec.check(f"level{n}", abs(est.omega_n), tol, sample_size=est.sample_size)
+    for est in ctx.x2_type_estimates:
+        rec.check(f"level{est.n}", abs(est.omega_n), tol, sample_size=est.sample_size)
 
 
 def _hy_type_trivial(cfg, ctx, rec):
@@ -1075,7 +1115,7 @@ def _hy_yosida(cfg, ctx, rec):
     n = 1
     reference = ctx.x2_subgroup.apply(t, h0)
     spec = hilleyosida.YosidaSeriesSpec(lambda_sequence=cfg.lambda_sequence)
-    apply_resolvent = _cached_resolvent(ctx)
+    apply_resolvent = ctx.apply_x2_resolvent
     result = hilleyosida.yosida_reconstruct(
         apply_resolvent, spec, t, h0, ctx.chain, n, reference
     )
@@ -1084,7 +1124,7 @@ def _hy_yosida(cfg, ctx, rec):
         "monotone-in-lambda",
         all(b < a for a, b in zip(distances, distances[1:])),
         distances=distances,
-        lambdas=list(cfg.lambda_sequence),
+        lambdas=list(spec.lambda_sequence),
     )
     by_lam = dict(result.trace)
     target_lam = 50.0 if 50.0 in by_lam else max(by_lam)
@@ -1115,7 +1155,7 @@ def _hy_yosida(cfg, ctx, rec):
 
 def _hy_equicontinuity(cfg, ctx, rec):
     slack = cfg.tolerance("equicontinuity_slack")
-    apply_resolvent = _cached_resolvent(ctx)
+    apply_resolvent = ctx.apply_x2_resolvent
     for n in range(0, min(cfg.n_max, 3) + 1):
         lam = n + 2.0
         phis = [
@@ -1145,7 +1185,7 @@ def _hy_equicontinuity(cfg, ctx, rec):
 
 
 def _hy_e118(cfg, ctx, rec):
-    apply_resolvent = _cached_resolvent(ctx)
+    apply_resolvent = ctx.apply_x2_resolvent
     for lam in (1.0, 2.0, 4.0):
         for n in (0, 1, 2):
             phi = interior_vector(rec.rng, ctx.N, ctx.action_modes(max(n, 1)))
@@ -1164,20 +1204,15 @@ def _hy_e118(cfg, ctx, rec):
 
 
 def _hy_global_conditions(cfg, ctx, rec):
-    phis = _phis_for_type(cfg, ctx)
     n_top = min(cfg.n_max, 3)
     levels = {n: ctx.action_modes(max(n, 1)) for n in range(0, n_top + 1)}
     # one lambda grid for every level: ladder comparisons must not inherit
     # grid placement
     top = float(n_top)
     lam_grid = (top + 1.5, top + 2.0, top + 3.0, top + 5.0, top + 8.0, top + 12.0, top + 20.0)
-    estimates = [
-        hilleyosida.estimate_type(ctx.x2_subgroup.apply, ctx.chain, n, TYPE_T_GRID, phis)
-        for n in levels
-    ]
     betas = hilleyosida.estimate_beta(ctx.x2_resolvent, ctx.chain, levels, lam_grid, p_max=5)
     verdict = hilleyosida.global_conditions_report(
-        estimates, betas, omega_tol=cfg.tolerance("omega")
+        ctx.x2_type_estimates, betas, omega_tol=cfg.tolerance("omega")
     )
     rec.check(
         "bounded-type-holds",

@@ -284,3 +284,63 @@ def test_family_caches_do_not_keep_the_family_alive():
     del fam
     gc.collect()
     assert ref() is None
+
+
+@pytest.mark.parametrize("N", [64, 160])
+@pytest.mark.parametrize("K", [1, 3, 8])
+def test_block_actions_match_the_vector_calls(N, K):
+    # oracle: the K = 1 call on each column alone
+    fam = hermite_generators(N)
+    rng = np.random.default_rng(N + K)
+    gs = [GroupElement(*rng.uniform(-1, 1, 3)) for _ in range(K)]
+    block = np.stack([random_interior(rng, N, N // 4) for _ in range(K)], axis=1)
+    analytic = fam.action_analytic(gs, block)
+    factored = fam.act_factored(gs, block)
+    assert analytic.shape == factored.shape == (N, K)
+    for j, g in enumerate(gs):
+        scale = 1e-13 * np.linalg.norm(block[:, j])
+        assert np.linalg.norm(analytic[:, j] - fam.action_analytic(g, block[:, j])) <= scale
+        assert np.linalg.norm(factored[:, j] - fam.act_factored(g, block[:, j])) <= scale
+    # the two routes agree column by column, as hh-05 asserts
+    assert np.max(np.linalg.norm(analytic - factored, axis=0)) < 1e-6
+
+
+def test_block_with_one_bad_column_raises_the_vector_error(fam, rng):
+    gs = [GroupElement(0.1, 0.2, 0.3), GroupElement(1, 0, 0), GroupElement(-0.2, 0.1, 0)]
+    block = np.stack([random_interior(rng, 64, 16) for _ in range(3)], axis=1)
+    wide = block.copy()
+    wide[:, 1] = 0.0
+    wide[40, 1] = 1.0
+    with pytest.raises(UsageError) as vector:
+        fam.action_analytic(gs[1], wide[:, 1])
+    with pytest.raises(UsageError) as blocked:
+        fam.action_analytic(gs, wide)
+    assert str(blocked.value) == str(vector.value)
+    # a column near the support limit pushed hard sheds mass, as in the vector case
+    hard = block.copy()
+    hard[:, 2] = 0.0
+    hard[32, 2] = 1.0
+    gs[2] = GroupElement(4.0, 4.0, 0.0)
+    with pytest.raises(AccuracyError) as vector:
+        fam.action_analytic(gs[2], hard[:, 2], defect_tol=1e-12)
+    with pytest.raises(AccuracyError) as blocked:
+        fam.action_analytic(gs, hard, defect_tol=1e-12)
+    assert str(blocked.value).split(" of ")[1] == str(vector.value).split(" of ")[1]
+    assert blocked.value.residual == pytest.approx(vector.value.residual, rel=1e-9)
+    with pytest.raises(UsageError):
+        fam.action_analytic(gs[:2], block)    # one element per column
+    with pytest.raises(UsageError):
+        fam.act_factored(gs, block[:, 0])     # a sequence needs a block
+
+
+def test_block_bound_checks_match_the_vector_checks(fam, chain, rng):
+    gs = [GroupElement(*rng.uniform(-1, 1, 3)) for _ in range(4)]
+    block = np.stack([random_interior(rng, 64, 8) for _ in range(4)], axis=1)
+    sharp = norm_bound_sharp_check(fam, chain, gs, block, 2)
+    conj = conjugation_residual(fam, chain, gs, [1, 2, 3, 2], block, 1)
+    for j, g in enumerate(gs):
+        one = norm_bound_sharp_check(fam, chain, g, block[:, j], 2)
+        assert sharp.ratio[j] == pytest.approx(one.ratio, rel=1e-12)
+        assert sharp.bound[j] == pytest.approx(one.bound, rel=1e-14)
+        alone = conjugation_residual(fam, chain, g, [1, 2, 3, 2][j], block[:, j], 1)
+        assert abs(conj[j] - alone) < 1e-12

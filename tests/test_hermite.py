@@ -89,11 +89,29 @@ def _series_vectors():
 
 @pytest.mark.parametrize("kind", ["zero-tail", "dense", "zero"])
 def test_series_cut_is_bit_identical(kind):
-    # oracle: the series over all modes, exact zeros included
+    # oracle: the term-by-term sum over all modes, exact zeros included
     coeffs = _series_vectors()[kind]
     xs = gauss_hermite(320)[0] + 0.7
-    full = coeffs @ hermite_functions(xs, coeffs.size)
-    assert np.array_equal(evaluate_series(coeffs, xs), full)
+    table = hermite_functions(xs, coeffs.size)
+    full = np.zeros(xs.size, dtype=complex)
+    for c, row in zip(coeffs, table):
+        full += c * row
+    series = evaluate_series(coeffs, xs)
+    assert np.array_equal(series, full)
+    # and the one-product form of the same sum, to rounding
+    assert np.max(np.abs(series - coeffs @ table)) <= 1e-13 * max(1.0, np.max(np.abs(full)))
+
+
+def test_block_series_columns_equal_the_vector_series():
+    # each column of a block is its own series at its own nodes, bit for bit
+    rng = np.random.default_rng(5)
+    coeffs = np.zeros((160, 4), dtype=complex)
+    for j, live in enumerate((1, 7, 20, 40)):
+        coeffs[:live, j] = rng.standard_normal(live) + 1j * rng.standard_normal(live)
+    xs = gauss_hermite(320)[0][:, None] + rng.uniform(-2, 2, 4)
+    block = evaluate_series(coeffs, xs)
+    for j in range(4):
+        assert np.array_equal(block[:, j], evaluate_series(coeffs[:, j], xs[:, j]))
 
 
 def test_action_evaluates_only_the_live_modes(monkeypatch):
@@ -101,12 +119,13 @@ def test_action_evaluates_only_the_live_modes(monkeypatch):
     phi = _series_vectors()["zero-tail"]
     projection_rule(160)  # build the cached table first: the spy counts the series only
     modes = []
-    build = hermite.hermite_functions
+    rows = hermite._hermite_rows
 
-    def spy(xs, n_modes):
-        modes.append(n_modes)
-        return build(xs, n_modes)
+    def spy(xs):
+        for k, row in enumerate(rows(xs)):
+            modes.append(k + 1)
+            yield row
 
-    monkeypatch.setattr(hermite, "hermite_functions", spy)
+    monkeypatch.setattr(hermite, "_hermite_rows", spy)
     fam.action_analytic(GroupElement(0.3, -0.2, 0.1), phi)
     assert modes and max(modes) <= 21

@@ -4,7 +4,7 @@ import scipy.special
 
 from scalerep import hilleyosida, suites
 from scalerep.errors import AccuracyError, ConvergenceError, SingularOperatorError, UsageError
-from scalerep.heisenberg import UnitaryGroup
+from scalerep.heisenberg import UnitaryGroup, hermite_generators
 from scalerep.hermite import gauss_hermite
 from scalerep.hilleyosida import (
     YosidaSeriesSpec,
@@ -322,9 +322,10 @@ def test_global_conditions_verdicts(fam, chain, x2_evaluator, rng):
 
 def test_global_conditions_build_each_resolvent_once(monkeypatch):
     # hy-13 measures every level on one resolvent (and its powers) per lambda
-    x2_calls, all_calls = [], []
+    x2_calls, all_calls, tridiagonal_calls = [], [], []
     build_x2 = suites.SuiteContext.x2_resolvent
     build = hilleyosida.resolvent_matrix
+    build_tridiagonal = hilleyosida.resolvent_skew_tridiagonal
 
     def count_x2(ctx, lam):
         x2_calls.append(lam)
@@ -334,11 +335,54 @@ def test_global_conditions_build_each_resolvent_once(monkeypatch):
         all_calls.append(lam)
         return build(X, lam)
 
+    def count_tridiagonal(X, lam):
+        tridiagonal_calls.append(lam)
+        return build_tridiagonal(X, lam)
+
     monkeypatch.setattr(suites.SuiteContext, "x2_resolvent", count_x2)
     monkeypatch.setattr(hilleyosida, "resolvent_matrix", count)
+    monkeypatch.setattr(hilleyosida, "resolvent_skew_tridiagonal", count_tridiagonal)
     [hy13] = [c for c in suites.SUITES["hille-yosida"] if c.case_id.startswith("hy-13")]
     monkeypatch.setitem(suites.SUITES, "hille-yosida", (hy13,))
     records, _ = suites.run_suite(suites.SuiteConfig(suite="hille-yosida"))
     assert len(records) == 3
     assert len(x2_calls) == len(set(x2_calls)) == 7   # the x2 lambda grid
-    assert len(all_calls) == 7 + 3                     # plus the phase grid
+    assert tridiagonal_calls == x2_calls                # each solved once, by elimination
+    assert len(all_calls) == 3                          # LU only for the phase grid
+
+
+@pytest.mark.parametrize("N", [8, 64, 160])
+@pytest.mark.parametrize("lam", [1.0, -2.0, 23.0])
+def test_tridiagonal_resolvent_is_the_lu_resolvent_bit_for_bit(N, lam):
+    # oracle: LAPACK's partial-pivoting solve, which never swaps a row here
+    x2 = hermite_generators(N).x2
+    R = hilleyosida.resolvent_skew_tridiagonal(x2, lam)
+    assert np.array_equal(R, resolvent_matrix(x2, lam))
+
+
+def test_tridiagonal_resolvent_guards():
+    x2 = hermite_generators(16).x2
+    with pytest.raises(SingularOperatorError):
+        hilleyosida.resolvent_skew_tridiagonal(x2, 2.0j)
+    with pytest.raises(UsageError):
+        hilleyosida.resolvent_skew_tridiagonal(x2 + np.diag(np.ones(16)), 1.0)   # not skew
+    wide = x2.copy()
+    wide[0, 2], wide[2, 0] = 1.0, -1.0
+    with pytest.raises(UsageError):
+        hilleyosida.resolvent_skew_tridiagonal(wide, 1.0)   # not tridiagonal
+
+
+def test_suite_context_keeps_a_read_only_x2_resolvent(monkeypatch):
+    ctx = suites.SuiteContext(suites.SuiteConfig(suite="hille-yosida"))
+    calls = []
+    build = hilleyosida.resolvent_skew_tridiagonal
+    monkeypatch.setattr(
+        hilleyosida, "resolvent_skew_tridiagonal", lambda X, lam: calls.append(lam) or build(X, lam)
+    )
+    R = ctx.x2_resolvent(3.0)
+    assert ctx.x2_resolvent(3.0) is R and calls == [3.0]
+    with pytest.raises(ValueError):
+        R[0, 0] = 0
+    ctx.x2_resolvent(4.0)
+    ctx.x2_resolvent(3.0)
+    assert calls == [3.0, 4.0, 3.0]   # one kept: the last lambda

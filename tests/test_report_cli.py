@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -9,7 +10,7 @@ import types
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import scalerep
 from scalerep.cli import build_config, main, make_parser
@@ -376,9 +377,18 @@ def no_case_runs(monkeypatch):
         ([], {"t_grid": [0, 1]}, "unknown config keys: ['t_grid']"),
         (["--suite", "integrator", "--trunc", "8"], None, "at least 13 for integrator"),
         (["--suite", "integrator", "--trunc", "12"], None, "at least 13 for integrator"),
+        # config-file values of the wrong type
+        ([], {"trunc": "abc"}, "trunc='abc' is not of type int | None"),
+        ([], {"seed": "x"}, "seed='x' is not of type int"),
+        ([], {"lambda": "50,20"}, "lambda_sequence='50,20' is not of type tuple[float, ...]"),
+        ([], {"tol": {"algebraic": "x"}}, "tol={'algebraic': 'x'} is not of type dict[str, float]"),
+        ([], {"n_max": 2.5}, "n_max=2.5 is not of type int"),
+        ([], {"timings": "yes"}, "timings='yes' is not of type bool"),
+        ([], {"seed": True}, "seed=True is not of type int"),
     ],
     ids=["lambda-decreasing", "lambda-negative", "chart-box-key", "t-grid-key",
-         "integrator-trunc-8", "integrator-trunc-12"],
+         "integrator-trunc-8", "integrator-trunc-12", "trunc-string", "seed-string",
+         "lambda-string", "tol-string", "n-max-float", "timings-string", "seed-bool"],
 )
 def test_cli_refuses_before_any_case_runs(tmp_path, capsys, no_case_runs, argv, config, message):
     if config is not None:
@@ -417,6 +427,58 @@ def test_cli_refusals_are_one_line_and_run_nothing(suite, trunc, n_max, lams):
         mp.setattr(sys, "stderr", err)
         assert main(argv) == 2
     assert len(err.getvalue().splitlines()) == 1
+
+
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v):
+    return isinstance(v, float) or _is_int(v)
+
+
+# what each SuiteConfig field accepts from a JSON config file
+FIELD_ACCEPTS = {
+    "suite": lambda v: isinstance(v, str),
+    "trunc": lambda v: v is None or _is_int(v),
+    "n_max": _is_int,
+    "seed": _is_int,
+    "x3_sign": lambda v: isinstance(v, str),
+    "lambda_sequence": lambda v: isinstance(v, list) and all(map(_is_number, v)),
+    "tol": lambda v: isinstance(v, dict) and all(map(_is_number, v.values())),
+    "out": lambda v: v is None or isinstance(v, str),
+    "fmt": lambda v: isinstance(v, str),
+    "timings": lambda v: isinstance(v, bool),
+}
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=4,
+)
+
+
+def test_field_table_names_every_config_field():
+    assert set(FIELD_ACCEPTS) == {f.name for f in dataclasses.fields(SuiteConfig)}
+
+
+@settings(max_examples=50, deadline=None)
+@given(field=st.sampled_from(sorted(FIELD_ACCEPTS)), value=json_values)
+def test_config_values_of_the_wrong_type_are_refused_in_one_line(tmp_path_factory, field, value):
+    assume(not FIELD_ACCEPTS[field](value))
+    path = tmp_path_factory.mktemp("cfg") / "cfg.json"
+    path.write_text(json.dumps({field: value}))
+    ran = []
+    spy = {name: (Case("spy", (), lambda cfg, ctx, rec: ran.append(rec.case)),) for name in SUITE_NAMES}
+    err = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(suites, "SUITES", spy)
+        mp.setattr(sys, "stderr", err)
+        assert main(["run", "--config", str(path)]) == 2
+    assert len(err.getvalue().splitlines()) == 1
+    assert "Traceback" not in err.getvalue()
+    assert ran == []
 
 
 def test_integrator_writes_a_report_at_its_floor(tmp_path):

@@ -69,6 +69,21 @@ def test_scale_norm_validation(chain):
         scale_norm(chain, np.zeros(64), 4)
     with pytest.raises(UsageError):
         scale_norm(chain, np.zeros(63), 1)
+    with pytest.raises(UsageError):
+        scale_norm(chain, np.zeros((64, 2, 2)), 1)
+
+
+def test_block_scale_norms_are_the_column_norms_bit_for_bit(chain, block_chain, fam, rng):
+    # oracle: the per-vector norm of each column, for each Gram structure
+    dense = build_scale_chain(recombined_family(fam.scale_family, np.eye(2)), 2)
+    for ch, dim in ((chain, 64), (dense, 64), (block_chain, block_chain.family.dim)):
+        block = rng.standard_normal((dim, 7)) + 1j * rng.standard_normal((dim, 7))
+        block[:, 3] = 0.0
+        for n in range(ch.n_max + 1):
+            norms = scale_norm(ch, block, n)
+            assert norms.shape == (7,)
+            for j in range(7):
+                assert norms[j] == scale_norm(ch, block[:, j], n)
 
 
 def test_guard_band_rejects_deep_chains(fam):
