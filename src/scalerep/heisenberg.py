@@ -196,10 +196,13 @@ class HermiteHeisenberg:
                     "translation and modulation would spread past the guard band"
                 )
         xs, ws, H = projection_rule(self.N)
-        shifted = evaluate_series(block, xs[:, None] + xi1)
-        integrand = np.exp(-1j * xi3) * np.exp(-1j * xs[:, None] * xi2) * shifted
+        # exp(-i xi3) exp(-i x xi2) phi(x + xi1) times the weights, in place
+        integrand = np.exp(-1j * xs[:, None] * xi2)
+        np.multiply(np.exp(-1j * xi3), integrand, out=integrand)
+        integrand *= evaluate_series(block, xs[:, None] + xi1)
+        integrand *= ws[:, None]
         # one real product over the interleaved real and imaginary parts
-        out = (H @ (ws[:, None] * integrand).view(float)).view(complex)
+        out = (H @ integrand.view(float)).view(complex)
         before = np.einsum("ij,ij->j", block.conj(), block).real
         defects = before - np.einsum("ij,ij->j", out.conj(), out).real
         for k in np.flatnonzero(np.abs(defects) > defect_tol * np.maximum(1.0, before)):

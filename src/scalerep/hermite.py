@@ -49,7 +49,10 @@ def _hermite_rows(xs):
     k = 1
     while True:
         yield cur
-        prev, cur = cur, np.sqrt(2.0 / (k + 1)) * xs * cur - np.sqrt(k / (k + 1.0)) * prev
+        nxt = np.sqrt(2.0 / (k + 1)) * xs
+        nxt *= cur
+        nxt -= np.sqrt(k / (k + 1.0)) * prev
+        prev, cur = cur, nxt
         k += 1
 
 
@@ -77,8 +80,9 @@ def evaluate_series(coeffs, xs) -> np.ndarray:
     xs = np.asarray(xs, dtype=float)
     nz = np.flatnonzero(coeffs.reshape(len(coeffs), -1).any(axis=1))
     total = np.zeros(np.broadcast_shapes(xs.shape, coeffs.shape[1:]), dtype=complex)
+    term = np.empty_like(total)
     for c, h in zip(coeffs[: nz[-1] + 1 if nz.size else 1], _hermite_rows(xs)):
-        total += c * h
+        total += np.multiply(c, h, out=term)
     return total
 
 

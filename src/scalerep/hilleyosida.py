@@ -380,9 +380,10 @@ def estimate_beta(
     best = dict.fromkeys(levels, -np.inf)
     for lam in lambdas:
         R = resolvent_builder(float(lam))
-        power = np.eye(R.shape[0], dtype=complex)
+        power = R
         for p in range(1, p_max + 1):
-            power = power @ R
+            if p > 1:
+                power = power @ R
             for n, modes in levels.items():
                 nu = scale_operator_norm(chain, power, n, interior_modes=modes)
                 best[n] = max(best[n], float(lam) - nu ** (-1.0 / p))
