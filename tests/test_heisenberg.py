@@ -287,7 +287,7 @@ def test_family_caches_do_not_keep_the_family_alive():
 
 
 @pytest.mark.parametrize("N", [64, 160])
-@pytest.mark.parametrize("K", [1, 3, 8])
+@pytest.mark.parametrize("K", [1, 3, 8, 40])   # 40 spans two passes of BLOCK_COLUMNS
 def test_block_actions_match_the_vector_calls(N, K):
     # oracle: the K = 1 call on each column alone
     fam = hermite_generators(N)
