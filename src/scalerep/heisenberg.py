@@ -5,8 +5,9 @@ generator is a multiple of the identity whose sign follows the package-wide
 ``x3_sign`` convention (see ``liecore``).  The group action is available by
 two independent routes:
 
-* ``HermiteHeisenberg.action_analytic`` evaluates the phase/modulation/
-  translation formula at shifted nodes and projects back onto the basis;
+* ``HermiteHeisenberg.action_analytic`` applies the phase/modulation/
+  translation formula as the displacement operator it equals, through
+  its exact matrix elements (``hermite.displace``);
 * ``act_factored`` applies the one-parameter subgroups in coordinates of
   the second kind, each through its cached eigenbasis (``UnitaryGroup``);
   ``action_factored`` assembles the same product as a matrix for the
@@ -29,7 +30,7 @@ import numpy as np
 
 from . import liecore
 from .errors import AccuracyError, UsageError
-from .hermite import derivative_matrix, evaluate_series, position_matrix, projection_rule
+from .hermite import derivative_matrix, displace, position_matrix
 from .liecore import GroupElement, group_inverse, second_kind_coords
 from .scale import (
     BoundCheck,
@@ -42,11 +43,6 @@ from .scale import (
 
 UNITARITY_DEFECT_TOL = 1e-6
 SUPPORT_RTOL = 1e-8
-# Columns of a block the analytic action evaluates per pass.  It bounds the
-# (2N, K) temporaries of the series: whole 100-column blocks raised a
-# hermite-large report's peak memory by 0.4 MiB, and 8 to 64 columns per
-# pass measure the same time and no more memory than one vector per call.
-BLOCK_COLUMNS = 32
 
 
 def effective_support(phi):
@@ -178,16 +174,13 @@ class HermiteHeisenberg:
     ) -> np.ndarray:
         """Coefficients of x -> exp(-i xi3) exp(-i x xi2) phi(x + xi1).
 
-        The represented function is evaluated at shifted quadrature nodes
-        and projected back onto the first N modes.  The action is unitary,
-        so any drop in the squared norm measures mass pushed past the
-        truncation; a drop above ``defect_tol`` raises ``AccuracyError``.
-
-        Block form: ``phi`` an (N, K) block and ``g`` a sequence of K group
-        elements (or one for every column) act column by column, with one
-        pass of the series recurrence over the (2N, k) shifted nodes and one
-        projection product per ``BLOCK_COLUMNS`` = k columns; both guards
-        run per column.  A single vector is the K = 1 case.
+        By BCH this is e^{-i xi3 + i xi1 xi2 / 2} D(alpha), alpha =
+        -(xi1 + i xi2)/sqrt(2), exact up to the truncation to N modes (the
+        identity returns ``phi`` bit for bit).  Any drop in the squared norm
+        measures mass pushed past the truncation; above ``defect_tol`` it
+        raises ``AccuracyError``.  Block form: ``phi`` an (N, K) block and
+        ``g`` K group elements (or one for every column) act column by
+        column in one pass, both guards per column; a vector is K = 1.
         """
         phi = np.asarray(phi, dtype=complex)
         if phi.shape[:1] != (self.N,) or phi.ndim > 2:
@@ -200,17 +193,8 @@ class HermiteHeisenberg:
                     f"effective support {sb} exceeds N/2 = {self.N // 2}; "
                     "translation and modulation would spread past the guard band"
                 )
-        xs, ws, H = projection_rule(self.N)
-        out = np.empty(block.shape, dtype=complex)
-        for j in range(0, block.shape[1], BLOCK_COLUMNS):
-            cols = slice(j, j + BLOCK_COLUMNS)
-            # exp(-i xi3) exp(-i x xi2) phi(x + xi1) times the weights, in place
-            integrand = np.exp(-1j * xs[:, None] * xi2[cols])
-            np.multiply(np.exp(-1j * xi3[cols]), integrand, out=integrand)
-            integrand *= evaluate_series(block[:, cols], xs[:, None] + xi1[cols])
-            integrand *= ws[:, None]
-            # one real product over the interleaved real and imaginary parts
-            out[:, cols] = (H @ integrand.view(float)).view(complex)
+        alpha = -(xi1 + 1j * xi2) / np.sqrt(2.0)
+        out = displace(alpha, block) * np.exp(1j * (0.5 * xi1 * xi2 - xi3))
         before = np.einsum("ij,ij->j", block.conj(), block).real
         defects = before - np.einsum("ij,ij->j", out.conj(), out).real
         for k in np.flatnonzero(np.abs(defects) > defect_tol * np.maximum(1.0, before)):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AccuracyError, ConvergenceError, SingularOperatorError, UsageError
-from .hermite import evaluate_series, projection_rule
+from .hermite import golub_welsch_rule
 from .scale import BoundCheck, ScaleChain, scale_norm, scale_operator_norm
 
 RESOLVENT_RESIDUAL_TOL = 1e-10
@@ -187,16 +187,14 @@ def resolvent_closed_form_x2(lam: complex, phi, N: int) -> np.ndarray:
 
     The multiplication-operator form of the resolvent of the modulation
     generator; defined off the imaginary axis, where the denominator never
-    vanishes.  The projection uses ``projection_rule(N)``, the rule of the
-    analytic group action.
+    vanishes.  The projection is the 2N-node Gauss-Hermite one, at any N:
+    R phi = V_N ((V_N^T phi) / (lam + i w)) on ``golub_welsch_rule(N)``.
     """
     lam = complex(lam)
     if lam.real == 0:
         raise UsageError("closed-form resolvent needs Re(lambda) != 0")
-    phi = np.asarray(phi, dtype=complex)
-    xs, ws, H = projection_rule(N)
-    vals = evaluate_series(phi, xs) / (lam + 1j * xs)
-    return H @ (ws * vals)
+    w, V = golub_welsch_rule(N)
+    return V @ ((V.T @ phi) / (lam + 1j * w))
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from scalerep.heisenberg import (
     norm_bound_sharp_check,
     support_bound,
 )
-from scalerep.hermite import evaluate_series, gauss_hermite
+from scalerep.hermite import gauss_hermite, hermite_functions
 from scalerep.liecore import GroupElement, chart_exp
 from scalerep.scale import scale_norm
 
@@ -72,21 +72,25 @@ def test_commutator_central_on_interior(fam):
 
 def test_action_identity_and_phase(fam, rng):
     phi = random_interior(rng, 64, 20)
-    assert np.max(np.abs(fam.action_analytic(GroupElement(), phi) - phi)) < 1e-12
+    # a = 0 makes the displacement table the identity: phi comes back bit for bit
+    assert np.array_equal(fam.action_analytic(GroupElement(), phi), phi)
+    block = np.stack([random_interior(rng, 64, m) for m in (1, 20, 32)], axis=1)
+    assert np.array_equal(fam.action_analytic(GroupElement(), block), block)
     out = fam.action_analytic(GroupElement(0, 0, 1.4), phi)
     assert np.max(np.abs(out - np.exp(-1.4j) * phi)) < 1e-12
 
 
 def test_action_translation_against_pointwise_oracle(fam):
-    # oracle: evaluate the translated function pointwise and compare with
-    # the evaluated output series
+    # oracle: evaluate the translated function pointwise through the
+    # Hermite functions and compare with the evaluated output series
     rng = np.random.default_rng(4)
     phi = random_interior(rng, 64, 12)
     g = GroupElement(0.8, -0.5, 0.3)
     out = fam.action_analytic(g, phi)
     xs = np.linspace(-3, 3, 40)
-    expect = np.exp(-1j * g.xi3) * np.exp(-1j * xs * g.xi2) * evaluate_series(phi, xs + g.xi1)
-    got = evaluate_series(out, xs)
+    shifted = phi @ hermite_functions(xs + g.xi1, 64)
+    expect = np.exp(-1j * g.xi3) * np.exp(-1j * xs * g.xi2) * shifted
+    got = out @ hermite_functions(xs, 64)
     assert np.max(np.abs(got - expect)) < 1e-10
 
 
@@ -287,7 +291,7 @@ def test_family_caches_do_not_keep_the_family_alive():
 
 
 @pytest.mark.parametrize("N", [64, 160])
-@pytest.mark.parametrize("K", [1, 3, 8, 40])   # 40 spans two passes of BLOCK_COLUMNS
+@pytest.mark.parametrize("K", [1, 3, 8, 40])
 def test_block_actions_match_the_vector_calls(N, K):
     # oracle: the K = 1 call on each column alone
     fam = hermite_generators(N)
@@ -303,6 +307,19 @@ def test_block_actions_match_the_vector_calls(N, K):
         assert np.linalg.norm(factored[:, j] - fam.act_factored(g, block[:, j])) <= scale
     # the two routes agree column by column, as hh-05 asserts
     assert np.max(np.linalg.norm(analytic - factored, axis=0)) < 1e-6
+
+
+@pytest.mark.parametrize("N", [320, 640, 1024])
+def test_action_matches_the_factored_route_past_the_old_node_cap(N):
+    # N/4-mode columns drawn in the chart box |xi| <= 2 of the suites; the
+    # 2N-node quadrature the action used to project on stopped at 320 nodes
+    fam = hermite_generators(N)
+    rng = np.random.default_rng(N)
+    gs = [GroupElement(*rng.uniform(-2, 2, 3)) for _ in range(6)]
+    block = np.stack([random_interior(rng, N, N // 4) for _ in range(6)], axis=1)
+    analytic = fam.action_analytic(gs, block)
+    assert np.max(np.linalg.norm(analytic - fam.act_factored(gs, block), axis=0)) <= 1e-12
+    assert np.max(np.abs(np.linalg.norm(analytic, axis=0) - 1.0)) <= 1e-12
 
 
 def test_block_with_one_bad_column_raises_the_vector_error(fam, rng):

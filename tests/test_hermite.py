@@ -7,11 +7,11 @@ from scalerep.heisenberg import hermite_generators
 from scalerep.hermite import (
     MAX_NODES,
     derivative_matrix,
-    evaluate_series,
+    displace,
     gauss_hermite,
+    golub_welsch_rule,
     hermite_functions,
     position_matrix,
-    projection_rule,
 )
 from scalerep.liecore import GroupElement
 
@@ -39,36 +39,46 @@ def test_derivative_matrix_against_finite_differences():
     n = 12
     coeffs = np.zeros(n)
     coeffs[7] = 1.0
-    fd = (evaluate_series(coeffs, xs + step) - evaluate_series(coeffs, xs - step)) / (2 * step)
-    exact = evaluate_series(derivative_matrix(n + 1) @ np.append(coeffs, 0.0), xs)
+    fd = coeffs @ (hermite_functions(xs + step, n) - hermite_functions(xs - step, n)) / (2 * step)
+    exact = derivative_matrix(n + 1) @ np.append(coeffs, 0.0) @ hermite_functions(xs, n + 1)
     assert np.max(np.abs(fd - exact)) < 1e-9
 
 
-def test_projection_rule():
-    xs, ws, H = projection_rule(32)
-    assert projection_rule(32)[2] is H
-    for arr in (xs, ws, H):
+def test_golub_welsch_rule():
+    # oracle: numpy's Gauss-Hermite rule and the pointwise Hermite functions
+    w, V = golub_welsch_rule(32)
+    assert golub_welsch_rule(32)[1] is V
+    for arr in (w, V):
         with pytest.raises(ValueError):
             arr[0] = 0.0
-    assert xs is gauss_hermite(64)[0] and H.shape == (32, 64)
+    xs, ws = gauss_hermite(64)
+    assert V.shape == (32, 64)
+    assert np.max(np.abs(w - xs)) < 1e-12
+    # row k holds h_k at the nodes times the root weights, up to one sign per node
+    H = hermite_functions(xs, 32) * np.sqrt(ws)
+    assert np.max(np.abs(V * np.sign(np.sum(V * H, axis=0)) - H)) < 1e-12
 
 
 def test_project_roundtrip():
-    # project the values of a 32-mode series on the 128-node rule back onto 32 modes
-    xs, ws, H = projection_rule(64)
+    # the values of a 32-mode series at the 64 nodes project back onto its coefficients
+    w, V = golub_welsch_rule(32)
+    xs, ws = gauss_hermite(64)
     rng = np.random.default_rng(1)
     coeffs = rng.standard_normal(32) + 1j * rng.standard_normal(32)
-    back = H[:32] @ (ws * evaluate_series(coeffs, xs))
-    assert np.max(np.abs(back - coeffs)) < 1e-12
+    H = hermite_functions(xs, 32)
+    values = np.sign(np.sum(V * H, axis=0)) * (V.T @ coeffs)
+    assert np.max(np.abs(values - np.sqrt(ws) * (coeffs @ H))) < 1e-12
+    assert np.max(np.abs(V @ (V.T @ coeffs) - coeffs)) < 1e-12
 
 
 def test_quadrature_spec_validation():
     with pytest.raises(UsageError):
-        projection_rule(0)
+        golub_welsch_rule(0)
     with pytest.raises(UsageError):
         gauss_hermite(10_000)
-    assert projection_rule(64)[0].size == 128
-    assert projection_rule(MAX_NODES)[0].size == MAX_NODES
+    assert golub_welsch_rule(64)[0].size == 128
+    # the oracle rule stops at MAX_NODES nodes; the Golub-Welsch rule does not
+    assert golub_welsch_rule(MAX_NODES)[0].size == 2 * MAX_NODES
 
 
 def test_cached_rule_is_read_only():
@@ -89,43 +99,40 @@ def _series_vectors():
 
 @pytest.mark.parametrize("kind", ["zero-tail", "dense", "zero"])
 def test_series_cut_is_bit_identical(kind):
-    # oracle: the term-by-term sum over all modes, exact zeros included
-    coeffs = _series_vectors()[kind]
-    xs = gauss_hermite(320)[0] + 0.7
-    table = hermite_functions(xs, coeffs.size)
-    full = np.zeros(xs.size, dtype=complex)
-    for c, row in zip(coeffs, table):
-        full += c * row
-    series = evaluate_series(coeffs, xs)
-    assert np.array_equal(series, full)
-    # and the one-product form of the same sum, to rounding
-    assert np.max(np.abs(series - coeffs @ table)) <= 1e-13 * max(1.0, np.max(np.abs(full)))
+    # oracle: the same column beside a dense one, so every row of the
+    # displacement recurrence runs, exact zeros included
+    vectors = _series_vectors()
+    alpha = np.array([0.4 - 1.1j, -0.9 + 0.3j])
+    alone = displace(alpha[:1], vectors[kind][:, None])
+    full = displace(alpha, np.stack([vectors[kind], vectors["dense"]], axis=1))
+    assert np.array_equal(alone[:, 0], full[:, 0])
 
 
 def test_block_series_columns_equal_the_vector_series():
-    # each column of a block is its own series at its own nodes, bit for bit
+    # each column of a block is its own displaced series, bit for bit
     rng = np.random.default_rng(5)
     coeffs = np.zeros((160, 4), dtype=complex)
     for j, live in enumerate((1, 7, 20, 40)):
         coeffs[:live, j] = rng.standard_normal(live) + 1j * rng.standard_normal(live)
-    xs = gauss_hermite(320)[0][:, None] + rng.uniform(-2, 2, 4)
-    block = evaluate_series(coeffs, xs)
+    alpha = rng.uniform(-2, 2, 4) + 1j * rng.uniform(-2, 2, 4)
+    block = displace(alpha, coeffs)
     for j in range(4):
-        assert np.array_equal(block[:, j], evaluate_series(coeffs[:, j], xs[:, j]))
+        assert np.array_equal(block[:, j], displace(alpha[j : j + 1], coeffs[:, j : j + 1])[:, 0])
 
 
 def test_action_evaluates_only_the_live_modes(monkeypatch):
     fam = hermite_generators(160)
     phi = _series_vectors()["zero-tail"]
-    projection_rule(160)  # build the cached table first: the spy counts the series only
-    modes = []
-    rows = hermite._hermite_rows
+    counted = []
+    rows = hermite._displacement_rows
 
-    def spy(xs):
-        for k, row in enumerate(rows(xs)):
-            modes.append(k + 1)
+    def spy(a, n_rows, n_cols):
+        for row in rows(a, n_rows, n_cols):
+            counted.append(row.shape[0])
             yield row
 
-    monkeypatch.setattr(hermite, "_hermite_rows", spy)
+    monkeypatch.setattr(hermite, "_displacement_rows", spy)
     fam.action_analytic(GroupElement(0.3, -0.2, 0.1), phi)
-    assert modes and max(modes) <= 21
+    # one row per mode up to the last live one, and row n runs over the N - n offsets
+    assert len(counted) == np.flatnonzero(phi)[-1] + 1 == 20
+    assert counted == list(range(160, 140, -1))

@@ -20,7 +20,7 @@ from scalerep.hilleyosida import (
     yosida_reconstruct,
 )
 from scalerep.sampling import interior_vector
-from scalerep.scale import scale_norm
+from scalerep.scale import build_scale_chain, scale_norm
 
 from conftest import h0
 
@@ -80,6 +80,18 @@ def test_resolvent_routes_agree_at_moderate_lambda(fam, chain, x2_group):
         for n in (0, 1):
             assert scale_norm(chain, matrix - closed, n) < 1e-6
             assert scale_norm(chain, laplace - matrix, n) < 1e-6
+
+
+def test_closed_form_matches_the_matrix_route_past_the_old_node_cap():
+    # at 640 modes the truncation gap is below rounding at every hy-07 lambda;
+    # a rule capped at 320 nodes left 2.7e-05 there
+    N = 640
+    fam = hermite_generators(N)
+    chain = build_scale_chain(fam.scale_family, 1)
+    for lam in (1.0, 2.0, 4.0):
+        matrix = resolvent_matrix(fam.x2, lam) @ h0(N)
+        closed = resolvent_closed_form_x2(lam, h0(N), N)
+        assert scale_norm(chain, matrix - closed, 1) <= 1e-12
 
 
 def test_resolvent_negative_branch(fam, x2_group):

@@ -242,6 +242,16 @@ def test_scaled_block_run_writes_a_full_report(tmp_path):
     }
 
 
+def test_scaled_hermite_run_writes_a_full_report(tmp_path):
+    # 640 modes: past the 320 nodes a Gauss-Hermite projection could use
+    out = tmp_path / "hh640.json"
+    proc = run_cli_child("run", "--suite", "heisenberg-hermite", "--trunc", "640", "--out", str(out))
+    assert proc.returncode in (0, 1)
+    assert "Traceback" not in proc.stderr
+    cases = {r["case"].split("/")[0] for r in json.loads(out.read_text())}
+    assert cases == {c.case_id for c in suites.SUITES["heisenberg-hermite"]}
+
+
 def test_cli_refuses_depth_one_for_level_two_suites(tmp_path, capsys, monkeypatch):
     # sc-02 and hy-02 measure at level 2: refused before any case runs
     def no_run(cfg):
