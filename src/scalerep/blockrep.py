@@ -38,6 +38,7 @@ CHI1 = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
 CHI2 = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
 CHI3 = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
 CHIS = (CHI1, CHI2, CHI3)
+CHI_SLOTS = ((0, 1), (1, 2), (0, 2))  # the one nonzero entry of each CHI
 EYE3 = np.eye(3)
 
 
@@ -107,10 +108,18 @@ class BlockGeneratorFamily(_GuardBand):
     def gens(self) -> tuple:
         return (self.x1, self.x2, self.x3)
 
-    def rep_stack(self, g: GroupElement) -> np.ndarray:
-        """(M, 3, 3) diagonal blocks of T(g) = I + xi1 X1 + xi2 X2 + xi3 X3."""
-        S1, S2, S3 = self.stacks
-        return EYE3 + g.xi1 * S1 + g.xi2 * S2 + g.xi3 * S3
+    def rep_stack(self, g: GroupElement, n=slice(None)) -> np.ndarray:
+        """Diagonal blocks of T(g) = I + xi1 X1 + xi2 X2 + xi3 X3.
+
+        The (M, 3, 3) stack, or the 3 x 3 block at index ``n`` alone; a
+        block of elements puts its shape in front.  Each block is the
+        identity with xi_i w_i(n) in the one nonzero slot of CHI_i.
+        """
+        stack = np.empty(np.broadcast(g.xi1, g.xi2, g.xi3).shape + self.stacks[0][n].shape)
+        stack[...] = EYE3
+        for xi, S, (i, j) in zip((g.xi1, g.xi2, g.xi3), self.stacks, CHI_SLOTS):
+            stack[..., i, j] = np.multiply.outer(xi, S[n][..., i, j])
+        return stack
 
     def pair_residual(self, i: int, j: int) -> float:
         """Max-entry residual of X_i X_j - delta_{1i} delta_{2j} X_3 (1-based)."""
@@ -151,12 +160,20 @@ def rep_homomorphism_residual(
     Zero in exact arithmetic; measured relative to the entry scale of
     T(gh), whose entries grow like M^2, so float rounding does not
     masquerade as an algebra failure.  Off the diagonal blocks both sides
-    vanish, so the residual is a max over the blocks.
+    vanish, so the residual is a max over the blocks, taken one diagonal
+    block at a time: a block of K pairs gives K residuals and holds only
+    (K, 3, 3) stacks.
     """
-    lhs = fam.rep_stack(g) @ fam.rep_stack(h)
-    rhs = fam.rep_stack(group_multiply(g, h))
-    scale = max(1.0, float(np.max(np.abs(rhs))))
-    return float(np.max(np.abs(lhs - rhs))) / scale
+    gh = group_multiply(g, h)
+    gap = scale = 0.0  # entrywise running maxima of |lhs - rhs| and |rhs|
+    for n in range(fam.M) if np.ndim(gh.xi3) else [slice(None)]:
+        rhs = fam.rep_stack(gh, n)
+        lhs = fam.rep_stack(g, n) @ fam.rep_stack(h, n)
+        gap = np.maximum(gap, np.abs(lhs - rhs))
+        scale = np.maximum(scale, np.abs(rhs))
+    per_pair = tuple(range(np.ndim(gh.xi3), gap.ndim))
+    residual = np.max(gap, axis=per_pair) / np.maximum(1.0, np.max(scale, axis=per_pair))
+    return float(residual) if np.ndim(residual) == 0 else residual
 
 
 def two_norm_chain(fam: BlockGeneratorFamily, n_max: int = 2) -> ScaleChain:

@@ -5,6 +5,15 @@ constants and brackets, the nilpotent group law on R^3, coordinates of the
 second kind, the conjugation (automorphism) matrices, and the ad-series for
 inner automorphisms of operator families.
 
+Blocks of group elements
+------------------------
+A ``GroupElement`` whose three coordinates are arrays of one shape is a
+block of that many elements.  The group law, the second-kind maps, the
+conjugation matrices and the residuals below act on it element by element
+in one pass: a residual returns one value per element (a float for a
+single element), ``automorphism_matrix`` a (..., 3, 3) stack.  Every value
+is bit for bit the one the single-element call gives.
+
 Sign conventions
 ----------------
 Two conventions for the central generator are supported throughout the
@@ -83,26 +92,44 @@ def heisenberg_constants() -> StructureConstants:
 
 
 def bracket(sc: StructureConstants, a, b) -> np.ndarray:
-    """Bracket of two algebra vectors in the basis the constants refer to."""
+    """Bracket of two algebra vectors in the basis the constants refer to.
+
+    Blocks of vectors along the leading axes give one bracket per pair.
+    """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    if a.shape != (sc.dim,) or b.shape != (sc.dim,):
+    if a.shape[-1:] != (sc.dim,) or b.shape[-1:] != (sc.dim,):
         raise UsageError(
             f"algebra vectors must have dimension {sc.dim}, got {a.shape} and {b.shape}"
         )
-    return np.einsum("i,j,ijk->k", a, b, sc.c)
+    return np.einsum("...i,...j,ijk->...k", a, b, sc.c)
+
+
+def _max_abs(values, axes) -> float | np.ndarray:
+    """Largest |entry| over ``axes``: a float, or one per element of a block."""
+    worst = np.max(np.abs(values), axis=axes)
+    return float(worst) if np.ndim(worst) == 0 else worst
 
 
 @dataclass(frozen=True)
 class GroupElement:
-    """Chart coordinates of the nilpotent group on R^3."""
+    """Chart coordinates of the nilpotent group on R^3.
+
+    Coordinates that are arrays of one shape make a block of elements.
+    """
 
     xi1: float = 0.0
     xi2: float = 0.0
     xi3: float = 0.0
 
     def as_array(self) -> np.ndarray:
-        return np.array([self.xi1, self.xi2, self.xi3])
+        """The coordinates along the last axis: (3,), or (..., 3) for a block."""
+        return np.stack([self.xi1, self.xi2, self.xi3], axis=-1)
+
+    def unstack(self) -> tuple:
+        """The blocks along the last axis of a block, e.g. g, h, k of a (K, 3) block of triples."""
+        coords = (np.moveaxis(np.asarray(x), -1, 0) for x in (self.xi1, self.xi2, self.xi3))
+        return tuple(GroupElement(*c) for c in zip(*coords))
 
 
 IDENTITY = GroupElement(0.0, 0.0, 0.0)
@@ -120,19 +147,26 @@ def group_inverse(g: GroupElement) -> GroupElement:
     return GroupElement(-g.xi1, -g.xi2, -g.xi3 + g.xi1 * g.xi2)
 
 
+def chart_distance(g: GroupElement, h: GroupElement) -> float | np.ndarray:
+    """Largest coordinate gap between g and h in the chart."""
+    return _max_abs(g.as_array() - h.as_array(), -1)
+
+
 def associativity_residual(g: GroupElement, h: GroupElement, k: GroupElement) -> float:
     lhs = group_multiply(group_multiply(g, h), k)
     rhs = group_multiply(g, group_multiply(h, k))
-    return float(np.max(np.abs(lhs.as_array() - rhs.as_array())))
+    return chart_distance(lhs, rhs)
 
 
 def chart_exp(x, t: float = 1.0) -> GroupElement:
     """Exponential of the algebra vector ``x = (a, b, c)`` into the chart.
 
     The associative square of (a, b, c) is (0, 0, ab), so the series stops
-    after the quadratic term: exp(t x) = (ta, tb, tc + t^2 ab / 2).
+    after the quadratic term: exp(t x) = (ta, tb, tc + t^2 ab / 2).  A
+    (..., 3) block of vectors, with ``t`` one value or one per vector,
+    gives a block of elements.
     """
-    a, b, c = (float(v) for v in x)
+    a, b, c = np.moveaxis(np.asarray(x, dtype=float), -1, 0)
     return GroupElement(t * a, t * b, t * c + 0.5 * t * t * a * b)
 
 
@@ -156,9 +190,9 @@ def automorphism_matrix(g: GroupElement, x3_sign: str = "consistent") -> np.ndar
     sign.  Both choices are matrix representations of the group.
     """
     _check_x3_sign(x3_sign)
-    f = np.eye(3)
-    f[0, 2] = g.xi2
-    f[1, 2] = -g.xi1 if x3_sign == "consistent" else g.xi1
+    f = np.tile(np.eye(3), (*np.broadcast_shapes(np.shape(g.xi1), np.shape(g.xi2)), 1, 1))
+    f[..., 0, 2] = g.xi2
+    f[..., 1, 2] = -g.xi1 if x3_sign == "consistent" else g.xi1
     return f
 
 
@@ -168,7 +202,7 @@ def automorphism_homomorphism_residual(
     fg = automorphism_matrix(g, x3_sign)
     fh = automorphism_matrix(h, x3_sign)
     fgh = automorphism_matrix(group_multiply(g, h), x3_sign)
-    return float(np.max(np.abs(fg @ fh - fgh)))
+    return _max_abs(fg @ fh - fgh, (-2, -1))
 
 
 def automorphism_identity_residual(
@@ -182,9 +216,9 @@ def automorphism_identity_residual(
     if sc.dim != 3:
         raise UsageError("the chart automorphism is defined for the 3-dimensional algebra")
     f = automorphism_matrix(group_inverse(g), x3_sign)
-    lhs = np.einsum("ijk,kl->ijl", sc.c, f)
-    rhs = np.einsum("mnl,im,jn->ijl", sc.c, f, f)
-    return float(np.max(np.abs(lhs - rhs)))
+    lhs = np.einsum("ijk,...kl->...ijl", sc.c, f)
+    rhs = np.einsum("mnl,...im,...jn->...ijl", sc.c, f, f)
+    return _max_abs(lhs - rhs, (-3, -2, -1))
 
 
 def auto_expansion_residual(

@@ -4,6 +4,10 @@ Every random draw in the verification suites comes from a Philox stream
 whose 128-bit key is derived from the run seed and the case identity, so
 cases are reproducible in isolation, independent of execution order, and
 safe to run concurrently without shared generator state.
+
+Each sampler also draws a block of samples in one call, from the same
+stream bit for bit as that many successive single draws, so a case can
+evaluate its samples as one block.
 """
 
 from __future__ import annotations
@@ -22,20 +26,36 @@ def case_rng(seed: int, suite: str, case: str) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def interior_vector(rng: np.random.Generator, dim: int, modes: int) -> np.ndarray:
-    """Normalized complex Gaussian coefficients on the leading ``modes`` modes."""
+def interior_vector(
+    rng: np.random.Generator, dim: int, modes: int, count: int | None = None
+) -> np.ndarray:
+    """Normalized complex Gaussian coefficients on the leading ``modes`` modes.
+
+    ``count`` draws the (dim, count) block of ``count`` such vectors: one
+    (count, 2, modes) normal draw of real and imaginary parts, each vector
+    normalized by its own ``np.linalg.norm``.
+    """
     if not (1 <= modes <= dim):
         raise UsageError(f"modes must lie in 1..{dim}, got {modes}")
-    phi = np.zeros(dim, dtype=complex)
-    phi[:modes] = rng.standard_normal(modes) + 1j * rng.standard_normal(modes)
-    nrm = np.linalg.norm(phi)
-    if nrm == 0:
-        phi[0] = 1.0
-        nrm = 1.0
-    return phi / nrm
+    parts = rng.standard_normal((1 if count is None else count, 2, modes))
+    phis = np.zeros((len(parts), dim), dtype=complex)
+    phis[:, :modes] = parts[:, 0] + 1j * parts[:, 1]
+    for phi in phis:
+        nrm = np.linalg.norm(phi)
+        if nrm == 0:
+            phi[0] = 1.0
+            nrm = 1.0
+        phi /= nrm
+    return phis[0] if count is None else phis.T
 
 
-def group_element(rng: np.random.Generator, box: float) -> GroupElement:
-    """Uniform chart coordinates in the cube |xi_k| <= box."""
-    v = rng.uniform(-box, box, size=3)
-    return GroupElement(float(v[0]), float(v[1]), float(v[2]))
+def group_element(rng: np.random.Generator, box: float, shape: tuple = ()) -> GroupElement:
+    """Uniform chart coordinates in the cube |xi_k| <= box.
+
+    A nonempty ``shape`` draws a block of elements with coordinates of that
+    shape, e.g. (K, 3) for K triples (see ``GroupElement.unstack``).
+    """
+    v = rng.uniform(-box, box, size=(*shape, 3))
+    if not shape:
+        return GroupElement(float(v[0]), float(v[1]), float(v[2]))
+    return GroupElement(v[..., 0], v[..., 1], v[..., 2])

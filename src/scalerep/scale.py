@@ -315,16 +315,19 @@ class MonotonicityResult:
 
 
 def monotonicity_check(chain: ScaleChain, phi, n: int) -> MonotonicityResult:
-    """Verify ||phi||_n <= ||phi||_{n+1} and ||X_i phi||_n <= ||phi||_{n+1}."""
+    """Verify ||phi||_n <= ||phi||_{n+1} and ||X_i phi||_n <= ||phi||_{n+1}.
+
+    An (N, K) block gives K column values in every field.
+    """
     if n + 1 > chain.n_max:
         raise UsageError(f"monotonicity at level {n} needs the chain built to {n + 1}")
     phi = np.asarray(phi, dtype=complex)
     lo = scale_norm(chain, phi, n)
     hi = scale_norm(chain, phi, n + 1)
-    slack = MONOTONE_SLACK * max(1.0, hi)
+    slack = MONOTONE_SLACK * np.maximum(1.0, hi)
     gen_norms = tuple(scale_norm(chain, X @ phi, n) for X in chain.family.gens)
-    ok = lo <= hi + slack and all(gn <= hi + slack for gn in gen_norms)
-    return MonotonicityResult(lo, hi, gen_norms, ok)
+    ok = np.logical_and.reduce([lo <= hi + slack, *(gn <= hi + slack for gn in gen_norms)])
+    return MonotonicityResult(lo, hi, gen_norms, ok if phi.ndim == 2 else bool(ok))
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,7 @@ from .heisenberg import (
 )
 from .hermite import gauss_hermite
 from .integrator import CHART_BOX
-from .liecore import GroupElement, group_inverse, group_multiply
+from .liecore import GroupElement, chart_distance, group_inverse, group_multiply
 from .report import CheckRecord
 from .sampling import case_rng, group_element, interior_vector
 from .scale import (
@@ -334,10 +334,11 @@ class CaseRecorder:
         """Check the largest sampled value, floored at 0, against ``bound``.
 
         ``values`` is drained here, so a generator draws in call order;
-        ``samples`` records how many values it produced.
+        ``samples`` records how many values it produced.  A NaN sample
+        makes the measurement NaN, so the row fails.
         """
-        values = list(values)
-        self.check(name, max([0.0, *values]), bound, samples=len(values), **inputs)
+        values = np.fromiter(values, dtype=float)
+        self.check(name, np.max(values, initial=0.0), bound, samples=len(values), **inputs)
 
     def holds(self, name, ok, **inputs):
         """Flag check: measures 0 when ``ok`` is true and 1 otherwise, bound 0."""
@@ -371,8 +372,8 @@ def _lc_bracket(cfg, ctx, rec):
     rec.check("chi1-chi2", np.max(np.abs(liecore.bracket(sc, e[0], e[1]) - e[2])), tol)
     rec.check("chi1-chi3", np.max(np.abs(liecore.bracket(sc, e[0], e[2]))), tol)
     rec.check("chi2-chi3", np.max(np.abs(liecore.bracket(sc, e[1], e[2]))), tol)
-    draws = (rec.rng.standard_normal(3) for _ in range(100))
-    rec.worst("self-bracket", (np.max(np.abs(liecore.bracket(sc, a, a))) for a in draws), tol)
+    draws = rec.rng.standard_normal((100, 3))
+    rec.worst("self-bracket", np.max(np.abs(liecore.bracket(sc, draws, draws)), axis=-1), tol)
 
 
 def _lc_matrix_model(cfg, ctx, rec):
@@ -396,54 +397,26 @@ def _lc_matrix_model(cfg, ctx, rec):
 
 def _lc_group_basic(cfg, ctx, rec):
     tol = cfg.tolerance("algebraic")
-    g = GroupElement(1.0, 1.0, 1.0)
-    inv = group_inverse(g)
-    rec.check(
-        "inverse-frozen",
-        np.max(np.abs(inv.as_array() - np.array([-1.0, -1.0, 0.0]))),
-        tol,
-    )
-    rec.check(
-        "product-frozen",
-        np.max(
-            np.abs(
-                group_multiply(GroupElement(1, 0, 0), GroupElement(0, 1, 0)).as_array()
-                - np.array([1.0, 1.0, 1.0])
-            )
-        ),
-        tol,
-    )
-    rec.check(
-        "noncommutativity-frozen",
-        np.max(
-            np.abs(
-                group_multiply(GroupElement(0, 1, 0), GroupElement(1, 0, 0)).as_array()
-                - np.array([1.0, 1.0, 0.0])
-            )
-        ),
-        tol,
-    )
+    e1, e2 = GroupElement(1, 0, 0), GroupElement(0, 1, 0)
+    for name, value, expect in (
+        ("inverse-frozen", group_inverse(GroupElement(1.0, 1.0, 1.0)), (-1.0, -1.0, 0.0)),
+        ("product-frozen", group_multiply(e1, e2), (1, 1, 1)),
+        ("noncommutativity-frozen", group_multiply(e2, e1), (1, 1, 0)),
+    ):
+        rec.check(name, chart_distance(value, GroupElement(*expect)), tol)
 
-    def residual():
-        g = group_element(rec.rng, CHART_BOX)
-        return max(
-            np.max(np.abs(group_multiply(g, group_inverse(g)).as_array())),
-            np.max(np.abs(group_multiply(group_inverse(g), g).as_array())),
-            np.max(np.abs(group_multiply(g, liecore.IDENTITY).as_array() - g.as_array())),
-        )
-
-    rec.worst("inverse-random", (residual() for _ in range(200)), tol)
+    g = group_element(rec.rng, CHART_BOX, (200,))
+    residuals = [
+        chart_distance(group_multiply(g, group_inverse(g)), liecore.IDENTITY),
+        chart_distance(group_multiply(group_inverse(g), g), liecore.IDENTITY),
+        chart_distance(group_multiply(g, liecore.IDENTITY), g),
+    ]
+    rec.worst("inverse-random", np.maximum.reduce(residuals), tol)
 
 
 def _lc_associativity(cfg, ctx, rec):
-    triples = (
-        [group_element(rec.rng, CHART_BOX) for _ in range(3)] for _ in range(1000)
-    )
-    rec.worst(
-        "triples",
-        (liecore.associativity_residual(*t) for t in triples),
-        cfg.tolerance("algebraic"),
-    )
+    triples = group_element(rec.rng, CHART_BOX, (1000, 3)).unstack()
+    rec.worst("triples", liecore.associativity_residual(*triples), cfg.tolerance("algebraic"))
 
 
 def _lc_second_kind(cfg, ctx, rec):
@@ -454,41 +427,31 @@ def _lc_second_kind(cfg, ctx, rec):
         ("frozen-230", GroupElement(2, 3, 0), (2.0, 3.0, -6.0)),
     ):
         ts = liecore.second_kind_coords(g)
-        rec.check(name, np.max(np.abs(np.array(ts) - np.array(expect))), tol)
+        rec.check(name, chart_distance(GroupElement(*ts), GroupElement(*expect)), tol)
 
-    def residual():
-        g = group_element(rec.rng, CHART_BOX)
-        back = liecore.second_kind_compose(*liecore.second_kind_coords(g))
-        t_random = rec.rng.uniform(-CHART_BOX, CHART_BOX, 3)
-        again = liecore.second_kind_coords(liecore.second_kind_compose(*t_random))
-        return max(
-            np.max(np.abs(back.as_array() - g.as_array())),
-            np.max(np.abs(np.array(again) - t_random)),
-        )
-
-    rec.worst("roundtrips", (residual() for _ in range(1000)), tol)
+    # each draw is an element g and then second-kind coordinates t, from the same cube
+    g, t = group_element(rec.rng, CHART_BOX, (1000, 2)).unstack()
+    back = liecore.second_kind_compose(*liecore.second_kind_coords(g))
+    again = liecore.second_kind_coords(liecore.second_kind_compose(t.xi1, t.xi2, t.xi3))
+    gaps = chart_distance(back, g), chart_distance(GroupElement(*again), t)
+    rec.worst("roundtrips", np.maximum(*gaps), tol)
 
 
 def _lc_chart_exp(cfg, ctx, rec):
-    def residual():
-        x = rec.rng.standard_normal(3)
-        s, t = rec.rng.uniform(-1.5, 1.5, 2)
-        lhs = group_multiply(liecore.chart_exp(x, s), liecore.chart_exp(x, t))
-        return np.max(np.abs(lhs.as_array() - liecore.chart_exp(x, s + t).as_array()))
-
-    rec.worst("one-parameter-law", (residual() for _ in range(500)), cfg.tolerance("algebraic"))
+    # the draws interleave a normal and a uniform distribution, so they stay a loop
+    draws = [(rec.rng.standard_normal(3), *rec.rng.uniform(-1.5, 1.5, 2)) for _ in range(500)]
+    x, s, t = (np.array(column) for column in zip(*draws))
+    lhs = group_multiply(liecore.chart_exp(x, s), liecore.chart_exp(x, t))
+    law = chart_distance(lhs, liecore.chart_exp(x, s + t))
+    rec.worst("one-parameter-law", law, cfg.tolerance("algebraic"))
 
 
 def _lc_auto_homomorphism(cfg, ctx, rec):
     for sign in liecore.X3_SIGN_CHOICES:
+        g, h = group_element(rec.rng, CHART_BOX, (1000, 2)).unstack()
         rec.worst(
             f"pairs-{sign}",
-            (
-                liecore.automorphism_homomorphism_residual(
-                    group_element(rec.rng, CHART_BOX), group_element(rec.rng, CHART_BOX), sign
-                )
-                for _ in range(1000)
-            ),
+            liecore.automorphism_homomorphism_residual(g, h, sign),
             cfg.tolerance("algebraic"),
         )
     rec.check(
@@ -512,12 +475,8 @@ def _lc_auto_identity(cfg, ctx, rec):
         tol,
     )
     for sign in liecore.X3_SIGN_CHOICES:
-        draws = (group_element(rec.rng, CHART_BOX) for _ in range(500))
-        rec.worst(
-            f"random-{sign}",
-            (liecore.automorphism_identity_residual(sc, g, sign) for g in draws),
-            tol,
-        )
+        g = group_element(rec.rng, CHART_BOX, (500,))
+        rec.worst(f"random-{sign}", liecore.automorphism_identity_residual(sc, g, sign), tol)
 
 
 def _lc_auto_expansion(cfg, ctx, rec):
@@ -620,13 +579,13 @@ def _sc_h0_oracle(cfg, ctx, rec):
 
 def _sc_monotonicity(cfg, ctx, rec):
     def excess(n):
-        phi = interior_vector(rec.rng, ctx.N, ctx.chain.family.interior_modes(n + 1))
-        res = monotonicity_check(ctx.chain, phi, n)
-        return max(res.lhs - res.rhs, max(g - res.rhs for g in res.generator_lhs))
+        block = interior_vector(rec.rng, ctx.N, ctx.chain.family.interior_modes(n + 1), 100)
+        res = monotonicity_check(ctx.chain, block, n)
+        return np.maximum.reduce([res.lhs - res.rhs, *(g - res.rhs for g in res.generator_lhs)])
 
     rec.worst(
         "random-vectors",
-        (excess(n) for n in range(min(cfg.n_max, 3)) for _ in range(100)),
+        np.concatenate([excess(n) for n in range(min(cfg.n_max, 3))]),
         cfg.tolerance("algebraic"),
     )
     zero = np.zeros(ctx.N, dtype=complex)
@@ -1309,14 +1268,10 @@ def _nl_rep_homomorphism(cfg, ctx, rec):
         fam, GroupElement(1, 0, 0), GroupElement(0, 1, 0)
     )
     rec.check("frozen-pair", named, tol)
+    g, h = group_element(rec.rng, CHART_BOX, (1000, 2)).unstack()
     rec.worst(
         "random-pairs",
-        (
-            blockrep.rep_homomorphism_residual(
-                fam, group_element(rec.rng, CHART_BOX), group_element(rec.rng, CHART_BOX)
-            )
-            for _ in range(1000)
-        ),
+        blockrep.rep_homomorphism_residual(fam, g, h),
         tol,
         note="relative to entry scale",
     )
@@ -1710,11 +1665,9 @@ def _in_dual_involution(cfg, ctx, rec):
 
 def _in_extension_hermite(cfg, ctx, rec):
     t = 1.0
+    families = [(N, hermite_generators(N, cfg.x3_sign)) for N in HERMITE_LADDER]
     for i, label in ((1, "X1"), (2, "X2"), (3, "X3")):
-        ladder = []
-        for N in HERMITE_LADDER:
-            fam = hermite_generators(N, cfg.x3_sign)
-            ladder.append((N, fam.evaluators[i - 1](t)))
+        ladder = [(N, fam.evaluators[i - 1](t)) for N, fam in families]
         verdict = integrator.extension_probe(ladder, t, label=label)
         rec.holds(
             f"{label}-extends",
@@ -1950,8 +1903,8 @@ def run_suite(cfg: SuiteConfig):
     cfg.validate()
     names = SUITE_NAMES if cfg.suite == "all" else (cfg.suite,)
     records = []
+    ctx = SuiteContext(cfg)
     for name in names:
-        ctx = SuiteContext(cfg)
         for case in SUITES[name]:
             rec = CaseRecorder(cfg.seed, name, case.case_id, case.anchors)
             started = time.perf_counter()

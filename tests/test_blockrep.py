@@ -295,3 +295,35 @@ def test_stack_kernels_never_build_dense_matrices():
     finally:
         tracemalloc.stop()
     assert peak < 50 * 2**20
+
+
+def _old_rep_homomorphism_residual(fam, g, h):
+    # the whole-stack evaluation of one pair that the block form replaces
+    S1, S2, S3 = fam.stacks
+    rep = lambda e: np.eye(3) + e.xi1 * S1 + e.xi2 * S2 + e.xi3 * S3
+    rhs = rep(group_multiply(g, h))
+    scale = max(1.0, float(np.max(np.abs(rhs))))
+    return float(np.max(np.abs(rep(g) @ rep(h) - rhs))) / scale
+
+
+@pytest.mark.parametrize("M", (1, 7, 50))
+def test_block_of_pairs_matches_the_per_pair_residuals_bit_for_bit(M):
+    fam = block_generators(M)
+    rng = np.random.default_rng(M + 14)
+    gc, hc = rng.uniform(-2.0, 2.0, (2, 300, 3))
+    g, h = GroupElement(*gc.T), GroupElement(*hc.T)
+    block = rep_homomorphism_residual(fam, g, h)
+    assert block.shape == (300,)
+    singles = [(GroupElement(*map(float, a)), GroupElement(*map(float, b))) for a, b in zip(gc, hc)]
+    for value, (a, b) in zip(block, singles):
+        assert value == rep_homomorphism_residual(fam, a, b)
+        assert value == _old_rep_homomorphism_residual(fam, a, b)
+    assert np.max(block) > 0.0  # rounding shows, so the comparison is not of zeros
+    # one diagonal block of a block of elements is that block of each element's stack
+    for n in {0, M // 2, M - 1}:
+        stack = fam.rep_stack(g, n)
+        assert stack.shape == (300, 3, 3)
+        for j, (a, _) in enumerate(singles[:20]):
+            old = np.eye(3) + a.xi1 * fam.stacks[0] + a.xi2 * fam.stacks[1] + a.xi3 * fam.stacks[2]
+            assert np.array_equal(stack[j], old[n])
+            assert np.array_equal(fam.rep_stack(a), old)

@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -237,3 +239,53 @@ def test_ad_series_matches_expm_conjugation():
     oracle = scipy.linalg.expm(t * X) @ Y @ scipy.linalg.expm(-t * X)
     series = ad_series(X, Y, t, tol=1e-15, max_terms=200)
     assert np.max(np.abs(series - oracle)) < 1e-12
+
+
+@pytest.mark.parametrize("sign", liecore.X3_SIGN_CHOICES)
+def test_block_forms_equal_the_per_element_calls_bit_for_bit(sign):
+    rng = np.random.default_rng(14)
+    coords = rng.uniform(-2.0, 2.0, (40, 3, 3))
+    g, h, k = (GroupElement(*c.T) for c in np.moveaxis(coords, 1, 0))
+    x, y = rng.standard_normal((2, 40, 3))
+    t = rng.uniform(-1.5, 1.5, 40)
+    sc = heisenberg_constants()
+
+    def per_element(fn, *blocks):
+        return np.array([fn(*args) for args in zip(*blocks)])
+
+    singles = [[GroupElement(*map(float, c)) for c in triple] for triple in coords]
+    gs, hs, ks = zip(*singles)
+    pairs = (
+        (
+            group_multiply(g, h).as_array(),
+            per_element(lambda a, b: group_multiply(a, b).as_array(), gs, hs),
+        ),
+        (group_inverse(g).as_array(), per_element(lambda a: group_inverse(a).as_array(), gs)),
+        (liecore.chart_distance(g, h), per_element(liecore.chart_distance, gs, hs)),
+        (associativity_residual(g, h, k), per_element(associativity_residual, gs, hs, ks)),
+        (np.stack(second_kind_coords(g), axis=-1), per_element(second_kind_coords, gs)),
+        (
+            second_kind_compose(g.xi1, g.xi2, g.xi3).as_array(),
+            per_element(lambda a: second_kind_compose(a.xi1, a.xi2, a.xi3).as_array(), gs),
+        ),
+        (chart_exp(x, t).as_array(), per_element(lambda v, s: chart_exp(v, s).as_array(), x, t)),
+        (chart_exp(x, 0.7).as_array(), per_element(lambda v: chart_exp(v, 0.7).as_array(), x)),
+        (automorphism_matrix(g, sign), per_element(lambda a: automorphism_matrix(a, sign), gs)),
+        (
+            liecore.automorphism_homomorphism_residual(g, h, sign),
+            per_element(partial(liecore.automorphism_homomorphism_residual, x3_sign=sign), gs, hs),
+        ),
+        (
+            automorphism_identity_residual(sc, g, sign),
+            per_element(lambda a: automorphism_identity_residual(sc, a, sign), gs),
+        ),
+        (bracket(sc, x, y), per_element(lambda a, b: bracket(sc, a, b), x, y)),
+    )
+    for block, oracle in pairs:
+        assert block.shape == oracle.shape
+        assert np.array_equal(block, oracle)
+    # the residuals of one element stay Python floats
+    assert type(associativity_residual(*singles[0])) is float
+    assert type(liecore.automorphism_homomorphism_residual(gs[0], hs[0], sign)) is float
+    assert type(automorphism_identity_residual(sc, gs[0], sign)) is float
+    assert automorphism_matrix(gs[0], sign).shape == (3, 3)

@@ -13,11 +13,14 @@ import scipy.linalg
 from hypothesis import assume, given, settings, strategies as st
 
 import scalerep
+from scalerep import blockrep, heisenberg, integrator, liecore, sampling
 from scalerep.cli import build_config, main, make_parser
 from scalerep.errors import UsageError
 from scalerep.heisenberg import HermiteHeisenberg, UnitaryGroup
 from scalerep.report import CheckRecord, render, to_csv, to_json
-from scalerep.sampling import case_rng
+from scalerep.integrator import CHART_BOX
+from scalerep.sampling import case_rng, group_element, interior_vector
+from scalerep.scale import monotonicity_check
 from scalerep import suites
 from scalerep.suites import (
     DEFAULT_M,
@@ -534,6 +537,16 @@ def test_worst_floors_at_zero_and_counts_the_draws():
     assert high.case == "xx-01-case/positive" and high.anchors == ("e1.1",)
 
 
+def test_worst_reports_a_nan_sample_as_nan():
+    rec = recorder()
+    rec.worst("alone", [np.nan], 1e-12)
+    rec.worst("first", (v for v in (np.nan, 0.5)), 1e-12)
+    rec.worst("last", np.array([0.5, np.nan]), 1.0)
+    for r, samples in zip(rec.records, (1, 2, 2)):
+        assert np.isnan(r.measured) and not r.passed
+        assert r.inputs == {"samples": samples}
+
+
 def test_holds_and_raises_record_a_flag_against_zero():
     rec = recorder()
     rec.holds("true-flag", True, M=3)
@@ -574,3 +587,121 @@ def test_samples_input_counts_the_draws_below_the_default_depth():
     assert rows["sc-03-monotonicity/random-vectors"]["samples"] == 200
     assert rows["sc-05-group-bound-generic/random-pairs"]["samples"] == 100
     assert rows["hh-12-growth-generic/random"]["samples"] == 60
+    # the block-evaluated sampled checks still count every draw
+    for name in ("lie-core", "nilpotent-l2"):
+        rows.update((r.case, r.inputs) for r in run_suite(SuiteConfig(suite=name))[0])
+    for case in (
+        "lc-05-group-associativity/triples",
+        "lc-08-automorphism-homomorphism/pairs-consistent",
+        "lc-08-automorphism-homomorphism/pairs-paper",
+        "nl-04-rep-homomorphism/random-pairs",
+    ):
+        assert rows[case]["samples"] == 1000
+    assert rows["lc-09-automorphism-constants-identity/random-paper"]["samples"] == 500
+    assert rows["lc-04-group-identity-inverse/inverse-random"]["samples"] == 200
+
+
+def _run_case(case_fn, suite, case_id, seed):
+    cfg = SuiteConfig(suite=suite, seed=seed)
+    anchors = next(c.anchors for c in suites.SUITES[suite] if c.case_id == case_id)
+    rec = CaseRecorder(seed, suite, case_id, anchors)
+    case_fn(cfg, suites.SuiteContext(cfg), rec)
+    return rec.records
+
+
+def _per_sample_lc05(cfg, ctx, rec):
+    # one triple per draw, each residual from scalar coordinates
+    def residual(g, h, k):
+        lhs = liecore.group_multiply(liecore.group_multiply(g, h), k)
+        rhs = liecore.group_multiply(g, liecore.group_multiply(h, k))
+        gaps = [lhs.xi1 - rhs.xi1, lhs.xi2 - rhs.xi2, lhs.xi3 - rhs.xi3]
+        return float(np.max(np.abs(np.array(gaps))))
+
+    triples = ([group_element(rec.rng, CHART_BOX) for _ in range(3)] for _ in range(1000))
+    rec.worst("triples", (residual(*t) for t in triples), cfg.tolerance("algebraic"))
+
+
+def _per_sample_nl04(cfg, ctx, rec):
+    fam = ctx.blocks
+    S1, S2, S3 = fam.stacks
+
+    def residual(g, h):
+        # the whole-stack evaluation of one pair
+        rep = lambda e: np.eye(3) + e.xi1 * S1 + e.xi2 * S2 + e.xi3 * S3
+        rhs = rep(liecore.group_multiply(g, h))
+        scale = max(1.0, float(np.max(np.abs(rhs))))
+        return float(np.max(np.abs(rep(g) @ rep(h) - rhs))) / scale
+
+    tol = cfg.tolerance("block_exact")
+    named = residual(liecore.GroupElement(1, 0, 0), liecore.GroupElement(0, 1, 0))
+    rec.check("frozen-pair", named, tol)
+    draw = lambda: group_element(rec.rng, CHART_BOX)
+    samples = (residual(draw(), draw()) for _ in range(1000))
+    rec.worst("random-pairs", samples, tol, note="relative to entry scale")
+    identity = fam.rep_stack(liecore.IDENTITY)
+    rec.check("identity-element", float(np.max(np.abs(identity - np.eye(3)))), 0.0)
+
+
+def _per_sample_sc03(cfg, ctx, rec):
+    def excess(n):
+        phi = interior_vector(rec.rng, ctx.N, ctx.chain.family.interior_modes(n + 1))
+        res = monotonicity_check(ctx.chain, phi, n)
+        return max(res.lhs - res.rhs, max(g - res.rhs for g in res.generator_lhs))
+
+    samples = (excess(n) for n in range(min(cfg.n_max, 3)) for _ in range(100))
+    rec.worst("random-vectors", samples, cfg.tolerance("algebraic"))
+
+
+@pytest.mark.parametrize("seed", (7, 42))
+@pytest.mark.parametrize(
+    "suite, case_id, oracle",
+    (
+        ("lie-core", "lc-05-group-associativity", _per_sample_lc05),
+        ("nilpotent-l2", "nl-04-rep-homomorphism", _per_sample_nl04),
+        ("scale-core", "sc-03-monotonicity", _per_sample_sc03),
+    ),
+)
+def test_block_evaluated_cases_record_what_the_per_sample_loops_do(suite, case_id, oracle, seed):
+    fn = next(c.fn for c in suites.SUITES[suite] if c.case_id == case_id)
+    records = _run_case(fn, suite, case_id, seed)
+    expected = _run_case(oracle, suite, case_id, seed)
+    # sc-03 adds frozen rows after its random ones; the oracle covers the sampled rows
+    assert records[: len(expected)] == expected
+    assert all(type(v) in (int, float, str, bool) for r in records for v in r.inputs.values())
+
+
+def test_lie_core_samples_as_blocks(monkeypatch):
+    # about 12,000 group_multiply and group_element calls as per-sample loops
+    def lie_core():
+        records, _ = run_suite(SuiteConfig(suite="lie-core"))
+        return [dataclasses.replace(r, seconds=0.0) for r in records]
+
+    expected = lie_core()
+    counts = dict.fromkeys(("group_multiply", "group_element"), 0)
+    for name, module in (("group_multiply", liecore), ("group_element", sampling)):
+        original = getattr(module, name)
+
+        def spy(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        for holder in (liecore, sampling, suites, blockrep, integrator, heisenberg):
+            if getattr(holder, name, None) is original:
+                monkeypatch.setattr(holder, name, spy)
+    assert lie_core() == expected
+    assert 0 < counts["group_multiply"] < 100 and 0 < counts["group_element"] < 100
+
+
+def test_run_suite_builds_one_context_per_call(monkeypatch):
+    built = []
+    original = suites.SuiteContext.__init__
+
+    def spy(self, cfg):
+        built.append(cfg)
+        original(self, cfg)
+
+    monkeypatch.setattr(suites.SuiteContext, "__init__", spy)
+    run_suite(SuiteConfig(suite="nilpotent-l2"))
+    monkeypatch.setattr(suites, "SUITES", {name: () for name in SUITE_NAMES})
+    run_suite(SuiteConfig(suite="all"))
+    assert len(built) == 2

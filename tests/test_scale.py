@@ -240,3 +240,19 @@ def test_scale_operator_norm_needs_a_diagonal_chain(block_chain):
         scale_operator_norm(build_scale_chain(fam, 1), np.eye(8), 1)
     with pytest.raises(UsageError):
         scale_operator_norm(block_chain, np.eye(block_chain.family.dim), 1)
+
+
+def test_block_monotonicity_gives_the_column_checks(chain, rng):
+    for n in range(3):
+        modes = chain.family.interior_modes(n + 1)
+        block = np.zeros((64, 12), dtype=complex)
+        block[:modes] = rng.standard_normal((modes, 12)) + 1j * rng.standard_normal((modes, 12))
+        block[:, 5] = 0.0
+        res = monotonicity_check(chain, block, n)
+        assert res.passed.shape == (12,) and res.passed.all()
+        for j in range(12):
+            col = monotonicity_check(chain, block[:, j], n)
+            # the norms of a block are the column norms bit for bit; X @ block is a
+            # matrix product, which BLAS may round differently from X @ column
+            assert (res.lhs[j], res.rhs[j], res.passed[j]) == (col.lhs, col.rhs, col.passed)
+            assert np.allclose([g[j] for g in res.generator_lhs], col.generator_lhs, rtol=1e-14)
