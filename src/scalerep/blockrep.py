@@ -154,7 +154,7 @@ def rep_apply(g: GroupElement, fam: BlockGeneratorFamily, phi) -> np.ndarray:
 
 def rep_homomorphism_residual(
     fam: BlockGeneratorFamily, g: GroupElement, h: GroupElement
-) -> float:
+) -> float | np.ndarray:
     """Relative max-entry residual of T(g) T(h) - T(gh).
 
     Zero in exact arithmetic; measured relative to the entry scale of

@@ -152,7 +152,9 @@ def chart_distance(g: GroupElement, h: GroupElement) -> float | np.ndarray:
     return _max_abs(g.as_array() - h.as_array(), -1)
 
 
-def associativity_residual(g: GroupElement, h: GroupElement, k: GroupElement) -> float:
+def associativity_residual(
+    g: GroupElement, h: GroupElement, k: GroupElement
+) -> float | np.ndarray:
     lhs = group_multiply(group_multiply(g, h), k)
     rhs = group_multiply(g, group_multiply(h, k))
     return chart_distance(lhs, rhs)
@@ -198,7 +200,7 @@ def automorphism_matrix(g: GroupElement, x3_sign: str = "consistent") -> np.ndar
 
 def automorphism_homomorphism_residual(
     g: GroupElement, h: GroupElement, x3_sign: str = "consistent"
-) -> float:
+) -> float | np.ndarray:
     fg = automorphism_matrix(g, x3_sign)
     fh = automorphism_matrix(h, x3_sign)
     fgh = automorphism_matrix(group_multiply(g, h), x3_sign)
@@ -207,7 +209,7 @@ def automorphism_homomorphism_residual(
 
 def automorphism_identity_residual(
     sc: StructureConstants, g: GroupElement, x3_sign: str = "consistent"
-) -> float:
+) -> float | np.ndarray:
     """Residual of the compatibility identity between f and the constants.
 
     max over (i, j, l) of
