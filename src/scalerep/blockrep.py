@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import UsageError
 from .liecore import GroupElement, group_multiply
-from .scale import BlockGram, ScaleChain, _GuardBand, build_scale_chain
+from .scale import DiagonalGram, ScaleChain, _GuardBand, build_scale_chain, scale_norm
 
 CHI1 = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
 CHI2 = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
@@ -72,14 +72,16 @@ class BlockGeneratorFamily(_GuardBand):
     first use and cached; only the integrator and test oracles need them.
 
     As a scale family it is exact at every truncation: applications spread
-    no support and consume no guard band, and its Gram chain is built
-    blockwise from the stacks, so the dense matrices stay unassembled.
+    no support and consume no guard band.  Its Gram forms are diagonal,
+    since each generator has one nonzero entry per block, and the chain
+    takes its coupling from the stacks, so the dense matrices stay
+    unassembled.
     """
 
     M: int
     labels = ("X1", "X2", "X3")
     band_growth = 0
-    gram_form = BlockGram
+    gram_form = DiagonalGram
 
     @property
     def dim(self) -> int:
@@ -91,6 +93,11 @@ class BlockGeneratorFamily(_GuardBand):
     def stacks(self) -> tuple:
         n = np.arange(1, self.M + 1, dtype=float)
         return tuple(w[:, None, None] * chi for w, chi in zip((n, n, n * n), CHIS))
+
+    @property
+    def coupling(self) -> np.ndarray:
+        """sum_i |X_i|^2, entrywise, as the (M, 3, 3) stack of its diagonal blocks."""
+        return sum(S * S for S in self.stacks)
 
     @cached_property
     def x1(self) -> np.ndarray:
@@ -147,9 +154,16 @@ def rep_operator(g: GroupElement, fam: BlockGeneratorFamily) -> np.ndarray:
 
 
 def rep_apply(g: GroupElement, fam: BlockGeneratorFamily, phi) -> np.ndarray:
-    """T(g) phi, block by block, without building T(g)."""
-    out = fam.rep_stack(g) @ np.asarray(phi).reshape(fam.M, 3, 1)
-    return out.reshape(fam.dim)
+    """T(g) phi, block by block, without building T(g).
+
+    A (3M, K) block gives the K columns T(g) phi_k, each one computed by the
+    same 3 x 3 matrix-vector products as that column alone, so bit for bit
+    equal to it (3 x K matrix products would round differently).
+    """
+    phi = np.asarray(phi)
+    cols = phi.T.reshape(-1, fam.M, 3, 1)
+    out = (fam.rep_stack(g) @ cols).reshape(len(cols), fam.dim).T
+    return out if phi.ndim == 2 else out[:, 0]
 
 
 def rep_homomorphism_residual(
@@ -177,7 +191,7 @@ def rep_homomorphism_residual(
 
 
 def two_norm_chain(fam: BlockGeneratorFamily, n_max: int = 2) -> ScaleChain:
-    """Norm chain of the block family (collapses beyond level 1), as (M, 3, 3) stacks."""
+    """Norm chain of the block family (collapses beyond level 1), as diagonal weights."""
     return build_scale_chain(fam, n_max)
 
 
@@ -187,13 +201,15 @@ def collapse_identity_residual(fam: BlockGeneratorFamily, chain: ScaleChain) -> 
     Expanding the recursion with the product relation shows the level-2
     Gram form is this fixed polynomial in the generators; all higher
     levels follow the same collapse.  Both sides vanish off the diagonal
-    blocks, so the residual is a max over the block stacks.
+    blocks, so the residual is a max over the block stacks, the chain's
+    diagonal weights against the whole expected blocks.
     """
     if chain.n_max < 2:
         raise UsageError("need the chain built to level 2")
     xtx = [S.transpose(0, 2, 1) @ S for S in fam.stacks]
     expected = EYE3 + 2.0 * sum(xtx) + xtx[2]
-    return float(np.max(np.abs(chain.gram(2).blocks - expected)))
+    weights = chain.gram(2).weights.reshape(fam.M, 3, 1)
+    return float(np.max(np.abs(expected - weights * EYE3)))
 
 
 def norm_ratio_bounds() -> tuple:
@@ -214,20 +230,22 @@ class NormEquivalenceReport:
 def norm_equivalence_report(
     chain: ScaleChain, phis, slack: float = 1e-12
 ) -> NormEquivalenceReport:
-    """Measure the two-norm equivalence window on sample vectors."""
-    from .scale import scale_norm
+    """Measure the two-norm equivalence window on sample vectors.
 
+    Each item of ``phis`` is a vector or a (3M, K) block of K vectors;
+    zero vectors are skipped and not counted.
+    """
     lo_b, hi_b = norm_ratio_bounds()
     lo, hi = np.inf, 0.0
     count = 0
     for phi in phis:
-        phi = np.asarray(phi, dtype=complex)
-        denom = scale_norm(chain, phi, 1)
-        if denom == 0:
+        denom = np.atleast_1d(scale_norm(chain, phi, 1))
+        live = denom != 0
+        if not live.any():
             continue
-        ratio = scale_norm(chain, phi, 2) / denom
-        lo, hi = min(lo, ratio), max(hi, ratio)
-        count += 1
+        ratios = np.atleast_1d(scale_norm(chain, phi, 2))[live] / denom[live]
+        lo, hi = min(lo, np.min(ratios)), max(hi, np.max(ratios))
+        count += int(np.count_nonzero(live))
     if count == 0:
         raise UsageError("need at least one nonzero sample vector")
     ok = lo >= lo_b - slack and hi <= hi_b + slack

@@ -67,11 +67,12 @@ def _group_columns(g, phi) -> list:
     """One group element per column of ``phi``.
 
     A single element serves a vector or every column of a block; otherwise
-    ``g`` is a sequence of one element per column of an (N, K) block.
+    ``g`` is a sequence of one element per column of an (N, K) block, or a
+    block element whose coordinates have shape (K,).
     """
-    if isinstance(g, GroupElement):
+    if isinstance(g, GroupElement) and np.ndim(g.xi3) == 0:
         return [g] * (np.shape(phi)[1] if np.ndim(phi) == 2 else 1)
-    gs = list(g)
+    gs = list(g.unstack() if isinstance(g, GroupElement) else g)
     if np.ndim(phi) != 2 or len(gs) != np.shape(phi)[1]:
         raise UsageError(
             f"need one group element per block column: {len(gs)} for shape {np.shape(phi)}"

@@ -15,15 +15,15 @@ every level in that structure alone:
 
 * ``DiagonalGram`` holds the weights w of G = diag(w), for families whose
   recursion maps diagonal forms to diagonal forms (the Hermite pair, whose
-  off-diagonal terms cancel exactly):
-  w_{n+1}(k) = w_n(k) + sum_i sum_j |X_i[j, k]|^2 w_n(j);
-* ``BlockGram`` holds the (M, b, b) stack of diagonal blocks, for the
-  block-diagonal families given by their generator stacks (the block model,
-  ``blockrep.BlockGeneratorFamily``);
+  off-diagonal terms cancel exactly, and the block model, each of whose
+  generators has one nonzero entry per block):
+  w_{n+1}(k) = w_n(k) + sum_i sum_j |X_i[j, k]|^2 w_n(j),
+  with the coupling sum_i |X_i|^2 taken from the family in its own
+  structure (a dense matrix, or a stack of diagonal blocks);
 * ``DenseGram`` holds the full matrix, for families that declare no
   structure (orthogonal recombinations, test families).
 
-A scale norm then costs O(N) or O(M b^2) rather than a dense product.
+A scale norm then costs O(N) rather than a dense product.
 
 Guard bands
 -----------
@@ -105,9 +105,12 @@ class DiagonalGram:
 
     def step(self, family) -> "DiagonalGram":
         # diag(X^* diag(w) X)[k] = sum_j |X[j, k]|^2 w(j); the family
-        # declares that the off-diagonal terms cancel over its generators
-        coupling = sum(np.abs(X) ** 2 for X in family.gens)
-        return DiagonalGram(self.weights + coupling.T @ self.weights)
+        # declares that the off-diagonal terms cancel over its generators.
+        # Its coupling is an (N, N) matrix or an (M, b, b) stack of diagonal
+        # blocks, each block acting on its own b weights.
+        C = family.coupling
+        w = self.weights.reshape(C.shape[:-1])[..., None]
+        return DiagonalGram(self.weights + (np.swapaxes(C, -1, -2) @ w).reshape(-1))
 
     def quadratic(self, phi) -> float:
         return float(np.real(np.vdot(phi, self.weights * phi)))
@@ -123,41 +126,6 @@ class DiagonalGram:
 
     def max_entry(self) -> float:
         return float(np.max(np.abs(self.weights)))
-
-
-@dataclass(frozen=True)
-class BlockGram:
-    """A block-diagonal Gram form held as its (M, b, b) stack of diagonal blocks."""
-
-    blocks: np.ndarray
-
-    @staticmethod
-    def identity(family) -> "BlockGram":
-        M, b, _ = family.stacks[0].shape
-        return BlockGram(np.tile(np.eye(b), (M, 1, 1)))
-
-    def step(self, family) -> "BlockGram":
-        B = self.blocks
-        nxt = B.copy()
-        for S in family.stacks:
-            nxt = nxt + _adjoint(S) @ B @ S
-        return BlockGram(0.5 * (nxt + _adjoint(nxt)))
-
-    def quadratic(self, phi) -> float:
-        M, b, _ = self.blocks.shape
-        G_phi = self.blocks @ phi.reshape(M, b, 1)
-        return float(np.real(np.vdot(phi, G_phi.reshape(M * b))))
-
-    def increment_floor(self, prev: "BlockGram") -> float:
-        diff = self.blocks - prev.blocks
-        return float(np.min(np.linalg.eigvalsh(0.5 * (diff + _adjoint(diff)))))
-
-    def hermiticity_residual(self) -> float:
-        return float(np.max(np.abs(self.blocks - _adjoint(self.blocks))))
-
-
-def _adjoint(stack: np.ndarray) -> np.ndarray:
-    return stack.conj().transpose(0, 2, 1)
 
 
 class _GuardBand:
@@ -223,6 +191,11 @@ class GeneratorFamily(_GuardBand):
             raise UsageError("band_growth must be >= 0")
         object.__setattr__(self, "gens", gens)
         object.__setattr__(self, "labels", tuple(self.labels))
+
+    @property
+    def coupling(self) -> np.ndarray:
+        """sum_i |X_i|^2, entrywise: the coupling of a diagonal Gram recursion."""
+        return sum(np.abs(X) ** 2 for X in self.gens)
 
 
 def recombined_family(family: GeneratorFamily, O: np.ndarray) -> GeneratorFamily:

@@ -1240,7 +1240,7 @@ def _nl_norm_collapse(cfg, ctx, rec):
     )
     lo, hi = blockrep.norm_ratio_bounds()
     report = blockrep.norm_equivalence_report(
-        chain, (interior_vector(rec.rng, fam.dim, fam.dim) for _ in range(1000))
+        chain, (interior_vector(rec.rng, fam.dim, fam.dim, 25) for _ in range(40))
     )
     rec.check(
         "ratio-window",
@@ -1356,13 +1356,13 @@ def _nl_h1_continuity(cfg, ctx, rec):
     chain = ctx.block_chain
     bound = blockrep.h1_operator_norm(fam, g)
 
-    def ratio():
-        phi = interior_vector(rec.rng, fam.dim, fam.dim)
+    def ratios():
+        phi = interior_vector(rec.rng, fam.dim, fam.dim, 25)
         return scale_norm(chain, blockrep.rep_apply(g, fam, phi), 1) / scale_norm(chain, phi, 1)
 
     rec.worst(
         "samples-below-operator-norm",
-        (ratio() for _ in range(200)),
+        np.concatenate([ratios() for _ in range(8)]),
         bound * (1 + 1e-12),
         operator_norm=bound,
     )

@@ -13,6 +13,7 @@ from scalerep.blockrep import (
     h1_operator_norm,
     nilpotent_resolvent,
     nonextendability_evidence,
+    norm_equivalence_report,
     norm_ratio_bounds,
     rep_apply,
     rep_homomorphism_residual,
@@ -22,7 +23,7 @@ from scalerep.blockrep import (
 )
 from scalerep.errors import UsageError
 from scalerep.liecore import GroupElement, group_multiply
-from scalerep.scale import BlockGram, scale_norm
+from scalerep.scale import DiagonalGram, scale_norm
 
 from conftest import dense_chain
 
@@ -181,8 +182,6 @@ def test_h1_continuity_constant_m_independent():
 
 
 def test_norm_equivalence_report(blocks, block_chain, rng):
-    from scalerep.blockrep import norm_equivalence_report
-
     phis = [rng.standard_normal(blocks.dim) + 1j * rng.standard_normal(blocks.dim) for _ in range(50)]
     report = norm_equivalence_report(block_chain, phis)
     assert report.within_bounds
@@ -249,19 +248,16 @@ def test_block_stacks_match_dense_oracle(M):
     assert h1_operator_norm(fam, g) == loop
 
 
-@pytest.mark.parametrize("M", (1, 7, 50))
+@pytest.mark.parametrize("M", (1, 7, 50, 150))
 def test_block_chain_matches_the_dense_recursion(M):
     fam = block_generators(M)
     chain = two_norm_chain(fam, n_max=3)
     oracle = dense_chain(_kron_generators(M), 3)
-    n = np.arange(M)
     for form, G in zip(chain.grams, oracle):
-        assert isinstance(form, BlockGram) and form.blocks.shape == (M, 3, 3)
-        blocks = G.reshape(M, 3, M, 3).copy()
-        on_block = blocks[n, :, n, :]
-        assert np.array_equal(on_block, form.blocks)
-        blocks[n, :, n, :] = 0.0
-        assert np.max(np.abs(blocks)) == 0.0
+        # every dense form is exactly diagonal, and its diagonal is the weights
+        assert isinstance(form, DiagonalGram) and form.weights.shape == (3 * M,)
+        assert np.array_equal(np.diag(G), form.weights)
+        assert np.max(np.abs(G - np.diag(np.diag(G)))) == 0.0
     rng = np.random.default_rng(M)
     for level, G_n in enumerate(oracle):
         for _ in range(3):
@@ -273,6 +269,26 @@ def test_block_chain_matches_the_dense_recursion(M):
     assert chain.hermiticity_residual() == 0.0
     # the chain is built from the stacks: no dense generator was assembled
     assert not {"x1", "x2", "x3"} & set(vars(fam))
+
+
+@pytest.mark.parametrize("M", (1, 7, 50))
+def test_block_calls_match_the_vector_calls_bit_for_bit(M):
+    fam = block_generators(M)
+    chain = two_norm_chain(fam)
+    rng = np.random.default_rng(M + 15)
+    block = rng.standard_normal((fam.dim, 9)) + 1j * rng.standard_normal((fam.dim, 9))
+    block[:, 4] = 0.0
+    g = GroupElement(*rng.uniform(-2.0, 2.0, 3))
+    out = rep_apply(g, fam, block)
+    assert out.shape == (fam.dim, 9)
+    for k in range(9):
+        assert np.array_equal(out[:, k], rep_apply(g, fam, block[:, k]))
+    # a block counts its nonzero columns, and its window is the per-vector one
+    cols = [block[:, k] for k in range(9)]
+    assert norm_equivalence_report(chain, [block]) == norm_equivalence_report(chain, cols)
+    assert norm_equivalence_report(chain, [block[:, :3], block[:, 3:]]).sample_count == 8
+    with pytest.raises(UsageError):
+        norm_equivalence_report(chain, [block[:, 4:5]])
 
 
 def test_stack_kernels_never_build_dense_matrices():
@@ -291,6 +307,8 @@ def test_stack_kernels_never_build_dense_matrices():
         for _ in range(1000):
             assert scale_norm(chain, rng.standard_normal(fam.dim), 2) > 0
         assert collapse_identity_residual(fam, chain) <= 1e-12 * 2000**4
+        blocks = (rng.standard_normal((fam.dim, 25)) for _ in range(8))
+        assert norm_equivalence_report(chain, blocks).sample_count == 200
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -309,6 +309,24 @@ def test_block_actions_match_the_vector_calls(N, K):
     assert np.max(np.linalg.norm(analytic - factored, axis=0)) < 1e-6
 
 
+@pytest.mark.parametrize("N", [64, 160])
+def test_a_block_element_acts_column_by_column(N):
+    # coordinates of shape (K,) are K elements, one per column of the block
+    fam = hermite_generators(N)
+    rng = np.random.default_rng(N + 4)
+    block = np.stack([random_interior(rng, N, N // 4) for _ in range(4)], axis=1)
+    xi = rng.uniform(-0.5, 0.5, (3, 4))
+    out = fam.action_analytic(GroupElement(*xi), block)
+    for k in range(4):
+        single = GroupElement(*(float(x) for x in xi[:, k]))
+        assert np.array_equal(out[:, k], fam.action_analytic(single, block[:, k]))
+    assert np.array_equal(fam.act_factored(GroupElement(*xi), block), fam.act_factored(
+        [GroupElement(*xi[:, k]) for k in range(4)], block
+    ))
+    with pytest.raises(UsageError):
+        fam.action_analytic(GroupElement(*xi), block[:, :3])
+
+
 @pytest.mark.parametrize("N", [320, 640, 1024])
 def test_action_matches_the_factored_route_past_the_old_node_cap(N):
     # N/4-mode columns drawn in the chart box |xi| <= 2 of the suites; the

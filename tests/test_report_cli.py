@@ -20,7 +20,7 @@ from scalerep.heisenberg import HermiteHeisenberg, UnitaryGroup
 from scalerep.report import CheckRecord, render, to_csv, to_json
 from scalerep.integrator import CHART_BOX
 from scalerep.sampling import case_rng, group_element, interior_vector
-from scalerep.scale import monotonicity_check
+from scalerep.scale import monotonicity_check, scale_norm
 from scalerep import suites
 from scalerep.suites import (
     DEFAULT_M,
@@ -601,8 +601,8 @@ def test_samples_input_counts_the_draws_below_the_default_depth():
     assert rows["lc-04-group-identity-inverse/inverse-random"]["samples"] == 200
 
 
-def _run_case(case_fn, suite, case_id, seed):
-    cfg = SuiteConfig(suite=suite, seed=seed)
+def _run_case(case_fn, suite, case_id, seed, trunc=None):
+    cfg = SuiteConfig(suite=suite, seed=seed, trunc=trunc)
     anchors = next(c.anchors for c in suites.SUITES[suite] if c.case_id == case_id)
     rec = CaseRecorder(seed, suite, case_id, anchors)
     case_fn(cfg, suites.SuiteContext(cfg), rec)
@@ -668,6 +668,79 @@ def test_block_evaluated_cases_record_what_the_per_sample_loops_do(suite, case_i
     # sc-03 adds frozen rows after its random ones; the oracle covers the sampled rows
     assert records[: len(expected)] == expected
     assert all(type(v) in (int, float, str, bool) for r in records for v in r.inputs.values())
+
+
+def _per_vector_nl03(cfg, ctx, rec):
+    fam, chain = ctx.blocks, ctx.block_chain
+    rec.check(
+        "gram2-collapse-identity",
+        blockrep.collapse_identity_residual(fam, chain),
+        cfg.tolerance("block_exact") * fam.M**4,
+    )
+    # one draw and two scale norms per vector
+    lo_b, hi_b = blockrep.norm_ratio_bounds()
+    ratios = []
+    for _ in range(1000):
+        phi = interior_vector(rec.rng, fam.dim, fam.dim)
+        ratios.append(scale_norm(chain, phi, 2) / scale_norm(chain, phi, 1))
+    lo, hi = min(ratios), max(ratios)
+    rec.check(
+        "ratio-window",
+        hi,
+        hi_b + 1e-12,
+        passed=lo >= lo_b - 1e-12 and hi <= hi_b + 1e-12,
+        ratio_min=float(lo),
+        samples=1000,
+    )
+    phi = np.zeros(fam.dim, dtype=complex)
+    phi[3 * fam.M - 1] = 1.0
+    ratio = scale_norm(chain, phi, 2) / scale_norm(chain, phi, 1)
+    rec.check("supremum-approach", hi_b - ratio, 1e-3, ratio=ratio)
+    kernel = np.zeros(fam.dim, dtype=complex)
+    kernel[0] = 1.0
+    vals = [scale_norm(chain, kernel, n) for n in (0, 1, 2)]
+    rec.check("kernel-vector-flat", max(vals) - min(vals), cfg.tolerance("block_exact"))
+
+
+def _per_vector_nl09(cfg, ctx, rec):
+    g = liecore.GroupElement(1.0, 1.0, 1.0)
+    norms = [
+        blockrep.h1_operator_norm(blockrep.block_generators(M), g) for M in suites.BLOCK_LADDER
+    ]
+    variation = (max(norms) - min(norms)) / max(norms)
+    rec.check(
+        "ladder-variation",
+        variation,
+        cfg.tolerance("ladder_variation"),
+        norms=norms,
+        ladder=list(suites.BLOCK_LADDER),
+    )
+    fam, chain = ctx.blocks, ctx.block_chain
+    bound = blockrep.h1_operator_norm(fam, g)
+
+    def ratio():
+        phi = interior_vector(rec.rng, fam.dim, fam.dim)
+        return scale_norm(chain, blockrep.rep_apply(g, fam, phi), 1) / scale_norm(chain, phi, 1)
+
+    rec.worst(
+        "samples-below-operator-norm",
+        (ratio() for _ in range(200)),
+        bound * (1 + 1e-12),
+        operator_norm=bound,
+    )
+
+
+@pytest.mark.parametrize("seed", (7, 42))
+@pytest.mark.parametrize("trunc", (None, 150))
+@pytest.mark.parametrize(
+    "case_id, oracle",
+    (("nl-03-norm-collapse", _per_vector_nl03), ("nl-09-h1-continuity", _per_vector_nl09)),
+)
+def test_block_drawn_nl_cases_record_what_the_per_vector_loops_do(case_id, oracle, trunc, seed):
+    # the default M = 50 and the blocks-large M = 150
+    fn = next(c.fn for c in suites.SUITES["nilpotent-l2"] if c.case_id == case_id)
+    records = _run_case(fn, "nilpotent-l2", case_id, seed, trunc)
+    assert records == _run_case(oracle, "nilpotent-l2", case_id, seed, trunc)
 
 
 def test_lie_core_samples_as_blocks(monkeypatch):

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from scalerep.blockrep import h1_operator_norm, rep_operator
 from scalerep.errors import UsageError
 from scalerep.heisenberg import hermite_generators
 from scalerep.hermite import gauss_hermite
+from scalerep.liecore import GroupElement
 from scalerep.scale import (
     DiagonalGram,
     GeneratorFamily,
@@ -238,8 +240,11 @@ def test_scale_operator_norm_needs_a_diagonal_chain(block_chain):
     fam = GeneratorFamily(8, (np.zeros((8, 8)),) * 2, ("A", "B"), 7)
     with pytest.raises(UsageError):
         scale_operator_norm(build_scale_chain(fam, 1), np.eye(8), 1)
-    with pytest.raises(UsageError):
-        scale_operator_norm(block_chain, np.eye(block_chain.family.dim), 1)
+    # the block model's chain is diagonal: its level-1 norm of T(g) is the blockwise one
+    blocks = block_chain.family
+    g = GroupElement(1.0, -0.5, 0.75)
+    measured = scale_operator_norm(block_chain, rep_operator(g, blocks), 1)
+    assert measured == pytest.approx(h1_operator_norm(blocks, g), rel=1e-12, abs=0)
 
 
 def test_block_monotonicity_gives_the_column_checks(chain, rng):
