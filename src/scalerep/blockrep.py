@@ -299,9 +299,20 @@ def _exp_stack(fam: BlockGeneratorFamily, i: int, t: float) -> np.ndarray:
     return EYE3 + t * fam.stacks[i - 1]
 
 
-def exp_generator(fam: BlockGeneratorFamily, i: int, t: float) -> np.ndarray:
-    """exp(t X_i) = I + t X_i, exact by nilpotency of order two."""
-    return _assemble(_exp_stack(fam, i, t))
+def exp_apply(fam: BlockGeneratorFamily, i: int, t: float, v, adjoint: bool = False):
+    """exp(t X_i) v = (I + t X_i) v, exact by nilpotency of order two.
+
+    One stacked product of the (M, 3, 3) blocks on ``v``, a vector or a
+    (3M, K) block; ``adjoint`` applies exp(t X_i)^*, the transposed blocks.
+    """
+    stack, v = _exp_stack(fam, i, t), np.asarray(v)
+    out = (stack.transpose(0, 2, 1) if adjoint else stack) @ v.reshape(fam.M, 3, -1)
+    return out.reshape(v.shape)
+
+
+def exp_operator_norm(fam: BlockGeneratorFamily, i: int, t: float) -> float:
+    """2-norm of exp(t X_i), the largest 2-norm of its diagonal blocks."""
+    return _operator_norm(_exp_stack(fam, i, t))
 
 
 def exp_norm_closed_form(M: int, t: float) -> float:
@@ -314,7 +325,7 @@ def nonextendability_evidence(fam_sizes, t: float) -> list:
     """Rows (M, measured ||exp(t X_1)||, closed form); diverges with M."""
     rows = []
     for M in fam_sizes:
-        measured = _operator_norm(_exp_stack(block_generators(int(M)), 1, t))
+        measured = exp_operator_norm(block_generators(int(M)), 1, t)
         rows.append((int(M), measured, exp_norm_closed_form(int(M), t)))
     return rows
 

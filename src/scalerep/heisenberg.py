@@ -9,14 +9,13 @@ two independent routes:
   translation formula as the displacement operator it equals, through
   its exact matrix elements (``hermite.displace``);
 * ``act_factored`` applies the one-parameter subgroups in coordinates of
-  the second kind, each through its cached eigenbasis (``UnitaryGroup``);
-  ``action_factored`` assembles the same product as a matrix for the
-  callers that need the operator itself.
+  the second kind, each through its cached eigenbasis (``UnitaryGroup``).
 
-Each one-parameter group t -> exp(t X_i) has one evaluator,
-``evaluators[i - 1]``: the cached ``subgroups`` for X1 and X2 and the
-scalar phase for X3.  ``one_parameter``, both factored routes and the
-chart integrator all go through them.
+Each one-parameter group has one applier, ``evaluators[i - 1]``:
+(t, v) -> exp(t X_i) v for one vector or an (N, K) block (its adjoint with
+``adjoint=True``), through the cached ``subgroups`` for X1 and X2 and the
+scalar phase for X3.  The factored route and the chart integrator both go
+through them; no group element is ever assembled as a matrix.
 
 Cross-validation of the two routes is one of the package's main checks.
 """
@@ -109,14 +108,17 @@ class UnitaryGroup:
         V.setflags(write=False)
         return UnitaryGroup(w, V)
 
-    def apply(self, t, v) -> np.ndarray:
+    def apply(self, t, v, adjoint: bool = False) -> np.ndarray:
         """exp(-i t H) v without forming the matrix.
 
         ``v`` is one vector or an (N, K) block; a (K,) array ``t`` gives
         column k its own time t[k] through the phase matrix e^{-i w (x) t}.
+        ``adjoint`` applies exp(-i t H)^* instead, as V (conj(e^{-i t w}) *
+        (V^H v)).
         """
         v = np.asarray(v, dtype=complex)
         phase = np.exp(-1j * np.multiply.outer(self.w, t))
+        phase = phase.conj() if adjoint else phase
         coeffs = self.V.conj().T @ v
         return self.V @ (phase[:, None] * coeffs if phase.ndim < v.ndim else phase * coeffs)
 
@@ -124,10 +126,6 @@ class UnitaryGroup:
         """sum_q weights[q] exp(-i ts[q] H) v as V ((sum_q weights[q] e^{-i ts[q] w}) * (V^H v))."""
         phases = np.exp(-1j * np.outer(self.w, ts)) @ np.asarray(weights, dtype=complex)
         return self.V @ (phases * (self.V.conj().T @ np.asarray(v, dtype=complex)))
-
-    def __call__(self, t: float) -> np.ndarray:
-        """Dense matrix of exp(-i t H), for callers that need the operator."""
-        return (self.V * np.exp(-1j * t * self.w)) @ self.V.conj().T
 
 
 class HermiteHeisenberg:
@@ -220,28 +218,28 @@ class HermiteHeisenberg:
 
     @cached_property
     def evaluators(self) -> tuple:
-        """t -> exp(t X_i) for i = 1, 2, 3: the two subgroups and the central phase."""
-        s, eye = liecore.x3_sign_factor(self.x3_sign), np.eye(self.N, dtype=complex)
-        return (*self.subgroups, lambda t: np.exp(t * s) * eye)
+        """Appliers (t, v) -> exp(t X_i) v, i = 1, 2, 3: the two subgroups and
+        the central phase; ``adjoint=True`` applies exp(t X_i)^* instead."""
+        s = liecore.x3_sign_factor(self.x3_sign)
 
-    def one_parameter(self, i: int, t: float) -> np.ndarray:
-        """Matrix of exp(t X_i) for a basis generator (i in 1..3)."""
+        def phase(t, v, adjoint=False):
+            p = np.exp(t * s)
+            return (np.conj(p) if adjoint else p) * np.asarray(v)
+
+        return (*(U.apply for U in self.subgroups), phase)
+
+    def one_parameter(self, i: int, t, v) -> np.ndarray:
+        """exp(t X_i) v for a basis generator (i in 1..3), without forming the matrix."""
         if i not in (1, 2, 3):
             raise UsageError("generator index must be 1, 2, or 3")
-        return self.evaluators[i - 1](t)
-
-    def action_factored(self, g: GroupElement) -> np.ndarray:
-        """Matrix of the action as exp(t1 X1) exp(t2 X2) exp(t3 X3)."""
-        t1, t2, t3 = second_kind_coords(g)
-        U1, U2 = self.subgroups
-        return (U1(t1) @ U2(t2)) * np.exp(t3 * liecore.x3_sign_factor(self.x3_sign))
+        return self.evaluators[i - 1](t, v)
 
     def act_factored(self, g, phi) -> np.ndarray:
         """exp(t1 X1) exp(t2 X2) exp(t3 X3) phi through the cached subgroups.
 
-        The vector form of ``action_factored(g) @ phi``; ``phi`` may be one
-        vector or an (N, K) block of them.  For a block, ``g`` may also be a
-        sequence of K group elements, giving each column its own (t1, t2, t3).
+        ``phi`` may be one vector or an (N, K) block of them.  For a block,
+        ``g`` may also be a sequence of K group elements, giving each column
+        its own (t1, t2, t3).
         """
         if isinstance(g, GroupElement):
             t1, t2, t3 = second_kind_coords(g)
@@ -250,6 +248,9 @@ class HermiteHeisenberg:
         U1, U2 = self.subgroups
         out = U1.apply(t1, U2.apply(t2, phi))
         return np.exp(t3 * liecore.x3_sign_factor(self.x3_sign)) * out
+
+    # the former name of this route, under which bench/layertrace.py reports it
+    action_factored = act_factored
 
 
 def hermite_generators(N: int, x3_sign: str = "consistent") -> HermiteHeisenberg:

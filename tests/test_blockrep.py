@@ -8,8 +8,9 @@ from scalerep.blockrep import (
     CHIS,
     block_generators,
     collapse_identity_residual,
-    exp_generator,
+    exp_apply,
     exp_norm_closed_form,
+    exp_operator_norm,
     h1_operator_norm,
     nilpotent_resolvent,
     nonextendability_evidence,
@@ -144,11 +145,18 @@ def test_resolvent_norm_growth(blocks):
     assert small.operator_norm == pytest.approx(5 / 4, rel=0.3)
 
 
-def test_exp_is_affine(blocks):
+def test_exp_is_affine(blocks, rng):
+    # oracle: the dense matrix I + t X_i, entry for entry
     t = 0.37
+    eye = np.eye(blocks.dim)
+    v = rng.standard_normal((blocks.dim, 4)) + 1j * rng.standard_normal((blocks.dim, 4))
     for i in (1, 2, 3):
-        U = exp_generator(blocks, i, t)
-        assert np.array_equal(U, np.eye(blocks.dim) + t * blocks.gens[i - 1])
+        dense = eye + t * blocks.gens[i - 1]
+        assert np.array_equal(exp_apply(blocks, i, t, eye), dense)
+        assert np.array_equal(exp_apply(blocks, i, t, eye, adjoint=True), dense.T)
+        expect = dense @ v
+        assert np.max(np.abs(exp_apply(blocks, i, t, v) - expect)) <= 1e-14 * np.max(np.abs(expect))
+        assert exp_operator_norm(blocks, i, t) == pytest.approx(np.linalg.norm(dense, 2), rel=1e-14)
 
 
 def test_exp_norm_closed_form_oracle():

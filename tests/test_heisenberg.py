@@ -17,10 +17,24 @@ from scalerep.heisenberg import (
     support_bound,
 )
 from scalerep.hermite import gauss_hermite, hermite_functions
-from scalerep.liecore import GroupElement, chart_exp
+from scalerep.liecore import GroupElement, chart_exp, second_kind_coords, x3_sign_factor
 from scalerep.scale import scale_norm
 
 from conftest import h0
+
+
+def eigen_matrix(U, t):
+    """Dense exp(-i t H) rebuilt from the group's own eigenpairs (the oracle)."""
+    return (U.V * np.exp(-1j * t * U.w)) @ U.V.conj().T
+
+
+def factored_matrix(fam, g):
+    """Dense exp(t1 X1) exp(t2 X2) exp(t3 X3) through the same eigenpairs (the oracle)."""
+    t1, t2, t3 = second_kind_coords(g)
+    U1, U2 = fam.subgroups
+    return (eigen_matrix(U1, t1) @ eigen_matrix(U2, t2)) * np.exp(
+        t3 * x3_sign_factor(fam.x3_sign)
+    )
 
 
 def random_interior(rng, n, modes):
@@ -125,20 +139,20 @@ def test_factored_route_matches_analytic(fam, rng):
         g = GroupElement(*rng.uniform(-1, 1, 3))
         phi = random_interior(rng, 64, 16)
         a = fam.action_analytic(g, phi)
-        b = fam.action_factored(g) @ phi
+        b = fam.act_factored(g, phi)
         assert np.linalg.norm(a - b) < 1e-6
 
 
 def test_factored_modulation_is_multiplication(fam, rng):
     phi = random_interior(rng, 64, 16)
-    out = fam.one_parameter(2, 0.9) @ phi
+    out = fam.one_parameter(2, 0.9, phi)
     expect = fam.action_analytic(GroupElement(0, 0.9, 0), phi)
     assert np.linalg.norm(out - expect) < 1e-10
 
 
 def test_one_parameter_validation(fam):
     with pytest.raises(UsageError):
-        fam.one_parameter(4, 0.1)
+        fam.one_parameter(4, 0.1, h0())
 
 
 def test_conjugation_identity_and_modulation(fam, chain, rng):
@@ -212,8 +226,8 @@ def test_action_homomorphism_factored(fam, rng):
         g = GroupElement(*rng.uniform(-1, 1, 3))
         h = GroupElement(*rng.uniform(-1, 1, 3))
         phi = random_interior(rng, 64, 16)
-        lhs = fam.action_factored(g) @ (fam.action_factored(h) @ phi)
-        rhs = fam.action_factored(group_multiply(g, h)) @ phi
+        lhs = fam.act_factored(g, fam.act_factored(h, phi))
+        rhs = fam.act_factored(group_multiply(g, h), phi)
         assert np.linalg.norm(lhs - rhs) < 1e-7
 
 
@@ -246,7 +260,9 @@ def test_unitary_group_matches_dense_oracles(N):
         block = rng.standard_normal((N, 3)) + 1j * rng.standard_normal((N, 3))
         for t in ts:
             out = U.apply(t, v)
-            assert np.linalg.norm(out - U(t) @ v) <= same
+            assert np.linalg.norm(out - eigen_matrix(U, t) @ v) <= same
+            adjoint = eigen_matrix(U, t).conj().T @ v
+            assert np.linalg.norm(U.apply(t, v, adjoint=True) - adjoint) <= same
             oracle = scipy.linalg.expm(t * X) @ v
             assert np.linalg.norm(out - oracle) <= same * (1 + abs(t) * hnorm)
             columns = np.stack([U.apply(t, b) for b in block.T], axis=1)
@@ -271,10 +287,10 @@ def test_act_factored_matches_the_assembled_action(fam, rng):
     for _ in range(5):
         g = GroupElement(*rng.uniform(-1, 1, 3))
         phi = random_interior(rng, 64, 16)
-        expect = fam.action_factored(g) @ phi
+        expect = factored_matrix(fam, g) @ phi
         assert np.linalg.norm(fam.act_factored(g, phi) - expect) < 1e-12
     block = np.stack([random_interior(rng, 64, 16) for _ in range(3)], axis=1)
-    expect = fam.action_factored(g) @ block
+    expect = factored_matrix(fam, g) @ block
     assert np.max(np.abs(fam.act_factored(g, block) - expect)) < 1e-12
 
 
@@ -283,7 +299,8 @@ def test_family_caches_do_not_keep_the_family_alive():
     phi = np.zeros(16, dtype=complex)
     phi[0] = 1.0
     fam.action_analytic(GroupElement(0.1, 0.2, 0.3), phi)
-    fam.one_parameter(1, 0.5)
+    fam.one_parameter(1, 0.5, phi)
+    fam.evaluators[2](0.5, phi, adjoint=True)
     ref = weakref.ref(fam)
     del fam
     gc.collect()

@@ -16,7 +16,7 @@ import scalerep
 from scalerep import blockrep, heisenberg, integrator, liecore, sampling
 from scalerep.cli import build_config, main, make_parser
 from scalerep.errors import UsageError
-from scalerep.heisenberg import HermiteHeisenberg, UnitaryGroup
+from scalerep.heisenberg import HermiteHeisenberg
 from scalerep.report import CheckRecord, render, to_csv, to_json
 from scalerep.integrator import CHART_BOX
 from scalerep.sampling import case_rng, group_element, interior_vector
@@ -255,6 +255,25 @@ def test_scaled_hermite_run_writes_a_full_report(tmp_path):
     assert cases == {c.case_id for c in suites.SUITES["heisenberg-hermite"]}
 
 
+def test_scaled_integrator_run_writes_a_full_report(tmp_path):
+    # 320 modes: the chart is applied to vectors, never assembled.  in-08 and
+    # in-12 fail there on their absolute finite-difference bounds, whose
+    # truncation error grows with N; every other row passes.
+    out = tmp_path / "in320.json"
+    proc = run_cli_child("run", "--suite", "integrator", "--trunc", "320", "--out", str(out))
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    rows = json.loads(out.read_text())
+    assert len(rows) == 33
+    assert {r["case"].split("/")[0] for r in rows} == {
+        c.case_id for c in suites.SUITES["integrator"]
+    }
+    assert {r["case"] for r in rows if not r["pass"]} == {
+        "in-08-derivative-identity/translated-variant",
+        "in-12-dual-generator/finite-difference-generator",
+    }
+
+
 def test_cli_refuses_depth_one_for_level_two_suites(tmp_path, capsys, monkeypatch):
     # sc-02 and hy-02 measure at level 2: refused before any case runs
     def no_run(cfg):
@@ -305,16 +324,20 @@ def test_trunc_sets_the_block_count_only_for_nilpotent_l2_alone(monkeypatch):
 
 def test_hermite_suites_never_assemble_a_group_matrix(monkeypatch):
     # every Hermite check needs only T(g) phi, so no case may build the
-    # N x N unitary of a group element or one-parameter subgroup
+    # N x N unitary of a group element or one-parameter subgroup: no group
+    # matrix route is left in the Hermite model, and the one dense assembly
+    # left in the package, the block model's, is refused (hy-03 applies the
+    # block model's one-parameter group to vectors)
     guarded = ("scale-core", "heisenberg-hermite", "hille-yosida")
     counts = {name: len(run_suite(SuiteConfig(suite=name))[0]) for name in guarded}
 
     def refuse(*args, **kwargs):
         raise AssertionError("a dense group matrix was assembled")
 
+    assert not any(callable(U) for U in HermiteHeisenberg(8).subgroups)
     monkeypatch.setattr(HermiteHeisenberg, "one_parameter", refuse)
     monkeypatch.setattr(HermiteHeisenberg, "action_factored", refuse)
-    monkeypatch.setattr(UnitaryGroup, "__call__", refuse)
+    monkeypatch.setattr(blockrep, "_assemble", refuse)
     for name in guarded:
         assert len(run_suite(SuiteConfig(suite=name))[0]) == counts[name]
 
@@ -330,9 +353,14 @@ def test_integrator_runs_on_the_cached_subgroups_without_expm(monkeypatch):
     assert len(run_suite(cfg)[0]) == count
     ctx = suites.SuiteContext(cfg)
     evaluators = ctx.hermite_integrable().evaluators
+    rng = np.random.default_rng(11)
+    v = rng.standard_normal(ctx.N) + 1j * rng.standard_normal(ctx.N)
+    block = rng.standard_normal((ctx.N, 4)) + 1j * rng.standard_normal((ctx.N, 4))
     for i in (1, 2):
         for t in (0.0, 0.37, -1.9):
-            assert np.array_equal(evaluators[i - 1](t), ctx.hermite.subgroups[i - 1](t))
+            for x in (v, block):
+                expect = ctx.hermite.subgroups[i - 1].apply(t, x)
+                assert np.array_equal(evaluators[i - 1](t, x), expect)
 
 
 def test_validate_refuses_hermite_truncations_below_the_floor():
