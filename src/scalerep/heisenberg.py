@@ -208,13 +208,14 @@ class HermiteHeisenberg:
     def subgroups(self) -> tuple:
         """exp(t X1) and exp(t X2) as groups of the Hermitian i*X1 and x.
 
-        X1 = -i (i X1) and X2 = -i x, so exp(t X_k) = exp(-i t H_k).
+        X1 = -i (i X1) and X2 = -i x, so exp(t X_k) = exp(-i t H_k).  Both
+        come from one real ``eigh`` of x: with P = diag(1, i, -1, -i, ...),
+        i X1 = P^* x P, so its group is (w_x, P^* V_x).
         """
-        h1 = 1j * self.x1
-        return (
-            UnitaryGroup.of(0.5 * (h1 + h1.conj().T)),
-            UnitaryGroup.of(position_matrix(self.N)),
-        )
+        x = UnitaryGroup.of(position_matrix(self.N))
+        V1 = np.array([1, -1j, -1, 1j])[np.arange(self.N) % 4, None] * x.V
+        V1.setflags(write=False)
+        return UnitaryGroup(x.w, V1), x
 
     @cached_property
     def evaluators(self) -> tuple:

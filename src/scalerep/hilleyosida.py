@@ -360,7 +360,7 @@ def e118_bound_check(
 
 
 def estimate_beta(
-    resolvent_builder,
+    apply_resolvent,
     chain: ScaleChain,
     levels: dict,
     lambdas,
@@ -372,18 +372,19 @@ def estimate_beta(
     operator norms range over; the result holds one beta_n per level, in
     that order.  Each measured interior operator norm nu at (lam, p) forces
     beta_n >= lam - nu^{-1/p}; the estimate is the maximum over the grid.
-    Each resolvent and its powers are built once and measured at every
-    level before the next lambda.
+    The norms read only the leading k columns of R^p, k the largest mode
+    count, so ``apply_resolvent(lam, B)`` carries them as one (N, k) block:
+    B_1 = R I[:, :k], B_p = R B_{p-1}, measured at every level before the
+    next power.  No power is formed as an N x N matrix.
     """
+    eye = np.eye(chain.family.dim, max(levels.values()), dtype=complex)
     best = dict.fromkeys(levels, -np.inf)
     for lam in lambdas:
-        R = resolvent_builder(float(lam))
-        power = R
+        block = eye
         for p in range(1, p_max + 1):
-            if p > 1:
-                power = power @ R
+            block = apply_resolvent(float(lam), block)
             for n, modes in levels.items():
-                nu = scale_operator_norm(chain, power, n, interior_modes=modes)
+                nu = scale_operator_norm(chain, block, n, interior_modes=modes)
                 best[n] = max(best[n], float(lam) - nu ** (-1.0 / p))
     return tuple(float(b) for b in best.values())
 

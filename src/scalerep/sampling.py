@@ -33,19 +33,21 @@ def interior_vector(
 
     ``count`` draws the (dim, count) block of ``count`` such vectors: one
     (count, 2, modes) normal draw of real and imaginary parts, each vector
-    normalized by its own ``np.linalg.norm``.
+    normalized by its norm.  The norms are one stacked product over the
+    strided real and imaginary views, the ``ddot`` calls ``np.linalg.norm``
+    makes on each vector, so every vector is its single draw bit for bit.
     """
     if not (1 <= modes <= dim):
         raise UsageError(f"modes must lie in 1..{dim}, got {modes}")
     parts = rng.standard_normal((1 if count is None else count, 2, modes))
     phis = np.zeros((len(parts), dim), dtype=complex)
-    phis[:, :modes] = parts[:, 0] + 1j * parts[:, 1]
-    for phi in phis:
-        nrm = np.linalg.norm(phi)
-        if nrm == 0:
-            phi[0] = 1.0
-            nrm = 1.0
-        phi /= nrm
+    re, im = phis.real, phis.imag
+    re[:, :modes], im[:, :modes] = parts[:, 0], parts[:, 1]
+    nrm = np.sqrt(re[:, None] @ re[:, :, None] + im[:, None] @ im[:, :, None])[:, 0]
+    if not nrm.all():
+        zero = nrm[:, 0] == 0
+        phis[zero, 0], nrm[zero] = 1.0, 1.0
+    phis /= nrm
     return phis[0] if count is None else phis.T
 
 

@@ -23,7 +23,8 @@ every level in that structure alone:
 * ``DenseGram`` holds the full matrix, for families that declare no
   structure (orthogonal recombinations, test families).
 
-A scale norm then costs O(N) rather than a dense product.
+A scale norm then costs O(N) rather than a dense product, and the norms of
+a block are one stacked product over its rows.
 
 Guard bands
 -----------
@@ -78,8 +79,9 @@ class DenseGram:
             nxt = nxt + X.conj().T @ G @ X
         return DenseGram(0.5 * (nxt + nxt.conj().T))
 
-    def quadratic(self, phi) -> float:
-        return float(np.real(np.vdot(phi, self.matrix @ phi)))
+    def quadratic(self, rows) -> np.ndarray:
+        """phi^* G phi for each of the (K, N) rows."""
+        return np.array([np.vdot(phi, self.matrix @ phi).real for phi in rows])
 
     def increment_floor(self, prev: "DenseGram") -> float:
         """Smallest eigenvalue of this form minus ``prev``."""
@@ -112,8 +114,13 @@ class DiagonalGram:
         w = self.weights.reshape(C.shape[:-1])[..., None]
         return DiagonalGram(self.weights + (np.swapaxes(C, -1, -2) @ w).reshape(-1))
 
-    def quadratic(self, phi) -> float:
-        return float(np.real(np.vdot(phi, self.weights * phi)))
+    def quadratic(self, rows) -> np.ndarray:
+        """phi^* diag(w) phi for each of the (K, N) rows, in one stacked product.
+
+        Each row is a ``zdotu`` of conj(phi) and w * phi, the operands
+        ``np.vdot(phi, w * phi)`` hands to ``zdotc``: the same sums bit for bit.
+        """
+        return (rows.conj()[:, None, :] @ (self.weights * rows)[:, :, None]).real[:, 0, 0]
 
     def increment_floor(self, prev: "DiagonalGram") -> float:
         return float(np.min(self.weights - prev.weights))
@@ -275,7 +282,7 @@ def scale_norm(chain: ScaleChain, phi, n: int):
             f"or ({chain.family.dim}, K)"
         )
     rows = np.ascontiguousarray(phi.T).reshape(-1, chain.family.dim)
-    norms = np.array([np.sqrt(max(G.quadratic(row), 0.0)) for row in rows])
+    norms = np.sqrt(np.maximum(G.quadratic(rows), 0.0))
     return norms if phi.ndim == 2 else norms[0]
 
 
@@ -352,17 +359,24 @@ def scale_operator_norm(
     """Operator norm of A with respect to the level-n norm of a diagonal chain.
 
     With G_n = diag(w), this is the spectral norm of
-    diag(w)^{1/2} A[:, :k] diag(w[:k])^{-1/2}.  With ``interior_modes`` = k
-    set, the supremum runs over inputs supported in that many leading modes
-    (the output is still measured in full), which keeps the estimate honest
-    where truncation contaminates the band edge; by default k = N.
+    W = diag(w)^{1/2} A[:, :k] diag(w[:k])^{-1/2}, taken as the square root
+    of the largest eigenvalue of the k x k Gram matrix W^* W.  ``A`` is an
+    N x N operator or only its leading (N, m) columns, m <= N.  With
+    ``interior_modes`` = k set, the supremum runs over inputs supported in
+    that many leading modes (the output is still measured in full), which
+    keeps the estimate honest where truncation contaminates the band edge;
+    by default k = m.
     """
     G = chain.gram(n)
     if not isinstance(G, DiagonalGram):
         raise UsageError("scale_operator_norm needs a chain of diagonal Gram forms")
     A = np.asarray(A, dtype=complex)
-    k = chain.family.dim if interior_modes is None else int(interior_modes)
-    if not (0 < k <= chain.family.dim):
-        raise UsageError(f"interior_modes must lie in 1..{chain.family.dim}")
+    N = chain.family.dim
+    if A.ndim != 2 or A.shape[0] != N or A.shape[1] > N:
+        raise UsageError(f"operator has shape {A.shape}, expected (N, m) with N = {N}, m <= N")
+    k = A.shape[1] if interior_modes is None else int(interior_modes)
+    if not (0 < k <= A.shape[1]):
+        raise UsageError(f"interior_modes must lie in 1..{A.shape[1]}, got {k}")
     root = np.sqrt(G.weights)
-    return float(np.linalg.norm(root[:, None] * A[:, :k] / root[None, :k], 2))
+    W = root[:, None] * A[:, :k] / root[None, :k]
+    return float(np.sqrt(max(np.linalg.eigvalsh(W.conj().T @ W)[-1], 0.0)))

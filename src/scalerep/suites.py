@@ -934,7 +934,7 @@ def _hh_differentiability(cfg, ctx, rec):
 
 def _phis_for_type(cfg, ctx, count=20):
     rng = case_rng(cfg.seed, "hille-yosida", "type-samples")
-    return [interior_vector(rng, ctx.N, ctx.N // 2) for _ in range(count)]
+    return interior_vector(rng, ctx.N, ctx.N // 2, count).T
 
 
 def _hy_type_x2(cfg, ctx, rec):
@@ -959,7 +959,7 @@ def _hy_type_blocks(cfg, ctx, rec):
     for M in (10, 50):
         fam = blockrep.block_generators(M)
         chain = blockrep.two_norm_chain(fam)
-        phis = [interior_vector(rec.rng, fam.dim, fam.dim) for _ in range(10)]
+        phis = interior_vector(rec.rng, fam.dim, fam.dim, 10).T
         apply = partial(blockrep.exp_apply, fam, 1)
         est = hilleyosida.estimate_type(apply, chain, 0, (1.0, 10.0, 100.0), phis)
         omegas.append(est.omega_n)
@@ -1110,10 +1110,7 @@ def _hy_equicontinuity(cfg, ctx, rec):
     apply_resolvent = ctx.apply_x2_resolvent
     for n in range(0, min(cfg.n_max, 3) + 1):
         lam = n + 2.0
-        phis = [
-            interior_vector(rec.rng, ctx.N, ctx.action_modes(max(n, 1)))
-            for _ in range(100)
-        ]
+        phis = interior_vector(rec.rng, ctx.N, ctx.action_modes(max(n, 1)), 100).T
         report = hilleyosida.equicontinuity_bound_check(
             apply_resolvent, ctx.chain, n, 5, lam, phis, rel_slack=slack
         )
@@ -1162,7 +1159,7 @@ def _hy_global_conditions(cfg, ctx, rec):
     # grid placement
     top = float(n_top)
     lam_grid = (top + 1.5, top + 2.0, top + 3.0, top + 5.0, top + 8.0, top + 12.0, top + 20.0)
-    betas = hilleyosida.estimate_beta(ctx.x2_resolvent, ctx.chain, levels, lam_grid, p_max=5)
+    betas = hilleyosida.estimate_beta(ctx.apply_x2_resolvent, ctx.chain, levels, lam_grid, p_max=5)
     verdict = hilleyosida.global_conditions_report(
         ctx.x2_type_estimates, betas, omega_tol=cfg.tolerance("omega")
     )
@@ -1182,7 +1179,7 @@ def _hy_global_conditions(cfg, ctx, rec):
     sign = liecore.x3_sign_factor(cfg.x3_sign)
     phase_beta = list(
         hilleyosida.estimate_beta(
-            lambda lam: hilleyosida.resolvent_matrix(sign * np.eye(ctx.N, dtype=complex), lam),
+            lambda lam, B: B / (lam - sign),
             ctx.chain,
             levels,
             (top + 2.0, top + 5.0, top + 10.0),
@@ -1367,7 +1364,7 @@ def _nl_h1_continuity(cfg, ctx, rec):
 
 
 def _in_evaluator_invariants(cfg, ctx, rec):
-    phis = [interior_vector(rec.rng, ctx.N, ctx.N // 4) for _ in range(5)]
+    phis = interior_vector(rec.rng, ctx.N, ctx.N // 4, 5).T
     checks = integrator.evaluator_invariants(ctx.hermite_integrable(), phis)
     rec.check(
         "hermite-group-law",
@@ -1381,7 +1378,7 @@ def _in_evaluator_invariants(cfg, ctx, rec):
         note="central difference at h = 1e-6",
     )
     fam = ctx.blocks
-    phis_b = [interior_vector(rec.rng, fam.dim, fam.dim) for _ in range(5)]
+    phis_b = interior_vector(rec.rng, fam.dim, fam.dim, 5).T
     checks_b = integrator.evaluator_invariants(ctx.block_integrable(), phis_b)
     rec.check("block-group-law", max(c.group_law_residual for c in checks_b), 1e-9)
     rec.check("block-derivative", max(c.derivative_residual for c in checks_b), 1e-5)

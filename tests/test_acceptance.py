@@ -274,7 +274,7 @@ def test_criterion_07_equicontinuity_ladder(fam, chain, x2_subgroup):
     ]
     lam_grid = (4.5, 5.0, 6.0, 8.0, 11.0, 15.0, 23.0)
     betas = hilleyosida.estimate_beta(
-        lambda lam: hilleyosida.resolvent_matrix(fam.x2, lam),
+        apply_resolvent,
         chain,
         {n: min(N // 4, chain.family.interior_modes(max(n, 1))) for n in (0, 1, 2, 3)},
         lambdas=lam_grid,

@@ -276,6 +276,25 @@ def test_unitary_group_matches_dense_oracles(N):
                 )
 
 
+@pytest.mark.parametrize("N", (8, 13, 64, 160, 1024))
+def test_x1_subgroup_from_the_eigh_of_x_matches_the_complex_eigh(N):
+    # oracle: the complex eigh of the Hermitian i X1 itself
+    fam = hermite_generators(N)
+    U1, U2 = fam.subgroups
+    h1 = 1j * fam.x1
+    w, V = np.linalg.eigh(h1)
+    assert U1.w is U2.w
+    assert np.max(np.abs(U1.w - w)) <= 1e-13
+    assert np.max(np.abs(h1 @ U1.V - U1.V * U1.w)) <= 1e-13
+    assert np.max(np.abs(U1.V.conj().T @ U1.V - np.eye(N))) <= 1e-13
+    rng = np.random.default_rng(N)
+    block = rng.standard_normal((N, 3)) + 1j * rng.standard_normal((N, 3))
+    block /= np.linalg.norm(block, axis=0)
+    for t in (0.3, -1.7):
+        oracle = (V * np.exp(-1j * t * w)) @ (V.conj().T @ block)
+        assert np.max(np.abs(U1.apply(t, block) - oracle)) <= 1e-13
+
+
 def test_unitary_group_arrays_are_read_only(fam):
     for U in fam.subgroups:
         for arr in (U.w, U.V):

@@ -297,9 +297,38 @@ def test_e118_bound_level0(fam, chain):
         e118_bound_check(apply_resolvent, 2j, h0(), chain, 0)
 
 
+def resolvent_applier(X, seen=None):
+    """(lam, B) -> (lam - X)^{-1} B, each resolvent built once; ``seen`` logs (lam, B.shape)."""
+    cache = {}
+
+    def apply(lam, B):
+        if seen is not None:
+            seen.append((lam, B.shape))
+        if lam not in cache:
+            cache[lam] = resolvent_matrix(X, lam)
+        return cache[lam] @ B
+
+    return apply
+
+
+def dense_power_betas(X, chain, levels, lambdas, p_max):
+    """The beta ladder from full N x N powers and SVD norms (the oracle)."""
+    best = dict.fromkeys(levels, -np.inf)
+    for lam in lambdas:
+        R = resolvent_matrix(X, lam)
+        power = np.eye(len(R))
+        for p in range(1, p_max + 1):
+            power = power @ R
+            for n, k in levels.items():
+                root = np.sqrt(chain.gram(n).weights)
+                nu = np.linalg.norm(root[:, None] * power[:, :k] / root[None, :k], 2)
+                best[n] = max(best[n], lam - nu ** (-1.0 / p))
+    return tuple(best.values())
+
+
 def test_beta_ladder_strictly_increases(fam, chain, rng):
     betas = estimate_beta(
-        lambda lam: resolvent_matrix(fam.x2, lam),
+        resolvent_applier(fam.x2),
         chain,
         dict.fromkeys((0, 1, 2), 16),
         lambdas=(4.5, 6.0, 9.0, 15.0, 23.0),
@@ -318,7 +347,7 @@ def test_global_conditions_verdicts(fam, chain, x2_evaluator, rng):
     grid = (1.0, 1e3, 1e6, 1e7)
     estimates = [estimate_type(x2_evaluator, chain, n, grid, phis) for n in (0, 1, 2)]
     betas = estimate_beta(
-        lambda lam: resolvent_matrix(fam.x2, lam),
+        resolvent_applier(fam.x2),
         chain,
         dict.fromkeys((0, 1, 2), 16),
         lambdas=(4.0, 8.0, 16.0, 23.0),
@@ -332,16 +361,34 @@ def test_global_conditions_verdicts(fam, chain, x2_evaluator, rng):
         global_conditions_report(estimates[:1], betas[:1])
 
 
+def test_estimate_beta_block_route_matches_dense_powers(fam, chain):
+    # the (N, k) blocks R^p[:, :k] and Gram-route norms give the ladder of the
+    # full powers and SVDs up to rounding
+    levels = {0: 16, 1: 16, 2: 12, 3: 9}
+    lambdas = (4.5, 6.0, 11.0, 23.0)
+    betas = estimate_beta(resolvent_applier(fam.x2), chain, levels, lambdas, p_max=4)
+    oracle = dense_power_betas(fam.x2, chain, levels, lambdas, p_max=4)
+    assert betas == pytest.approx(oracle, rel=0, abs=1e-12)
+
+
+def test_estimate_beta_applies_the_resolvent_to_leading_blocks_only(fam, chain):
+    seen = []
+    levels = {0: 7, 1: 16, 2: 11}
+    estimate_beta(resolvent_applier(fam.x2, seen), chain, levels, (4.0, 9.0), p_max=3)
+    assert seen == [(lam, (64, 16)) for lam in (4.0, 9.0) for _ in range(3)]
+
+
 def test_global_conditions_build_each_resolvent_once(monkeypatch):
-    # hy-13 measures every level on one resolvent (and its powers) per lambda
+    # hy-13 measures every level on one resolvent per lambda, applied to
+    # (N, k) blocks; the phase family needs no resolvent matrix at all
     x2_calls, all_calls, tridiagonal_calls = [], [], []
-    build_x2 = suites.SuiteContext.x2_resolvent
+    apply_x2 = suites.SuiteContext.apply_x2_resolvent
     build = hilleyosida.resolvent_matrix
     build_tridiagonal = hilleyosida.resolvent_skew_tridiagonal
 
-    def count_x2(ctx, lam):
-        x2_calls.append(lam)
-        return build_x2(ctx, lam)
+    def count_x2(ctx, lam, B):
+        x2_calls.append((lam, B.shape))
+        return apply_x2(ctx, lam, B)
 
     def count(X, lam):
         all_calls.append(lam)
@@ -351,16 +398,17 @@ def test_global_conditions_build_each_resolvent_once(monkeypatch):
         tridiagonal_calls.append(lam)
         return build_tridiagonal(X, lam)
 
-    monkeypatch.setattr(suites.SuiteContext, "x2_resolvent", count_x2)
+    monkeypatch.setattr(suites.SuiteContext, "apply_x2_resolvent", count_x2)
     monkeypatch.setattr(hilleyosida, "resolvent_matrix", count)
     monkeypatch.setattr(hilleyosida, "resolvent_skew_tridiagonal", count_tridiagonal)
     [hy13] = [c for c in suites.SUITES["hille-yosida"] if c.case_id.startswith("hy-13")]
     monkeypatch.setitem(suites.SUITES, "hille-yosida", (hy13,))
     records, _ = suites.run_suite(suites.SuiteConfig(suite="hille-yosida"))
     assert len(records) == 3
-    assert len(x2_calls) == len(set(x2_calls)) == 7   # the x2 lambda grid
-    assert tridiagonal_calls == x2_calls                # each solved once, by elimination
-    assert len(all_calls) == 3                          # LU only for the phase grid
+    assert len(tridiagonal_calls) == len(set(tridiagonal_calls)) == 7   # the x2 lambda grid
+    # five powers per lambda, each an (N, k) block with k = N/4 interior modes
+    assert x2_calls == [(lam, (64, 16)) for lam in tridiagonal_calls for _ in range(5)]
+    assert all_calls == []                              # no LU anywhere
 
 
 @pytest.mark.parametrize("N", [8, 64, 160])

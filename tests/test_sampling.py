@@ -56,3 +56,47 @@ def test_interior_vector_is_unit_and_supported_on_its_modes():
     assert not np.any(phis[10:])
     with pytest.raises(UsageError):
         interior_vector(case_rng(5, "sampling", "unit"), 32, 33, 2)
+
+
+def normalized_one_by_one(parts, dim):
+    """The (dim, K) block normalized by one np.linalg.norm call per vector (the oracle)."""
+    modes = parts.shape[-1]
+    out = []
+    for re, im in parts:
+        phi = np.zeros(dim, dtype=complex)
+        phi[:modes] = re + 1j * im
+        nrm = np.linalg.norm(phi)
+        if nrm == 0:
+            phi[0], nrm = 1.0, 1.0
+        out.append(phi / nrm)
+    return np.array(out).T
+
+
+@pytest.mark.parametrize("dim", (13, 64, 160, 450, 1024))
+@pytest.mark.parametrize("count", (1, 25, 100))
+def test_stacked_norms_are_the_per_vector_norm_calls(dim, count):
+    for modes in (dim, (dim + 1) // 2):
+        drawn, oracle = streams(dim + count)
+        expected = normalized_one_by_one(oracle.standard_normal((count, 2, modes)), dim)
+        assert np.array_equal(interior_vector(drawn, dim, modes, count), expected)
+
+
+class StubNormals:
+    """Hands out fixed normal draws, so a draw of all zeros can be forced."""
+
+    def __init__(self, parts):
+        self.parts = parts
+
+    def standard_normal(self, shape):
+        assert shape == self.parts.shape
+        return self.parts
+
+
+def test_an_all_zero_draw_becomes_the_first_basis_vector():
+    parts = np.random.default_rng(3).standard_normal((4, 2, 6))
+    parts[[1, 3]] = 0.0
+    drawn = interior_vector(StubNormals(parts), 9, 6, 4)
+    assert np.array_equal(drawn, normalized_one_by_one(parts, 9))
+    assert np.array_equal(drawn[:, 1], np.eye(9)[0]) and np.array_equal(drawn[:, 3], np.eye(9)[0])
+    single = interior_vector(StubNormals(np.zeros((1, 2, 6))), 9, 6)
+    assert np.array_equal(single, np.eye(9)[0])

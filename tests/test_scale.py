@@ -236,6 +236,52 @@ def test_diagonal_chain_matches_the_dense_recursion(N):
             assert measured == pytest.approx(oracle_norm, rel=1e-13, abs=0)
 
 
+@pytest.mark.parametrize("N", (13, 64, 160, 450))
+@pytest.mark.parametrize("K", (1, 7, 25, 100))
+def test_diagonal_scale_norm_is_the_per_column_vdot(N, K):
+    # oracle: the vdot of each column, as one contiguous vector, with its weighted copy
+    family = hermite_generators(N).scale_family
+    chain = build_scale_chain(family, min(3, family.max_safe_depth()))
+    rng = np.random.default_rng(N + K)
+    block = rng.standard_normal((N, K)) + 1j * rng.standard_normal((N, K))
+    block[:, 0] = 0.0
+    for n in range(chain.n_max + 1):
+        w = chain.gram(n).weights
+        expected = [np.sqrt(max(np.vdot(c, w * c).real, 0.0)) for c in block.T.copy()]
+        assert np.array_equal(scale_norm(chain, block, n), expected)
+        assert scale_norm(chain, block[:, -1], n) == expected[-1]
+
+
+def weighted_block(chain, A, n, k):
+    root = np.sqrt(chain.gram(n).weights)
+    return root[:, None] * A[:, :k] / root[None, :k]
+
+
+@pytest.mark.parametrize("N", (13, 64, 160))
+def test_gram_route_operator_norm_is_the_spectral_norm(N):
+    family = hermite_generators(N).scale_family
+    chain = build_scale_chain(family, min(3, family.max_safe_depth()))
+    rng = np.random.default_rng(N)
+    A = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
+    for n in range(chain.n_max + 1):
+        for k in (1, N // 4, N // 2, N):
+            oracle = np.linalg.norm(weighted_block(chain, A, n, k), 2)
+            full = scale_operator_norm(chain, A, n, interior_modes=k)
+            # the leading (N, k) columns alone give the same value bit for bit
+            assert scale_operator_norm(chain, A[:, :k], n) == full
+            assert full == pytest.approx(oracle, rel=1e-13, abs=0)
+
+
+def test_scale_operator_norm_rejects_a_block_it_cannot_read(chain):
+    A = np.ones((64, 16))
+    for bad in (np.ones((63, 16)), np.ones((64, 65)), np.ones(64), np.ones((1, 64, 16))):
+        with pytest.raises(UsageError):
+            scale_operator_norm(chain, bad, 1)
+    for modes in (0, 17):
+        with pytest.raises(UsageError):
+            scale_operator_norm(chain, A, 1, interior_modes=modes)
+
+
 def test_scale_operator_norm_needs_a_diagonal_chain(block_chain):
     fam = GeneratorFamily(8, (np.zeros((8, 8)),) * 2, ("A", "B"), 7)
     with pytest.raises(UsageError):
