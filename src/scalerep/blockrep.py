@@ -17,10 +17,10 @@ is an exact homomorphism, and the norm chain collapses to two inequivalent
 norms.  At truncation M the operators have norm exactly M, which is the
 measurable footprint of their unboundedness.
 
-Every quantity checked here is therefore a per-block 3x3 computation: the
-model is stored as (M, 3, 3) stacks of diagonal blocks, and the kernels
-are batched over the stack, so they cost O(M) rather than dense 3M x 3M
-products.  Dense matrices are assembled only where a caller needs one.
+Every quantity checked here is a per-block 3x3 computation (the
+homomorphism residual one per slot): the model is stored as (M, 3, 3)
+stacks of diagonal blocks, the kernels are batched over them and cost O(M),
+not dense 3M x 3M products.  Dense matrices are assembled only on demand.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ CHI3 = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
 CHIS = (CHI1, CHI2, CHI3)
 CHI_SLOTS = ((0, 1), (1, 2), (0, 2))  # the one nonzero entry of each CHI
 EYE3 = np.eye(3)
+_CHUNK_ENTRIES = 4096  # pair-block entries per homomorphism-residual step; temporaries < 128 KiB
 
 
 def chi_matrix(coeffs) -> np.ndarray:
@@ -173,21 +174,27 @@ def rep_homomorphism_residual(
 
     Zero in exact arithmetic; measured relative to the entry scale of
     T(gh), whose entries grow like M^2, so float rounding does not
-    masquerade as an algebra failure.  Off the diagonal blocks both sides
-    vanish, so the residual is a max over the blocks, taken one diagonal
-    block at a time: a block of K pairs gives K residuals and holds only
-    (K, 3, 3) stacks.
+    masquerade as an algebra failure.  Block n of T(e) is I plus
+    (a_e, b_e, c_e) = xi_i(e) w_i(n) in CHI_SLOTS, w_i read from the stacks,
+    so T(g) T(h) differs from T(gh) only there: it holds a_g + a_h, b_g + b_h
+    and [1, a_g, c_g] . [c_h, b_h, 1], a stacked 1 x 3 by 3 x 1 product that
+    rounds as the 3 x 3 block product does.  K pairs give K residuals.
     """
     gh = group_multiply(g, h)
-    gap = scale = 0.0  # entrywise running maxima of |lhs - rhs| and |rhs|
-    for n in range(fam.M) if np.ndim(gh.xi3) else [slice(None)]:
-        rhs = fam.rep_stack(gh, n)
-        lhs = fam.rep_stack(g, n) @ fam.rep_stack(h, n)
-        gap = np.maximum(gap, np.abs(lhs - rhs))
-        scale = np.maximum(scale, np.abs(rhs))
-    per_pair = tuple(range(np.ndim(gh.xi3), gap.ndim))
-    residual = np.max(gap, axis=per_pair) / np.maximum(1.0, np.max(scale, axis=per_pair))
-    return float(residual) if np.ndim(residual) == 0 else residual
+    shape = np.shape(gh.xi3)
+    w = [S[:, i, j] for S, (i, j) in zip(fam.stacks, CHI_SLOTS)]
+    xi = [np.broadcast_to(e.as_array(), shape + (3,)).reshape(-1, 3, 1) for e in (g, h, gh)]
+    # T(gh)'s largest entry is 1 or a |xi_i(gh)| max|w_i|, since rounding is monotone
+    scale = np.maximum(1.0, np.max(abs(xi[2][..., 0]) * [np.max(abs(v)) for v in w], axis=1))
+    residual, step = np.empty(len(scale)), max(1, _CHUNK_ENTRIES // fam.M)
+    for s in (slice(k, k + step) for k in range(0, len(scale), step)):
+        ag, bg, cg, ah, bh, ch, agh, bgh, cgh = (x[s, i] * w[i] for x in xi for i in range(3))
+        one = np.ones_like(ag)
+        row, col = np.stack([one, ag, cg], -1), np.stack([ch, bh, one], -1)
+        c = (row[..., None, :] @ col[..., None])[..., 0, 0]
+        gap = np.maximum.reduce([abs(ag + ah - agh), abs(bg + bh - bgh), abs(c - cgh)])
+        residual[s] = np.max(gap, axis=1) / scale[s]
+    return float(residual[0]) if shape == () else residual.reshape(shape)
 
 
 def two_norm_chain(fam: BlockGeneratorFamily, n_max: int = 2) -> ScaleChain:
@@ -261,11 +268,14 @@ def unboundedness_growth(fam_sizes) -> list:
 class NilpotentResolvent:
     stack: np.ndarray           # (M, 3, 3) diagonal blocks of the resolvent
     identity_residual: float    # worst over both factor orders
-    operator_norm: float
 
     @cached_property
     def matrix(self) -> np.ndarray:
         return _assemble(self.stack)
+
+    @cached_property
+    def operator_norm(self) -> float:
+        return _operator_norm(self.stack)
 
 
 def nilpotent_resolvent(
@@ -290,7 +300,7 @@ def nilpotent_resolvent(
         float(np.max(np.abs(A @ R - EYE3))),
         float(np.max(np.abs(R @ A - EYE3))),
     )
-    return NilpotentResolvent(R, residual, _operator_norm(R))
+    return NilpotentResolvent(R, residual)
 
 
 def _exp_stack(fam: BlockGeneratorFamily, i: int, t: float) -> np.ndarray:

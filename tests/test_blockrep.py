@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from scalerep import blockrep, suites
 from scalerep.blockrep import (
     CHIS,
+    _operator_norm,
     block_generators,
     collapse_identity_residual,
     exp_apply,
@@ -332,7 +334,7 @@ def _old_rep_homomorphism_residual(fam, g, h):
     return float(np.max(np.abs(rep(g) @ rep(h) - rhs))) / scale
 
 
-@pytest.mark.parametrize("M", (1, 7, 50))
+@pytest.mark.parametrize("M", (1, 7, 50, 150))
 def test_block_of_pairs_matches_the_per_pair_residuals_bit_for_bit(M):
     fam = block_generators(M)
     rng = np.random.default_rng(M + 14)
@@ -353,3 +355,72 @@ def test_block_of_pairs_matches_the_per_pair_residuals_bit_for_bit(M):
             old = np.eye(3) + a.xi1 * fam.stacks[0] + a.xi2 * fam.stacks[1] + a.xi3 * fam.stacks[2]
             assert np.array_equal(stack[j], old[n])
             assert np.array_equal(fam.rep_stack(a), old)
+
+
+@pytest.mark.parametrize("M", (1, 50, 150))
+def test_one_element_against_a_block_matches_the_per_pair_residuals_bit_for_bit(M):
+    fam = block_generators(M)
+    rng = np.random.default_rng(M + 18)
+    g = GroupElement(*map(float, rng.uniform(-2.0, 2.0, 3)))
+    hc = rng.uniform(-2.0, 2.0, (200, 3))
+    singles = [GroupElement(*map(float, b)) for b in hc]
+    left = rep_homomorphism_residual(fam, g, GroupElement(*hc.T))
+    right = rep_homomorphism_residual(fam, GroupElement(*hc.T), g)
+    assert left.shape == right.shape == (200,)
+    for k, b in enumerate(singles):
+        assert left[k] == rep_homomorphism_residual(fam, g, b) == _old_rep_homomorphism_residual(fam, g, b)
+        assert right[k] == rep_homomorphism_residual(fam, b, g) == _old_rep_homomorphism_residual(fam, b, g)
+    assert isinstance(rep_homomorphism_residual(fam, g, singles[0]), float)
+
+
+def test_homomorphism_residual_reads_the_weights_from_the_stacks():
+    # X3 weighted n^2 (1 + 1e-9) breaks X1 X2 = X3: the slots must show it
+    fam = block_generators(50)
+    S1, S2, S3 = fam.stacks
+    fam.__dict__["stacks"] = (S1, S2, S3 * (1.0 + 1e-9))
+    rng = np.random.default_rng(9)
+    gc, hc = rng.uniform(-2.0, 2.0, (2, 50, 3))
+    block = rep_homomorphism_residual(fam, GroupElement(*gc.T), GroupElement(*hc.T))
+    I = np.eye(fam.dim)
+    rep = lambda e: I + e.xi1 * fam.x1 + e.xi2 * fam.x2 + e.xi3 * fam.x3
+    for value, a, b in zip(block, gc, hc):
+        g, h = GroupElement(*a), GroupElement(*b)
+        Tgh = rep(group_multiply(g, h))
+        dense = np.max(np.abs(rep(g) @ rep(h) - Tgh)) / max(1.0, np.max(np.abs(Tgh)))
+        assert value == _old_rep_homomorphism_residual(fam, g, h)
+        assert dense > 1e-12 and value == pytest.approx(dense, rel=1e-6)
+    assert np.min(block) > 1e-12
+
+
+def test_homomorphism_residual_of_a_block_holds_a_few_pairs_at_a_time():
+    # one (1000, 2000) float array alone is 15.3 MiB, a (1000, 2000, 3, 3) one 137 MiB
+    fam = block_generators(2000)
+    rng = np.random.default_rng(2000)
+    g, h = (GroupElement(*rng.uniform(-2.0, 2.0, (3, 1000))) for _ in range(2))
+    fam.stacks
+    tracemalloc.start()
+    try:
+        block = rep_homomorphism_residual(fam, g, h)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert block.shape == (1000,) and np.max(block) < 1e-13
+    assert peak < 4 * 2**20
+
+
+def test_resolvent_operator_norm_is_taken_when_read(monkeypatch):
+    calls = []
+
+    def count(stack):
+        calls.append(stack.shape)
+        return _operator_norm(stack)
+
+    res = nilpotent_resolvent(block_generators(50), 3, 0.7 + 1.3j)
+    assert res.operator_norm == _operator_norm(res.stack)
+    monkeypatch.setattr(blockrep, "_operator_norm", count)
+    [nl06] = [c for c in suites.SUITES["nilpotent-l2"] if c.case_id.startswith("nl-06")]
+    monkeypatch.setitem(suites.SUITES, "nilpotent-l2", (nl06,))
+    records, _ = suites.run_suite(suites.SuiteConfig(suite="nilpotent-l2"))
+    assert records and calls == []                 # 20 draws, no norm taken
+    res = nilpotent_resolvent(block_generators(50), 1, 1.0)
+    assert res.operator_norm == res.operator_norm and calls == [(50, 3, 3)]
