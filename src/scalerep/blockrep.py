@@ -40,7 +40,7 @@ CHI3 = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
 CHIS = (CHI1, CHI2, CHI3)
 CHI_SLOTS = ((0, 1), (1, 2), (0, 2))  # the one nonzero entry of each CHI
 EYE3 = np.eye(3)
-_CHUNK_ENTRIES = 4096  # pair-block entries per homomorphism-residual step; temporaries < 128 KiB
+_CHUNK_ENTRIES = 4096  # pairs x blocks per homomorphism-residual step (one pair if M is larger)
 
 
 def chi_matrix(coeffs) -> np.ndarray:

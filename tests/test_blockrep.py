@@ -397,7 +397,6 @@ def test_homomorphism_residual_of_a_block_holds_a_few_pairs_at_a_time():
     fam = block_generators(2000)
     rng = np.random.default_rng(2000)
     g, h = (GroupElement(*rng.uniform(-2.0, 2.0, (3, 1000))) for _ in range(2))
-    fam.stacks
     tracemalloc.start()
     try:
         block = rep_homomorphism_residual(fam, g, h)
@@ -423,4 +422,4 @@ def test_resolvent_operator_norm_is_taken_when_read(monkeypatch):
     records, _ = suites.run_suite(suites.SuiteConfig(suite="nilpotent-l2"))
     assert records and calls == []                 # 20 draws, no norm taken
     res = nilpotent_resolvent(block_generators(50), 1, 1.0)
-    assert res.operator_norm == res.operator_norm and calls == [(50, 3, 3)]
+    assert res.operator_norm == res.operator_norm and calls == [(50, 3, 3)]  # read twice, taken once
