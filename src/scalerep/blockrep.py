@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import UsageError
 from .liecore import GroupElement, group_multiply
-from .scale import DiagonalGram, ScaleChain, _GuardBand, build_scale_chain, scale_norm
+from .scale import DiagonalGram, ScaleChain, _GuardBand, scale_norm
 
 CHI1 = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
 CHI2 = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
@@ -197,11 +197,6 @@ def rep_homomorphism_residual(
     return float(residual[0]) if shape == () else residual.reshape(shape)
 
 
-def two_norm_chain(fam: BlockGeneratorFamily, n_max: int = 2) -> ScaleChain:
-    """Norm chain of the block family (collapses beyond level 1), as diagonal weights."""
-    return build_scale_chain(fam, n_max)
-
-
 def collapse_identity_residual(fam: BlockGeneratorFamily, chain: ScaleChain) -> float:
     """Residual of G_2 = I + 2 sum_i X_i^T X_i + X_3^T X_3.
 
@@ -268,10 +263,6 @@ def unboundedness_growth(fam_sizes) -> list:
 class NilpotentResolvent:
     stack: np.ndarray           # (M, 3, 3) diagonal blocks of the resolvent
     identity_residual: float    # worst over both factor orders
-
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        return _assemble(self.stack)
 
     @cached_property
     def operator_norm(self) -> float:

@@ -1,10 +1,10 @@
 """Exception types shared across the package.
 
-Three failure families are kept apart on purpose: caller mistakes
-(``UsageError``), quantities that came out but not at the requested
-accuracy (``AccuracyError``), and iterations that never met their
-stopping rule (``ConvergenceError``).  The CLI maps ``UsageError`` to
-exit code 2; everything else surfaces as a failed check.
+Four failure families are kept apart on purpose: caller mistakes
+(``UsageError``), results short of the requested accuracy
+(``AccuracyError``), iterations that never met their stopping rule
+(``ConvergenceError``) and singular solves (``SingularOperatorError``).
+A ``UsageError`` ends a run with exit 2; the others fail only their case.
 """
 
 from __future__ import annotations

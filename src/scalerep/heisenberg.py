@@ -55,37 +55,24 @@ def effective_support(phi):
     (N, K) block gives the K column supports.
     """
     phi = np.asarray(phi)
-    if phi.ndim == 2:
-        return np.array([effective_support(col) for col in phi.T], dtype=int)
-    cutoff = SUPPORT_RTOL * float(np.linalg.norm(phi))
-    nz = np.nonzero(np.abs(phi) > cutoff)[0]
-    return int(nz[-1]) if nz.size else 0
+    # column norms from the real and imaginary views: no (N, K) complex temporaries
+    sq = sum(np.einsum("i...,i...->...", part, part) for part in (phi.real, phi.imag))
+    return support_bound(np.abs(phi) > SUPPORT_RTOL * np.sqrt(sq))
 
 
-def _group_columns(g, phi) -> list:
-    """One group element per column of ``phi``.
+def _chart_coords(g: GroupElement, phi) -> np.ndarray:
+    """(3, K) chart coordinates of the elements acting on the K columns of ``phi``.
 
-    A single element serves a vector or every column of a block; otherwise
-    ``g`` is a sequence of one element per column of an (N, K) block, or a
-    block element whose coordinates have shape (K,).
+    One element acts on a vector (K = 1) or on every column of an (N, K)
+    block; a block element of K elements gives each column its own.
     """
-    if isinstance(g, GroupElement) and np.ndim(g.xi3) == 0:
-        return [g] * (np.shape(phi)[1] if np.ndim(phi) == 2 else 1)
-    gs = list(g.unstack() if isinstance(g, GroupElement) else g)
-    if np.ndim(phi) != 2 or len(gs) != np.shape(phi)[1]:
+    K = phi.shape[1] if phi.ndim == 2 else 1
+    coords = g.as_array()
+    if coords.ndim > 1 and (phi.ndim != 2 or coords.shape != (K, 3)):
         raise UsageError(
-            f"need one group element per block column: {len(gs)} for shape {np.shape(phi)}"
+            f"need one group element per block column: {coords.shape[:-1]} for shape {phi.shape}"
         )
-    return gs
-
-
-def _chart_coords(g, phi):
-    """(xi1, xi2, xi3) of the element acting on each column of ``phi``.
-
-    Three floats for a vector, three (K,) arrays for an (N, K) block.
-    """
-    coords = np.array([(e.xi1, e.xi2, e.xi3) for e in _group_columns(g, phi)]).T
-    return coords if np.ndim(phi) == 2 else coords[:, 0]
+    return np.broadcast_to(coords, (K, 3)).T
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,9 +101,11 @@ class UnitaryGroup:
         ``v`` is one vector or an (N, K) block; a (K,) array ``t`` gives
         column k its own time t[k] through the phase matrix e^{-i w (x) t}.
         ``adjoint`` applies exp(-i t H)^* instead, as V (conj(e^{-i t w}) *
-        (V^H v)).
+        (V^H v)).  A time array needs a block with one column per time.
         """
         v = np.asarray(v, dtype=complex)
+        if np.ndim(t) and (v.ndim != 2 or np.shape(t) != v.shape[1:]):
+            raise UsageError(f"times of shape {np.shape(t)} need an (N, K) block, got {v.shape}")
         phase = np.exp(-1j * np.multiply.outer(self.w, t))
         phase = phase.conj() if adjoint else phase
         coeffs = self.V.conj().T @ v
@@ -178,14 +167,15 @@ class HermiteHeisenberg:
         identity returns ``phi`` bit for bit).  Any drop in the squared norm
         measures mass pushed past the truncation; above ``defect_tol`` it
         raises ``AccuracyError``.  Block form: ``phi`` an (N, K) block and
-        ``g`` K group elements (or one for every column) act column by
-        column in one pass, both guards per column; a vector is K = 1.
+        ``g`` a block of K elements (or one element for every column) act
+        column by column in one pass, both guards per column; a vector is
+        K = 1.
         """
         phi = np.asarray(phi, dtype=complex)
         if phi.shape[:1] != (self.N,) or phi.ndim > 2:
             raise UsageError(f"vector must have {self.N} modes, got {phi.shape}")
         block = phi.reshape(self.N, -1)
-        xi1, xi2, xi3 = _chart_coords(g, block)
+        xi1, xi2, xi3 = _chart_coords(g, phi)
         for sb in effective_support(block):
             if sb > self.N // 2:
                 raise UsageError(
@@ -235,17 +225,14 @@ class HermiteHeisenberg:
             raise UsageError("generator index must be 1, 2, or 3")
         return self.evaluators[i - 1](t, v)
 
-    def act_factored(self, g, phi) -> np.ndarray:
+    def act_factored(self, g: GroupElement, phi) -> np.ndarray:
         """exp(t1 X1) exp(t2 X2) exp(t3 X3) phi through the cached subgroups.
 
         ``phi`` may be one vector or an (N, K) block of them.  For a block,
-        ``g`` may also be a sequence of K group elements, giving each column
-        its own (t1, t2, t3).
+        ``g`` may also be a block of K elements, giving each column its own
+        (t1, t2, t3).
         """
-        if isinstance(g, GroupElement):
-            t1, t2, t3 = second_kind_coords(g)
-        else:
-            t1, t2, t3 = np.array([second_kind_coords(e) for e in _group_columns(g, phi)]).T
+        t1, t2, t3 = second_kind_coords(g)
         U1, U2 = self.subgroups
         out = U1.apply(t1, U2.apply(t2, phi))
         return np.exp(t3 * liecore.x3_sign_factor(self.x3_sign)) * out
@@ -261,30 +248,30 @@ def hermite_generators(N: int, x3_sign: str = "consistent") -> HermiteHeisenberg
 def conjugation_residual(
     fam: HermiteHeisenberg,
     chain: ScaleChain,
-    g,
+    g: GroupElement,
     i,
     phi,
     n: int,
 ):
     """Level-n residual of T(g) X_i T(g^-1) phi against the conjugation law.
 
-    Block form: an (N, K) block with a sequence of K group elements and K
+    Block form: an (N, K) block with a block of K group elements and K
     generator indices (or one of either for every column) gives the K
     column residuals.
     """
     phi = np.asarray(phi, dtype=complex)
     chain.family.require_interior(int(np.max(support_bound(phi))), n + 1, what="conjugation check")
     block = phi if phi.ndim == 2 else phi[:, None]
-    gs = _group_columns(g, block)
-    idx = np.broadcast_to(np.asarray(i), len(gs))
+    K = block.shape[1]
+    idx = np.broadcast_to(np.asarray(i), K)
     if not np.isin(idx, (1, 2, 3)).all():
         raise UsageError("generator index must be 1, 2, or 3")
-    ginv = [group_inverse(e) for e in gs]
+    ginv = group_inverse(g)
     inner = fam.action_analytic(ginv, block)
     for j in (1, 2, 3):
         inner[:, idx == j] = fam.gens[j - 1] @ inner[:, idx == j]
-    lhs = fam.action_analytic(gs, inner)
-    f = np.array([fam.automorphism(e)[k - 1] for e, k in zip(ginv, idx)])
+    lhs = fam.action_analytic(g, inner)
+    f = np.broadcast_to(fam.automorphism(ginv), (K, 3, 3))[np.arange(K), idx - 1]
     rhs = sum(f[:, j] * (fam.gens[j] @ block) for j in range(3))
     residuals = scale_norm(chain, lhs - rhs, n)
     return residuals if phi.ndim == 2 else residuals[0]
@@ -336,8 +323,8 @@ def differentiability_probe(
     X = fam.generator(x_coeffs)
     ref = X @ phi
     # every step acts on phi at once: one block of len(t_grid) columns
-    gs = [liecore.chart_exp(x_coeffs, t) for t in t_grid]
-    images = fam.action_analytic(gs, np.repeat(phi[:, None], len(gs), axis=1))
+    steps = liecore.chart_exp(x_coeffs, np.array(t_grid))
+    images = fam.action_analytic(steps, np.repeat(phi[:, None], len(t_grid), axis=1))
     diffs = (images - phi[:, None]) / np.array(t_grid) - ref[:, None]
     residuals = scale_norm(chain, diffs, n).tolist()
     ratios = tuple(
@@ -353,20 +340,19 @@ def differentiability_probe(
 def norm_bound_sharp_check(
     fam: HermiteHeisenberg,
     chain: ScaleChain,
-    g,
+    g: GroupElement,
     phi,
     n: int,
     rel_slack: float = 1e-6,
 ) -> BoundCheck:
     """Check ||T(g) phi||_n <= (1 + xi1^2 + xi2^2)^{n/2} ||phi||_n.
 
-    Block form: an (N, K) block with a sequence of K group elements gives
+    Block form: an (N, K) block with a block of K group elements gives
     K-long ``lhs``, ``bound`` and ``passed``.
     """
     phi = np.asarray(phi, dtype=complex)
     chain.family.require_interior(int(np.max(support_bound(phi))), n, what="sharp growth bound")
     lhs = scale_norm(chain, fam.action_analytic(g, phi), n)
-    xi1, xi2, _ = _chart_coords(g, phi)
-    factor = (1.0 + xi1**2 + xi2**2) ** (n / 2.0)
+    factor = (1.0 + g.xi1**2 + g.xi2**2) ** (n / 2.0)
     bound = factor * scale_norm(chain, phi, n)
     return BoundCheck(lhs, bound, lhs <= bound * (1.0 + rel_slack))

@@ -37,23 +37,22 @@ class TypeEstimate:
     sample_size: int
 
 
-def estimate_type(apply, chain: ScaleChain, n: int, t_grid, phis) -> TypeEstimate:
+def estimate_type(apply, chain: ScaleChain, n: int, t_grid, block) -> TypeEstimate:
     """Grid infimum of (1/|t|) log sup ||T(t) phi||_n / ||phi||_n.
 
-    ``apply(t, v)`` returns T(t) v; it is called once per t with the sample
-    vectors stacked as the columns of one (N, k) block.  The infimum over a
-    finite grid is an upper bound for the true type; a grid reaching large
-    |t| is needed to resolve type zero to small tolerance.
+    The sample vectors phi are the columns of the (N, k) ``block``;
+    ``apply(t, v)`` returns T(t) v and is called once per t on the whole
+    block.  The infimum over a finite grid is an upper bound for the true
+    type; a grid reaching large |t| is needed to resolve type zero to small
+    tolerance.
     """
     t_grid = [float(t) for t in t_grid]
     if not t_grid or any(t == 0 for t in t_grid):
         raise UsageError("t_grid must be nonempty and exclude 0")
-    if not len(phis):
-        raise UsageError("need at least one sample vector with nonzero norm")
-    block = np.array(phis, dtype=complex).T
+    block = np.asarray(block, dtype=complex)
     norms = scale_norm(chain, block, n)
-    if max(norms) <= 1e-30:
-        raise UsageError("need at least one sample vector with nonzero norm")
+    if np.ndim(norms) != 1 or np.max(norms, initial=0.0) <= 1e-30:
+        raise UsageError(f"need an (N, k) block with a sample of nonzero norm, got {block.shape}")
     live = norms > 0
     omega = np.inf
     for t in t_grid:
@@ -61,7 +60,7 @@ def estimate_type(apply, chain: ScaleChain, n: int, t_grid, phis) -> TypeEstimat
         # returns its input reproduces the sample norms (type exactly 0)
         sup = max(scale_norm(chain, apply(t, block), n)[live] / norms[live])
         omega = min(omega, np.log(sup) / abs(t))
-    return TypeEstimate(n, float(omega), tuple(t_grid), len(phis))
+    return TypeEstimate(n, float(omega), tuple(t_grid), block.shape[1])
 
 
 def resolvent_matrix(X: np.ndarray, lam: complex) -> np.ndarray:
@@ -299,21 +298,24 @@ def equicontinuity_bound_check(
     n: int,
     p_max: int,
     lam: complex,
-    phis,
+    block,
     rel_slack: float = 1e-8,
 ) -> EquicontinuityReport:
     """Vector-level bound ||R^p phi||_n <= (|lam| - n)^{-p} ||phi||_n.
 
-    Valid for |Re lambda| > n; checked for p = 1..p_max on every sample,
-    reporting the worst ratio per power.
+    Valid for |Re lambda| > n; checked for p = 1..p_max on every sample
+    phi, a column of the (N, k) ``block``, reporting the worst ratio per
+    power.
     """
     lam = complex(lam)
     if abs(lam.real) <= n:
         raise UsageError(f"bound needs |Re lambda| > n; got lam={lam}, n={n}")
     if p_max < 1:
         raise UsageError("p_max must be >= 1")
-    block = np.array(phis, dtype=complex).T
+    block = np.asarray(block, dtype=complex)
     base = scale_norm(chain, block, n)
+    if np.ndim(base) != 1:
+        raise UsageError(f"need an (N, k) block of samples, got shape {block.shape}")
     # zero samples carry no ratio; the powers act on the rest as one block
     w, base = block[:, base > 0], base[base > 0]
     worst = np.zeros(p_max)
@@ -384,7 +386,7 @@ def estimate_beta(
         for p in range(1, p_max + 1):
             block = apply_resolvent(float(lam), block)
             for n, modes in levels.items():
-                nu = scale_operator_norm(chain, block, n, interior_modes=modes)
+                nu = scale_operator_norm(chain, block[:, :modes], n)
                 best[n] = max(best[n], float(lam) - nu ** (-1.0 / p))
     return tuple(float(b) for b in best.values())
 

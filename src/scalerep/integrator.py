@@ -74,10 +74,10 @@ class EvaluatorCheck:
     derivative_residual: float
 
 
-def evaluator_invariants(ifam: IntegrableFamily, phis) -> list:
-    """Per generator, worst over the samples (one block): E(s)E(t) = E(s+t), dE/dt(0) = X."""
+def evaluator_invariants(ifam: IntegrableFamily, block) -> list:
+    """Per generator, worst over the (N, K) block's columns: E(s)E(t) = E(s+t), dE/dt(0) = X."""
     s, t, h = 0.3, 0.45, 1e-6  # law at (s, t); central-difference step h
-    block = np.array(phis, dtype=complex).T
+    block = np.asarray(block, dtype=complex)
     nrm = np.maximum(np.linalg.norm(block, axis=0), 1e-300)
     out = []
     for label, E, X in zip(ifam.labels, ifam.evaluators, ifam.gens):

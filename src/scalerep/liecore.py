@@ -131,6 +131,11 @@ class GroupElement:
         coords = (np.moveaxis(np.asarray(x), -1, 0) for x in (self.xi1, self.xi2, self.xi3))
         return tuple(GroupElement(*c) for c in zip(*coords))
 
+    @staticmethod
+    def stack(elements) -> "GroupElement":
+        """The block of ``elements`` along a new last axis, which ``unstack`` splits again."""
+        return GroupElement(*np.moveaxis(np.stack([e.as_array() for e in elements], -2), -1, 0))
+
 
 IDENTITY = GroupElement(0.0, 0.0, 0.0)
 

@@ -350,33 +350,24 @@ def group_bound_check(
     return BoundCheck(lhs, bound, lhs <= bound * (1.0 + rel_slack))
 
 
-def scale_operator_norm(
-    chain: ScaleChain,
-    A: np.ndarray,
-    n: int,
-    interior_modes: int | None = None,
-) -> float:
+def scale_operator_norm(chain: ScaleChain, A: np.ndarray, n: int) -> float:
     """Operator norm of A with respect to the level-n norm of a diagonal chain.
 
     With G_n = diag(w), this is the spectral norm of
-    W = diag(w)^{1/2} A[:, :k] diag(w[:k])^{-1/2}, taken as the square root
-    of the largest eigenvalue of the k x k Gram matrix W^* W.  ``A`` is an
-    N x N operator or only its leading (N, m) columns, m <= N.  With
-    ``interior_modes`` = k set, the supremum runs over inputs supported in
-    that many leading modes (the output is still measured in full), which
-    keeps the estimate honest where truncation contaminates the band edge;
-    by default k = m.
+    W = diag(w)^{1/2} A diag(w[:k])^{-1/2}, taken as the square root of the
+    largest eigenvalue of the k x k Gram matrix W^* W.  ``A`` is an N x N
+    operator or only its leading (N, k) columns, 0 < k <= N: the supremum
+    then runs over inputs supported in those k modes (the output is still
+    measured in full), which keeps the estimate honest where truncation
+    contaminates the band edge.
     """
     G = chain.gram(n)
     if not isinstance(G, DiagonalGram):
         raise UsageError("scale_operator_norm needs a chain of diagonal Gram forms")
     A = np.asarray(A, dtype=complex)
     N = chain.family.dim
-    if A.ndim != 2 or A.shape[0] != N or A.shape[1] > N:
-        raise UsageError(f"operator has shape {A.shape}, expected (N, m) with N = {N}, m <= N")
-    k = A.shape[1] if interior_modes is None else int(interior_modes)
-    if not (0 < k <= A.shape[1]):
-        raise UsageError(f"interior_modes must lie in 1..{A.shape[1]}, got {k}")
+    if A.ndim != 2 or A.shape[0] != N or not 0 < A.shape[1] <= N:
+        raise UsageError(f"operator has shape {A.shape}, expected (N, k) with N = {N}, 0 < k <= N")
     root = np.sqrt(G.weights)
-    W = root[:, None] * A[:, :k] / root[None, :k]
+    W = root[:, None] * A / root[None, : A.shape[1]]
     return float(np.sqrt(max(np.linalg.eigvalsh(W.conj().T @ W)[-1], 0.0)))

@@ -17,14 +17,14 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field, fields
 from functools import cached_property, partial
-from math import erfc, factorial, inf, sqrt
+from math import erfc, factorial, inf, nan, sqrt
 from types import UnionType
 from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from . import blockrep, hilleyosida, integrator, liecore
-from .errors import UsageError
+from .errors import AccuracyError, ConvergenceError, SingularOperatorError, UsageError
 from .heisenberg import (
     HermiteHeisenberg,
     UnitaryGroup,
@@ -65,6 +65,13 @@ HERMITE_SUITE_MIN_TRUNC = 54
 # seed 0-39, at --nmax 1-4 and with either --x3-sign; N = 13-16, 20, 24 and
 # 32 also complete at seeds 40-199.
 INTEGRATOR_MIN_TRUNC = 13
+# The numerical errors that end a case in a failed row rather than the run,
+# each with the attribute holding the number it carries.
+NUMERICAL_ERRORS = {
+    AccuracyError: "residual",
+    ConvergenceError: "last_term",
+    SingularOperatorError: "condition_estimate",
+}
 
 TOL_DEFAULTS = {
     "algebraic": 1e-12,
@@ -214,7 +221,7 @@ class SuiteContext:
 
     @cached_property
     def block_chain(self):
-        return blockrep.two_norm_chain(self.blocks)
+        return build_scale_chain(self.blocks, 2)
 
     @property
     def x2_subgroup(self) -> UnitaryGroup:
@@ -336,6 +343,19 @@ class CaseRecorder:
     def holds(self, name, ok, **inputs):
         """Flag check: measures 0 when ``ok`` is true and 1 otherwise, bound 0."""
         self.check(name, 0.0 if ok else 1.0, 0.0, **inputs)
+
+    def failed_by(self, exc):
+        """Failed row for a numerical error that ended the case: the number it carries."""
+        number = next(attr for kind, attr in NUMERICAL_ERRORS.items() if isinstance(exc, kind))
+        self.check(
+            "numerical-error",
+            getattr(exc, number),
+            nan,
+            passed=False,
+            error=type(exc).__name__,
+            message=str(exc),
+            quantity=number,
+        )
 
     def raises(self, name, error, call, **inputs):
         """Check that ``call()`` raises ``error``; any other exception propagates."""
@@ -603,14 +623,14 @@ def _sc_psd_increments(cfg, ctx, rec):
 def _draw_pairs(rng, ctx, count, box, modes):
     """``count`` draws of a group element and then an interior vector.
 
-    Returns the elements and the (N, count) block of vectors, so a case
-    evaluates all its samples in one block call.
+    Returns the block of elements and the (N, count) block of vectors, so a
+    case evaluates all its samples in one block call.
     """
     gs, phis = [], []
     for _ in range(count):
         gs.append(group_element(rng, box))
         phis.append(interior_vector(rng, ctx.N, modes))
-    return gs, np.array(phis).T
+    return GroupElement.stack(gs), np.array(phis).T
 
 
 def _group_bound_ratios(cfg, ctx, rng, per_level):
@@ -618,7 +638,7 @@ def _group_bound_ratios(cfg, ctx, rng, per_level):
     slack = cfg.tolerance("growth_slack")
     for n in range(1, min(cfg.n_max, 3) + 1):
         gs, block = _draw_pairs(rng, ctx, per_level, CHART_BOX, ctx.action_modes(n))
-        f = np.array([ctx.hermite.automorphism(g) for g in gs])
+        f = ctx.hermite.automorphism(gs)
         act = partial(ctx.hermite.act_factored, gs)
         yield from group_bound_check(ctx.chain, act, 1.0, f, n, block, rel_slack=slack).ratio
 
@@ -768,8 +788,8 @@ def _hh_action_homomorphism(cfg, ctx, rec):
             hs.append(group_element(rec.rng, box))
             phis.append(interior_vector(rec.rng, ctx.N, modes))
         block = np.array(phis).T
-        gh = [group_multiply(g, h) for g, h in zip(gs, hs)]
-        return np.linalg.norm(act(gs, act(hs, block)) - act(gh, block), axis=0)
+        g, h = GroupElement.stack(gs), GroupElement.stack(hs)
+        return np.linalg.norm(act(g, act(h, block)) - act(group_multiply(g, h), block), axis=0)
 
     tol = cfg.tolerance("homomorphism_l0")
     rec.worst("factored-route", residuals(ctx.hermite.act_factored, 1.0, ctx.N // 4, 50), tol)
@@ -799,6 +819,7 @@ def _hh_conjugation(cfg, ctx, rec):
         gs.append(group_element(rng, 1.0))
         idx.append(int(rng.integers(1, 4)))
         phis.append(interior_vector(rng, ctx.N, modes))
+    gs = GroupElement.stack(gs)
     residuals = conjugation_residual(ctx.hermite, ctx.chain, gs, idx, np.array(phis).T, n)
     rec.worst("random", residuals, tol, convention=cfg.x3_sign)
 
@@ -880,8 +901,8 @@ def _hh_continuity(cfg, ctx, rec):
     for axis, x in (("x1", (1, 0, 0)), ("x2", (0, 1, 0)), ("x3", (0, 0, 1))):
         for n in range(0, min(cfg.n_max, 2) + 1):
             phi = interior_vector(rng, ctx.N, 8)
-            gs = [liecore.chart_exp(x, t) for t in t_values]
-            images = ctx.hermite.action_analytic(gs, np.repeat(phi[:, None], len(gs), axis=1))
+            steps = liecore.chart_exp(x, np.array(t_values))
+            images = ctx.hermite.action_analytic(steps, np.repeat(phi[:, None], len(t_values), 1))
             values = scale_norm(ctx.chain, images - phi[:, None], n).tolist()
             monotone = all(b <= a * 1.01 for a, b in zip(values, values[1:]))
             rec.check(
@@ -934,7 +955,7 @@ def _hh_differentiability(cfg, ctx, rec):
 
 def _phis_for_type(cfg, ctx, count=20):
     rng = case_rng(cfg.seed, "hille-yosida", "type-samples")
-    return interior_vector(rng, ctx.N, ctx.N // 2, count).T
+    return interior_vector(rng, ctx.N, ctx.N // 2, count)
 
 
 def _hy_type_x2(cfg, ctx, rec):
@@ -958,8 +979,8 @@ def _hy_type_blocks(cfg, ctx, rec):
     omegas = []
     for M in (10, 50):
         fam = blockrep.block_generators(M)
-        chain = blockrep.two_norm_chain(fam)
-        phis = interior_vector(rec.rng, fam.dim, fam.dim, 10).T
+        chain = build_scale_chain(fam, 2)
+        phis = interior_vector(rec.rng, fam.dim, fam.dim, 10)
         apply = partial(blockrep.exp_apply, fam, 1)
         est = hilleyosida.estimate_type(apply, chain, 0, (1.0, 10.0, 100.0), phis)
         omegas.append(est.omega_n)
@@ -1110,7 +1131,7 @@ def _hy_equicontinuity(cfg, ctx, rec):
     apply_resolvent = ctx.apply_x2_resolvent
     for n in range(0, min(cfg.n_max, 3) + 1):
         lam = n + 2.0
-        phis = interior_vector(rec.rng, ctx.N, ctx.action_modes(max(n, 1)), 100).T
+        phis = interior_vector(rec.rng, ctx.N, ctx.action_modes(max(n, 1)), 100)
         report = hilleyosida.equicontinuity_bound_check(
             apply_resolvent, ctx.chain, n, 5, lam, phis, rel_slack=slack
         )
@@ -1128,7 +1149,7 @@ def _hy_equicontinuity(cfg, ctx, rec):
         "forbidden-region-error",
         UsageError,
         lambda: hilleyosida.equicontinuity_bound_check(
-            apply_resolvent, ctx.chain, 2, 2, 1.5, [np.ones(ctx.N)], rel_slack=slack
+            apply_resolvent, ctx.chain, 2, 2, 1.5, np.ones((ctx.N, 1)), rel_slack=slack
         ),
     )
 
@@ -1293,7 +1314,7 @@ def _nl_resolvent(cfg, ctx, rec):
     res = blockrep.nilpotent_resolvent(small, 1, 1.0)
     rec.check(
         "single-block",
-        float(np.max(np.abs(res.matrix - (np.eye(3) + blockrep.CHI1)))),
+        float(np.max(np.abs(res.stack[0] - (np.eye(3) + blockrep.CHI1)))),
         0.0,
     )
     rec.raises("lam-zero-refused", UsageError, lambda: blockrep.nilpotent_resolvent(fam, 1, 0.0))
@@ -1364,7 +1385,7 @@ def _nl_h1_continuity(cfg, ctx, rec):
 
 
 def _in_evaluator_invariants(cfg, ctx, rec):
-    phis = interior_vector(rec.rng, ctx.N, ctx.N // 4, 5).T
+    phis = interior_vector(rec.rng, ctx.N, ctx.N // 4, 5)
     checks = integrator.evaluator_invariants(ctx.hermite_integrable(), phis)
     rec.check(
         "hermite-group-law",
@@ -1378,7 +1399,7 @@ def _in_evaluator_invariants(cfg, ctx, rec):
         note="central difference at h = 1e-6",
     )
     fam = ctx.blocks
-    phis_b = interior_vector(rec.rng, fam.dim, fam.dim, 5).T
+    phis_b = interior_vector(rec.rng, fam.dim, fam.dim, 5)
     checks_b = integrator.evaluator_invariants(ctx.block_integrable(), phis_b)
     rec.check("block-group-law", max(c.group_law_residual for c in checks_b), 1e-9)
     rec.check("block-derivative", max(c.derivative_residual for c in checks_b), 1e-5)
@@ -1388,7 +1409,7 @@ def _in_chart_vs_analytic(cfg, ctx, rec):
     ifam = ctx.hermite_integrable()
     gs, block = _draw_pairs(rec.rng, ctx, 20, 1.0, ctx.N // 4)
     analytic = ctx.hermite.action_analytic(gs, block).T
-    chart = (integrator.integrate_chart(ifam, g, phi) for g, phi in zip(gs, block.T))
+    chart = (integrator.integrate_chart(ifam, g, phi) for g, phi in zip(gs.unstack(), block.T))
     gaps = (np.linalg.norm(c - a) for c, a in zip(chart, analytic))
     rec.worst("random", gaps, cfg.tolerance("route_agreement"))
     eye = np.eye(ctx.N)  # the operator itself, the chart applied to I
@@ -1898,7 +1919,10 @@ def run_suite(cfg: SuiteConfig):
         for case in SUITES[name]:
             rec = CaseRecorder(cfg.seed, name, case.case_id, case.anchors)
             started = time.perf_counter()
-            case.fn(cfg, ctx, rec)
+            try:
+                case.fn(cfg, ctx, rec)
+            except tuple(NUMERICAL_ERRORS) as exc:
+                rec.failed_by(exc)
             elapsed = time.perf_counter() - started
             # the case's wall time goes on its first record only (the others
             # keep 0), so the column sums to the suite time

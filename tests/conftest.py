@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from scalerep.blockrep import block_generators, two_norm_chain
+from scalerep.blockrep import block_generators
 from scalerep.heisenberg import hermite_generators
 from scalerep.scale import build_scale_chain
 
@@ -26,7 +26,7 @@ def blocks():
 
 @pytest.fixture(scope="session")
 def block_chain(blocks):
-    return two_norm_chain(blocks)
+    return build_scale_chain(blocks, 2)
 
 
 @pytest.fixture()

@@ -261,13 +261,13 @@ def test_criterion_07_equicontinuity_ladder(fam, chain, x2_subgroup):
     for n in (0, 1, 2, 3):
         lam = n + 2.0
         modes = min(N // 4, chain.family.interior_modes(max(n, 1)))
-        phis = [interior_vector(rng, N, modes) for _ in range(100)]
+        phis = np.array([interior_vector(rng, N, modes) for _ in range(100)]).T
         report = hilleyosida.equicontinuity_bound_check(
             apply_resolvent, chain, n, 5, lam, phis, rel_slack=1e-8
         )
         worst = max(worst, max(r[1] for r in report.rows))
         assert report.passed
-    phis = [interior_vector(rng, N, N // 4) for _ in range(20)]
+    phis = np.array([interior_vector(rng, N, N // 4) for _ in range(20)]).T
     grid = (1.0, 100.0, 1e4, 1e6, 1e7)
     estimates = [
         hilleyosida.estimate_type(x2_subgroup, chain, n, grid, phis) for n in (0, 1, 2, 3)
@@ -309,7 +309,7 @@ def test_criterion_08_nilpotent_example(blocks):
     norm_exact = max(abs(sigma - m) for m, sigma in growth)
     exp_rows = blockrep.nonextendability_evidence((10, 50, 100), 1.0)
     exp_ok = all(measured >= m for m, measured, _ in exp_rows)
-    chain = blockrep.two_norm_chain(blocks)
+    chain = build_scale_chain(blocks, 2)
     lo, hi = blockrep.norm_ratio_bounds()
     rlo, rhi = np.inf, 0.0
     for _ in range(1000):

@@ -21,12 +21,11 @@ from scalerep.blockrep import (
     rep_apply,
     rep_homomorphism_residual,
     rep_operator,
-    two_norm_chain,
     unboundedness_growth,
 )
 from scalerep.errors import UsageError
 from scalerep.liecore import GroupElement, group_multiply
-from scalerep.scale import DiagonalGram, scale_norm
+from scalerep.scale import DiagonalGram, build_scale_chain, scale_norm
 
 from conftest import dense_chain
 
@@ -132,7 +131,7 @@ def test_nilpotent_resolvent_identity(blocks, rng):
         res = nilpotent_resolvent(blocks, i, lam)
         assert res.identity_residual < 1e-12
     small = nilpotent_resolvent(block_generators(1), 1, 1.0)
-    assert np.array_equal(small.matrix, np.eye(3) + np.array([[0, 1, 0], [0, 0, 0], [0, 0, 0]]))
+    assert np.array_equal(small.stack, [np.eye(3) + np.array([[0, 1, 0], [0, 0, 0], [0, 0, 0]])])
     with pytest.raises(UsageError):
         nilpotent_resolvent(blocks, 1, 0.0)
     with pytest.raises(UsageError):
@@ -181,7 +180,7 @@ def test_h1_continuity_constant_m_independent():
     assert spread < 0.01
     # samples never exceed the blockwise operator norm
     fam = block_generators(20)
-    chain = two_norm_chain(fam)
+    chain = build_scale_chain(fam, 2)
     bound = h1_operator_norm(fam, g)
     rng = np.random.default_rng(9)
     T = rep_operator(g, fam)
@@ -234,7 +233,8 @@ def test_block_stacks_match_dense_oracle(M):
         R = (lam * I + dense[i - 1]) / lam**2
         A = lam * I - dense[i - 1]
         res = nilpotent_resolvent(fam, i, lam)
-        assert np.array_equal(res.matrix, R)
+        diagonal = np.arange(M)   # block n of the stack is R's diagonal block n
+        assert np.array_equal(res.stack, R.reshape(M, 3, M, 3)[diagonal, :, diagonal])
         dense_residual = max(np.max(np.abs(A @ R - I)), np.max(np.abs(R @ A - I)))
         entry_scale = np.max(np.abs(A)) * np.max(np.abs(R))
         assert abs(res.identity_residual - dense_residual) <= 4 * eps * entry_scale
@@ -261,7 +261,7 @@ def test_block_stacks_match_dense_oracle(M):
 @pytest.mark.parametrize("M", (1, 7, 50, 150))
 def test_block_chain_matches_the_dense_recursion(M):
     fam = block_generators(M)
-    chain = two_norm_chain(fam, n_max=3)
+    chain = build_scale_chain(fam, 3)
     oracle = dense_chain(_kron_generators(M), 3)
     for form, G in zip(chain.grams, oracle):
         # every dense form is exactly diagonal, and its diagonal is the weights
@@ -284,7 +284,7 @@ def test_block_chain_matches_the_dense_recursion(M):
 @pytest.mark.parametrize("M", (1, 7, 50))
 def test_block_calls_match_the_vector_calls_bit_for_bit(M):
     fam = block_generators(M)
-    chain = two_norm_chain(fam)
+    chain = build_scale_chain(fam, 2)
     rng = np.random.default_rng(M + 15)
     block = rng.standard_normal((fam.dim, 9)) + 1j * rng.standard_normal((fam.dim, 9))
     block[:, 4] = 0.0
@@ -313,7 +313,7 @@ def test_stack_kernels_never_build_dense_matrices():
         assert res.identity_residual < 1e-9 and res.operator_norm > 0
         unboundedness_growth((2000,))
         nonextendability_evidence((2000,), 1.0)
-        chain = two_norm_chain(fam)
+        chain = build_scale_chain(fam, 2)
         for _ in range(1000):
             assert scale_norm(chain, rng.standard_normal(fam.dim), 2) > 0
         assert collapse_identity_residual(fam, chain) <= 1e-12 * 2000**4

@@ -295,6 +295,28 @@ def test_x1_subgroup_from_the_eigh_of_x_matches_the_complex_eigh(N):
         assert np.max(np.abs(U1.apply(t, block) - oracle)) <= 1e-13
 
 
+def test_unitary_group_refuses_a_time_array_without_a_matching_block():
+    # N = K = 8: a (K,) time array with a vector once broadcast to an (N, N) array
+    fam = hermite_generators(8)
+    rng = np.random.default_rng(8)
+    ts = rng.uniform(-1, 1, 8)
+    block = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    for U in fam.subgroups:
+        out = U.apply(ts, block)
+        for k in range(8):
+            assert np.linalg.norm(out[:, k] - U.apply(ts[k], block[:, k])) <= 1e-13
+        for t, v in (
+            (ts, block[:, 0]),            # a vector
+            (ts, block[:, :5]),           # too few columns
+            (ts[:3], block),              # too few times
+            (ts.reshape(2, 4), block),    # times of the wrong shape
+        ):
+            with pytest.raises(UsageError):
+                U.apply(t, v)
+            with pytest.raises(UsageError):
+                U.apply(t, v, adjoint=True)
+
+
 def test_unitary_group_arrays_are_read_only(fam):
     for U in fam.subgroups:
         for arr in (U.w, U.V):
@@ -334,8 +356,8 @@ def test_block_actions_match_the_vector_calls(N, K):
     rng = np.random.default_rng(N + K)
     gs = [GroupElement(*rng.uniform(-1, 1, 3)) for _ in range(K)]
     block = np.stack([random_interior(rng, N, N // 4) for _ in range(K)], axis=1)
-    analytic = fam.action_analytic(gs, block)
-    factored = fam.act_factored(gs, block)
+    analytic = fam.action_analytic(GroupElement.stack(gs), block)
+    factored = fam.act_factored(GroupElement.stack(gs), block)
     assert analytic.shape == factored.shape == (N, K)
     for j, g in enumerate(gs):
         scale = 1e-13 * np.linalg.norm(block[:, j])
@@ -356,9 +378,6 @@ def test_a_block_element_acts_column_by_column(N):
     for k in range(4):
         single = GroupElement(*(float(x) for x in xi[:, k]))
         assert np.array_equal(out[:, k], fam.action_analytic(single, block[:, k]))
-    assert np.array_equal(fam.act_factored(GroupElement(*xi), block), fam.act_factored(
-        [GroupElement(*xi[:, k]) for k in range(4)], block
-    ))
     with pytest.raises(UsageError):
         fam.action_analytic(GroupElement(*xi), block[:, :3])
 
@@ -369,7 +388,7 @@ def test_action_matches_the_factored_route_past_the_old_node_cap(N):
     # 2N-node quadrature the action used to project on stopped at 320 nodes
     fam = hermite_generators(N)
     rng = np.random.default_rng(N)
-    gs = [GroupElement(*rng.uniform(-2, 2, 3)) for _ in range(6)]
+    gs = GroupElement.stack([GroupElement(*rng.uniform(-2, 2, 3)) for _ in range(6)])
     block = np.stack([random_interior(rng, N, N // 4) for _ in range(6)], axis=1)
     analytic = fam.action_analytic(gs, block)
     assert np.max(np.linalg.norm(analytic - fam.act_factored(gs, block), axis=0)) <= 1e-12
@@ -385,7 +404,7 @@ def test_block_with_one_bad_column_raises_the_vector_error(fam, rng):
     with pytest.raises(UsageError) as vector:
         fam.action_analytic(gs[1], wide[:, 1])
     with pytest.raises(UsageError) as blocked:
-        fam.action_analytic(gs, wide)
+        fam.action_analytic(GroupElement.stack(gs), wide)
     assert str(blocked.value) == str(vector.value)
     # a column near the support limit pushed hard sheds mass, as in the vector case
     hard = block.copy()
@@ -395,20 +414,34 @@ def test_block_with_one_bad_column_raises_the_vector_error(fam, rng):
     with pytest.raises(AccuracyError) as vector:
         fam.action_analytic(gs[2], hard[:, 2], defect_tol=1e-12)
     with pytest.raises(AccuracyError) as blocked:
-        fam.action_analytic(gs, hard, defect_tol=1e-12)
+        fam.action_analytic(GroupElement.stack(gs), hard, defect_tol=1e-12)
     assert str(blocked.value).split(" of ")[1] == str(vector.value).split(" of ")[1]
     assert blocked.value.residual == pytest.approx(vector.value.residual, rel=1e-9)
+
+
+@pytest.mark.parametrize("check", ["action_analytic", "act_factored", "conjugation", "sharp"])
+def test_a_block_element_of_the_wrong_length_is_refused(fam, chain, rng, check):
+    call = {
+        "action_analytic": lambda g, v: fam.action_analytic(g, v),
+        "act_factored": lambda g, v: fam.act_factored(g, v),
+        "conjugation": lambda g, v: conjugation_residual(fam, chain, g, 1, v, 1),
+        "sharp": lambda g, v: norm_bound_sharp_check(fam, chain, g, v, 2).ratio,
+    }[check]
+    block = np.stack([random_interior(rng, 64, 8) for _ in range(3)], axis=1)
+    gs = GroupElement(*rng.uniform(-1, 1, (3, 3)))
+    assert np.shape(call(gs, block)) in ((64, 3), (3,))   # one element per column
+    for shape in ((3, 2), (3, 4), (3, 3, 3)):   # too few, too many, a (3, 3) block of them
+        with pytest.raises(UsageError):
+            call(GroupElement(*rng.uniform(-1, 1, shape)), block)
     with pytest.raises(UsageError):
-        fam.action_analytic(gs[:2], block)    # one element per column
-    with pytest.raises(UsageError):
-        fam.act_factored(gs, block[:, 0])     # a sequence needs a block
+        call(gs, block[:, 0])    # a block element of three with one vector
 
 
 def test_block_bound_checks_match_the_vector_checks(fam, chain, rng):
     gs = [GroupElement(*rng.uniform(-1, 1, 3)) for _ in range(4)]
     block = np.stack([random_interior(rng, 64, 8) for _ in range(4)], axis=1)
-    sharp = norm_bound_sharp_check(fam, chain, gs, block, 2)
-    conj = conjugation_residual(fam, chain, gs, [1, 2, 3, 2], block, 1)
+    sharp = norm_bound_sharp_check(fam, chain, GroupElement.stack(gs), block, 2)
+    conj = conjugation_residual(fam, chain, GroupElement.stack(gs), [1, 2, 3, 2], block, 1)
     for j, g in enumerate(gs):
         one = norm_bound_sharp_check(fam, chain, g, block[:, j], 2)
         assert sharp.ratio[j] == pytest.approx(one.ratio, rel=1e-12)

@@ -182,18 +182,21 @@ def test_type_estimate_x2_vanishes(fam, chain, x2_evaluator, rng):
         p /= np.linalg.norm(p)
     grid = (1.0, 100.0, 1e4, 1e6, 1e7)
     for n in (0, 1, 2, 3):
-        est = estimate_type(x2_evaluator, chain, n, grid, phis)
+        est = estimate_type(x2_evaluator, chain, n, grid, np.array(phis).T)
         assert abs(est.omega_n) < 1e-6
 
 
 def test_type_estimate_validation(chain):
     ident = lambda t, v: v
     with pytest.raises(UsageError):
-        estimate_type(ident, chain, 0, (), [h0()])
+        estimate_type(ident, chain, 0, (), h0()[:, None])
     with pytest.raises(UsageError):
-        estimate_type(ident, chain, 0, (0.0, 1.0), [h0()])
+        estimate_type(ident, chain, 0, (0.0, 1.0), h0()[:, None])
     with pytest.raises(UsageError):
-        estimate_type(ident, chain, 0, (1.0,), [np.zeros(64)])
+        estimate_type(ident, chain, 0, (1.0,), np.zeros((64, 1)))
+    for samples in (h0(), np.zeros((64, 0))):   # a vector, and a block of no columns
+        with pytest.raises(UsageError):
+            estimate_type(ident, chain, 0, (1.0,), samples)
 
 
 def test_yosida_series_spec_validation():
@@ -266,15 +269,17 @@ def test_equicontinuity_bound_ladder(fam, chain, rng):
             phi = np.zeros(64, dtype=complex)
             phi[:modes] = rng.standard_normal(modes) + 1j * rng.standard_normal(modes)
             phis.append(phi / np.linalg.norm(phi))
-        report = equicontinuity_bound_check(apply_resolvent, chain, n, 5, lam, phis)
+        report = equicontinuity_bound_check(apply_resolvent, chain, n, 5, lam, np.array(phis).T)
         assert report.passed
         # bound at lam = n + 2 is 2^{-p}
         for p, _, bound in report.rows:
             assert bound == pytest.approx(2.0**-p)
     with pytest.raises(UsageError):
-        equicontinuity_bound_check(apply_resolvent, chain, 2, 3, 1.0, [h0()])
+        equicontinuity_bound_check(apply_resolvent, chain, 2, 3, 1.0, h0()[:, None])
     with pytest.raises(UsageError):
-        equicontinuity_bound_check(apply_resolvent, chain, 0, 0, 3.0, [h0()])
+        equicontinuity_bound_check(apply_resolvent, chain, 0, 0, 3.0, h0()[:, None])
+    with pytest.raises(UsageError):
+        equicontinuity_bound_check(apply_resolvent, chain, 0, 1, 3.0, h0())   # a vector
 
 
 def test_e118_constants_recursion():
@@ -345,7 +350,8 @@ def test_global_conditions_verdicts(fam, chain, x2_evaluator, rng):
         phi[:24] = rng.standard_normal(24) + 1j * rng.standard_normal(24)
         phis.append(phi / np.linalg.norm(phi))
     grid = (1.0, 1e3, 1e6, 1e7)
-    estimates = [estimate_type(x2_evaluator, chain, n, grid, phis) for n in (0, 1, 2)]
+    block = np.array(phis).T
+    estimates = [estimate_type(x2_evaluator, chain, n, grid, block) for n in (0, 1, 2)]
     betas = estimate_beta(
         resolvent_applier(fam.x2),
         chain,

@@ -126,11 +126,11 @@ def test_a_block_acts_column_by_column(name):
 
 def test_evaluator_invariants(ifam, bfam, rng, blocks):
     phis = [interior(rng, 64, 16) for _ in range(3)]
-    for chk in evaluator_invariants(ifam, phis):
+    for chk in evaluator_invariants(ifam, np.array(phis).T):
         assert chk.group_law_residual < 1e-10
         assert chk.derivative_residual < 1e-5
     phis_b = [interior(rng, blocks.dim, blocks.dim) for _ in range(3)]
-    for chk in evaluator_invariants(bfam, phis_b):
+    for chk in evaluator_invariants(bfam, np.array(phis_b).T):
         assert chk.group_law_residual < 1e-10
         assert chk.derivative_residual < 1e-7
 

@@ -15,7 +15,7 @@ from hypothesis import assume, given, settings, strategies as st
 import scalerep
 from scalerep import blockrep, heisenberg, integrator, liecore, sampling
 from scalerep.cli import build_config, main, make_parser
-from scalerep.errors import UsageError
+from scalerep.errors import AccuracyError, ConvergenceError, SingularOperatorError, UsageError
 from scalerep.heisenberg import HermiteHeisenberg
 from scalerep.report import CheckRecord, render, to_csv, to_json
 from scalerep.integrator import CHART_BOX
@@ -468,6 +468,85 @@ def test_cli_refusals_are_one_line_and_run_nothing(suite, trunc, n_max, lams):
         mp.setattr(sys, "stderr", err)
         assert main(argv) == 2
     assert len(err.getvalue().splitlines()) == 1
+
+
+def _hille_yosida_cases(out):
+    return {row["case"].split("/")[0] for row in json.loads(out.read_text())}
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    lams=st.lists(
+        st.floats(min_value=0.0, max_value=1e4, exclude_min=True),
+        min_size=1,
+        max_size=4,
+        unique=True,
+    ).map(sorted)
+)
+def test_accepted_lambda_sequences_end_in_a_complete_report(tmp_path_factory, lams):
+    # the sibling of the refusal property: an accepted draw runs every case to a report
+    SuiteConfig(suite="hille-yosida", lambda_sequence=tuple(lams)).validate()
+    out = tmp_path_factory.mktemp("hy") / "report.json"
+    argv = ["run", "--suite", "hille-yosida", "--trunc", "16", "--out", str(out),
+            f"--lambda={','.join(map(repr, lams))}"]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sys, "stderr", io.StringIO())
+        assert main(argv) in (0, 1)
+    assert _hille_yosida_cases(out) == {c.case_id for c in suites.SUITES["hille-yosida"]}
+
+
+def test_a_series_that_hits_its_cap_fails_its_case_and_the_report_completes(tmp_path):
+    # at lambda = 800 the reconstruction series needs more than j_max = 512 terms
+    out = tmp_path / "hy.json"
+    assert main(["run", "--suite", "hille-yosida", "--lambda", "800", "--out", str(out)]) == 1
+    assert _hille_yosida_cases(out) == {c.case_id for c in suites.SUITES["hille-yosida"]}
+    [row] = [r for r in json.loads(out.read_text()) if r["case"].startswith("hy-10")]
+    assert row["case"] == "hy-10-yosida-reconstruction/numerical-error"
+    assert row["pass"] is False
+    assert row["inputs"]["error"] == "ConvergenceError"
+    assert row["inputs"]["message"] == "series cap j_max=512 hit at lambda=800"
+    assert row["inputs"]["quantity"] == "last_term" and float(row["measured"]) > 0
+
+
+@pytest.mark.parametrize(
+    "error, quantity",
+    [
+        (AccuracyError("lost mass", residual=0.25), "residual"),
+        (ConvergenceError("cap hit", last_term=0.25), "last_term"),
+        (SingularOperatorError("singular", condition_estimate=0.25), "condition_estimate"),
+    ],
+)
+def test_a_numerical_error_keeps_the_case_rows_and_adds_one_failed_row(
+    monkeypatch, error, quantity
+):
+    def case(cfg, ctx, rec):
+        rec.check("before", 0.0, 1.0)
+        raise error
+
+    def after(cfg, ctx, rec):
+        rec.check("after", 0.0, 1.0)
+
+    cases = (Case("c1", (), case), Case("c2", (), after))
+    monkeypatch.setattr(suites, "SUITES", {"lie-core": cases})
+    records, status = run_suite(SuiteConfig(suite="lie-core"))
+    assert status == 1
+    assert [(r.case, r.passed) for r in records] == [
+        ("c1/before", True), ("c1/numerical-error", False), ("c2/after", True)
+    ]
+    failed = records[1]
+    assert failed.measured == 0.25
+    name = type(error).__name__
+    assert failed.inputs == {"error": name, "message": str(error), "quantity": quantity}
+
+
+@pytest.mark.parametrize("error", [UsageError("bad call"), KeyError("bug")])
+def test_other_errors_still_end_the_run(monkeypatch, error):
+    def case(cfg, ctx, rec):
+        raise error
+
+    monkeypatch.setattr(suites, "SUITES", {"lie-core": (Case("c1", (), case),)})
+    with pytest.raises(type(error)):
+        run_suite(SuiteConfig(suite="lie-core"))
 
 
 def _is_int(v):

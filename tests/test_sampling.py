@@ -38,6 +38,25 @@ def test_unstack_splits_a_block_of_tuples_in_draw_order():
 
 
 @pytest.mark.parametrize("seed", (0, 7, 42))
+@pytest.mark.parametrize("shape", ((1,), (5,), (200,), (7, 2), (4, 3)))
+def test_stack_undoes_unstack_bit_for_bit(seed, shape):
+    drawn = group_element(case_rng(seed, "sampling", "stack"), 1.7, shape)
+    again = GroupElement.stack(drawn.unstack())
+    for a, b in zip((again.xi1, again.xi2, again.xi3), (drawn.xi1, drawn.xi2, drawn.xi3)):
+        assert a.shape == b.shape and np.array_equal(a, b)
+
+
+def test_stack_of_successive_single_draws_is_the_block_draw():
+    single, block = streams(11)
+    gs = [group_element(single, 2.0) for _ in range(9)]
+    stacked = GroupElement.stack(gs)
+    assert np.shape(stacked.xi3) == (9,)
+    assert np.array_equal(stacked.as_array(), group_element(block, 2.0, (9,)).as_array())
+    for back, g in zip(stacked.unstack(), gs, strict=True):
+        assert back.as_array().tolist() == g.as_array().tolist()
+
+
+@pytest.mark.parametrize("seed", (0, 7, 42))
 @pytest.mark.parametrize(
     "dim, modes, count", ((64, 64, 1), (64, 16, 9), (64, 57, 100), (150, 150, 30))
 )

@@ -169,7 +169,7 @@ def test_scale_operator_norm_identity(chain):
     assert scale_operator_norm(chain, np.eye(64), 2) == pytest.approx(1.0, abs=1e-10)
     # interior restriction of a diagonal matrix picks the interior max
     D = np.diag(np.arange(64, dtype=float))
-    nrm = scale_operator_norm(chain, D, 0, interior_modes=10)
+    nrm = scale_operator_norm(chain, D[:, :10], 0)
     assert nrm == pytest.approx(9.0, abs=1e-8)
 
 
@@ -231,8 +231,7 @@ def test_diagonal_chain_matches_the_dense_recursion(N):
             assert scale_norm(chain, phi, n) == pytest.approx(dense, rel=1e-13, abs=0)
         for k in (N, max(1, N // 4)):
             oracle_norm = cholesky_operator_norm(G, A, k)
-            modes = None if k == N else k
-            measured = scale_operator_norm(chain, A, n, interior_modes=modes)
+            measured = scale_operator_norm(chain, A[:, :k], n)
             assert measured == pytest.approx(oracle_norm, rel=1e-13, abs=0)
 
 
@@ -266,20 +265,20 @@ def test_gram_route_operator_norm_is_the_spectral_norm(N):
     for n in range(chain.n_max + 1):
         for k in (1, N // 4, N // 2, N):
             oracle = np.linalg.norm(weighted_block(chain, A, n, k), 2)
-            full = scale_operator_norm(chain, A, n, interior_modes=k)
-            # the leading (N, k) columns alone give the same value bit for bit
-            assert scale_operator_norm(chain, A[:, :k], n) == full
-            assert full == pytest.approx(oracle, rel=1e-13, abs=0)
+            measured = scale_operator_norm(chain, A[:, :k], n)
+            assert measured == pytest.approx(oracle, rel=1e-13, abs=0)
 
 
 def test_scale_operator_norm_rejects_a_block_it_cannot_read(chain):
-    A = np.ones((64, 16))
-    for bad in (np.ones((63, 16)), np.ones((64, 65)), np.ones(64), np.ones((1, 64, 16))):
+    for bad in (
+        np.ones((63, 16)),
+        np.ones((64, 65)),
+        np.ones((64, 0)),
+        np.ones(64),
+        np.ones((1, 64, 16)),
+    ):
         with pytest.raises(UsageError):
             scale_operator_norm(chain, bad, 1)
-    for modes in (0, 17):
-        with pytest.raises(UsageError):
-            scale_operator_norm(chain, A, 1, interior_modes=modes)
 
 
 def test_scale_operator_norm_needs_a_diagonal_chain(block_chain):
