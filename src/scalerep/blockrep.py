@@ -26,7 +26,7 @@ not dense 3M x 3M products.  Dense matrices are assembled only on demand.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -71,6 +71,7 @@ class BlockGeneratorFamily(_GuardBand):
     stack of its diagonal blocks w_i(n) CHI_i, with weights (n, n, n^2).
     The dense matrices ``x1``, ``x2``, ``x3`` are assembled from them on
     first use and cached; only the integrator and test oracles need them.
+    The one-parameter groups are ``evaluators``, applied blockwise.
 
     As a scale family it is exact at every truncation: applications spread
     no support and consume no guard band.  Its Gram forms are diagonal,
@@ -115,6 +116,11 @@ class BlockGeneratorFamily(_GuardBand):
     @property
     def gens(self) -> tuple:
         return (self.x1, self.x2, self.x3)
+
+    @cached_property
+    def evaluators(self) -> tuple:
+        """Appliers (t, v, adjoint=False) -> exp(t X_i) v, i = 1, 2, 3: ``exp_apply``."""
+        return tuple(partial(exp_apply, self, i) for i in (1, 2, 3))
 
     def rep_stack(self, g: GroupElement, n=slice(None)) -> np.ndarray:
         """Diagonal blocks of T(g) = I + xi1 X1 + xi2 X2 + xi3 X3.
@@ -234,18 +240,20 @@ def norm_equivalence_report(
 ) -> NormEquivalenceReport:
     """Measure the two-norm equivalence window on sample vectors.
 
-    Each item of ``phis`` is a vector or a (3M, K) block of K vectors;
-    zero vectors are skipped and not counted.
+    Each item of ``phis`` is a (3M, K) block of K vectors; zero columns are
+    skipped and not counted.
     """
     lo_b, hi_b = norm_ratio_bounds()
     lo, hi = np.inf, 0.0
     count = 0
     for phi in phis:
-        denom = np.atleast_1d(scale_norm(chain, phi, 1))
+        if np.ndim(phi) != 2:
+            raise UsageError(f"samples come as (3M, K) blocks, got shape {np.shape(phi)}")
+        denom = scale_norm(chain, phi, 1)
         live = denom != 0
         if not live.any():
             continue
-        ratios = np.atleast_1d(scale_norm(chain, phi, 2))[live] / denom[live]
+        ratios = scale_norm(chain, phi, 2)[live] / denom[live]
         lo, hi = min(lo, np.min(ratios)), max(hi, np.max(ratios))
         count += int(np.count_nonzero(live))
     if count == 0:

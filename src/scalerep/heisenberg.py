@@ -148,6 +148,8 @@ class HermiteHeisenberg:
 
     def generator(self, x_coeffs) -> np.ndarray:
         """Matrix of the algebra element with the given basis coefficients."""
+        if np.shape(x_coeffs) != (3,):
+            raise UsageError("algebra vector must have 3 coefficients")
         a, b, c = (complex(v) for v in x_coeffs)
         return a * self.x1 + b * self.x2 + c * self.x3
 
@@ -226,16 +228,15 @@ class HermiteHeisenberg:
         return self.evaluators[i - 1](t, v)
 
     def act_factored(self, g: GroupElement, phi) -> np.ndarray:
-        """exp(t1 X1) exp(t2 X2) exp(t3 X3) phi through the cached subgroups.
+        """exp(t1 X1) exp(t2 X2) exp(t3 X3) phi through the ``evaluators``.
 
         ``phi`` may be one vector or an (N, K) block of them.  For a block,
         ``g`` may also be a block of K elements, giving each column its own
         (t1, t2, t3).
         """
         t1, t2, t3 = second_kind_coords(g)
-        U1, U2 = self.subgroups
-        out = U1.apply(t1, U2.apply(t2, phi))
-        return np.exp(t3 * liecore.x3_sign_factor(self.x3_sign)) * out
+        E1, E2, E3 = self.evaluators
+        return E3(t3, E1(t1, E2(t2, phi)))
 
     # the former name of this route, under which bench/layertrace.py reports it
     action_factored = act_factored

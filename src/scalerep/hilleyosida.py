@@ -90,9 +90,12 @@ def resolvent_skew_tridiagonal(X: np.ndarray, lam: complex) -> np.ndarray:
     d_k = lam - X[k, k] + |X[k, k-1]|^2 / d_{k-1}.  The diagonal of X is
     imaginary and Re(1/d) has the sign of Re d, so by induction
     Re d_k >= Re lam when Re lam > 0 (and <= when Re lam < 0): every pivot
-    has |d_k| >= |Re lam|, so the elimination cannot break down off the
-    imaginary axis.  That bound stands in for the residual guard of
-    ``resolvent_matrix``.  All columns of I are eliminated at once, in
+    has |d_k| >= |Re lam|, so in exact arithmetic the elimination cannot
+    break down off the imaginary axis.  That bound stands in for the
+    residual guard of ``resolvent_matrix``.  In floating point a |Re lam|
+    near the underflow threshold can still overflow a multiplier; an
+    elimination that leaves the floating-point range raises
+    ``SingularOperatorError``.  All columns of I are eliminated at once, in
     O(N^2); no row is ever swapped, as partial pivoting would not swap one
     either.
     """
@@ -115,15 +118,22 @@ def resolvent_skew_tridiagonal(X: np.ndarray, lam: complex) -> np.ndarray:
     pivots = np.empty(N, dtype=complex)
     pivots[0] = diag[0]
     R = np.eye(N, dtype=complex)
-    for k in range(1, N):
-        mult = sub[k - 1] / pivots[k - 1]
-        pivots[k] = diag[k] - mult * sup[k - 1]
-        R[k, :k] -= mult * R[k - 1, :k]
-    R[N - 1] /= pivots[N - 1]
-    for k in range(N - 2, -1, -1):
-        row = R[k]
-        row -= sup[k] * R[k + 1]
-        row /= pivots[k]
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            for k in range(1, N):
+                mult = sub[k - 1] / pivots[k - 1]
+                pivots[k] = diag[k] - mult * sup[k - 1]
+                R[k, :k] -= mult * R[k - 1, :k]
+            R[N - 1] /= pivots[N - 1]
+            for k in range(N - 2, -1, -1):
+                row = R[k]
+                row -= sup[k] * R[k + 1]
+                row /= pivots[k]
+    except FloatingPointError as exc:
+        raise SingularOperatorError(
+            f"elimination at lam={lam} left the floating-point range ({exc})",
+            condition_estimate=np.inf,
+        ) from None
     return R
 
 

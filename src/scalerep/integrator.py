@@ -14,6 +14,11 @@ derivative identities on both sides, the conjugation series
 with c read off the structure constants of the algebra, the dual
 (contragredient) representation, and the ladder criterion for whether the
 whole thing extends boundedly to the ambient space.
+
+Every kernel takes a model family itself, ``HermiteHeisenberg`` or
+``BlockGeneratorFamily``, and reads its ``gens`` and ``evaluators``; the
+checks that need an algebra element or the conjugation law also read
+``generator`` and ``automorphism``, which only the Hermite model has.
 """
 
 from __future__ import annotations
@@ -32,76 +37,43 @@ CHART_BOX = 2.0
 
 
 @dataclass(frozen=True)
-class IntegrableFamily:
-    """Generators with their one-parameter evaluators and a chart map."""
-
-    gens: tuple                 # d square matrices
-    evaluators: tuple           # d appliers (t, v, adjoint=False) -> exp(t X_i) v, or its adjoint
-    labels: tuple = ("X1", "X2", "X3")
-
-    def __post_init__(self):
-        if not (len(self.gens) == len(self.evaluators) == len(self.labels)):
-            raise UsageError("gens, evaluators, and labels must pair up")
-        gens = tuple(np.asarray(g, dtype=complex) for g in self.gens)
-        object.__setattr__(self, "gens", gens)
-
-    @property
-    def d(self) -> int:
-        return len(self.gens)
-
-    @property
-    def dim(self) -> int:
-        return self.gens[0].shape[0]
-
-    def generator(self, x_coeffs) -> np.ndarray:
-        x_coeffs = np.asarray(x_coeffs, dtype=complex)
-        if x_coeffs.shape != (self.d,):
-            raise UsageError(f"algebra vector must have {self.d} coefficients")
-        return sum(c * X for c, X in zip(x_coeffs, self.gens))
-
-    def check_in_chart(self, g: GroupElement):
-        if max(abs(g.xi1), abs(g.xi2), abs(g.xi3)) > CHART_BOX:
-            raise UsageError(
-                f"group element ({g.xi1:g},{g.xi2:g},{g.xi3:g}) outside the "
-                f"chart box |xi| <= {CHART_BOX:g}"
-            )
-
-
-@dataclass(frozen=True)
 class EvaluatorCheck:
     label: str
     group_law_residual: float
     derivative_residual: float
 
 
-def evaluator_invariants(ifam: IntegrableFamily, block) -> list:
-    """Per generator, worst over the (N, K) block's columns: E(s)E(t) = E(s+t), dE/dt(0) = X."""
+def evaluator_invariants(fam, block) -> list:
+    """Per generator X_i, worst over the (N, K) block's columns: E(s)E(t) = E(s+t), dE/dt(0) = X."""
     s, t, h = 0.3, 0.45, 1e-6  # law at (s, t); central-difference step h
     block = np.asarray(block, dtype=complex)
     nrm = np.maximum(np.linalg.norm(block, axis=0), 1e-300)
     out = []
-    for label, E, X in zip(ifam.labels, ifam.evaluators, ifam.gens):
+    for i, (E, X) in enumerate(zip(fam.evaluators, fam.gens), start=1):
         law = np.linalg.norm(E(s, E(t, block)) - E(s + t, block), axis=0) / nrm
         fd = (E(h, block) - E(-h, block)) / (2 * h)
         der = np.linalg.norm(fd - X @ block, axis=0) / nrm
-        out.append(EvaluatorCheck(label, float(np.max(law)), float(np.max(der))))
+        out.append(EvaluatorCheck(f"X{i}", float(np.max(law)), float(np.max(der))))
     return out
 
 
-def integrate_chart(ifam: IntegrableFamily, g: GroupElement, phi, adjoint: bool = False):
-    """T(g) phi: the evaluators at the second-kind coordinates of g, applied right to left.
+def integrate_chart(fam, g: GroupElement, phi, adjoint: bool = False):
+    """T(g) phi: the family's evaluators at the second-kind coordinates of g, applied right to left.
 
-    ``phi`` is one vector or an (N, K) block; no factor is assembled.
-    ``adjoint`` gives T(g)^* phi, the factors' adjoints applied left to right:
-    the adjoint of the ordered product, not the chart product at g^{-1}.
+    ``g`` is one element of the chart box and ``phi`` one vector or an (N, K)
+    block; no factor is assembled.  ``adjoint`` gives T(g)^* phi, the
+    factors' adjoints applied left to right: the adjoint of the ordered
+    product, not the chart product at g^{-1}.
     """
-    ifam.check_in_chart(g)
-    ts = second_kind_coords(g)
-    if len(ts) != ifam.d:
+    coords = (g.xi1, g.xi2, g.xi3)
+    if np.ndim(coords) != 1:
+        raise UsageError(f"one group element per call, got a block of shape {np.shape(g.xi1)}")
+    if max(map(abs, coords)) > CHART_BOX:
         raise UsageError(
-            f"chart provides {len(ts)} coordinates but the family has {ifam.d} generators"
+            f"group element ({g.xi1:g},{g.xi2:g},{g.xi3:g}) outside the "
+            f"chart box |xi| <= {CHART_BOX:g}"
         )
-    factors = list(zip(ifam.evaluators, ts))
+    factors = list(zip(fam.evaluators, second_kind_coords(g)))
     out = np.asarray(phi)
     for E, t in factors if adjoint else factors[::-1]:
         out = E(t, out, adjoint=adjoint)
@@ -109,7 +81,7 @@ def integrate_chart(ifam: IntegrableFamily, g: GroupElement, phi, adjoint: bool 
 
 
 def homomorphism_residual(
-    ifam: IntegrableFamily,
+    fam,
     g: GroupElement,
     h: GroupElement,
     phi,
@@ -117,11 +89,8 @@ def homomorphism_residual(
     n: int,
 ) -> float:
     """Level-n norm of T(g) T(h) phi - T(gh) phi."""
-    gh = group_multiply(g, h)
-    for el in (g, h, gh):
-        ifam.check_in_chart(el)
-    lhs = integrate_chart(ifam, g, integrate_chart(ifam, h, phi))
-    rhs = integrate_chart(ifam, gh, phi)
+    lhs = integrate_chart(fam, g, integrate_chart(fam, h, phi))
+    rhs = integrate_chart(fam, group_multiply(g, h), phi)
     return scale_norm(chain, lhs - rhs, n)
 
 
@@ -136,13 +105,13 @@ def conjugation_coefficients(i: int, j: int, t: float) -> np.ndarray:
     return np.eye(3)[j - 1] + t * c[i - 1, j - 1]
 
 
-def _combine(ifam: IntegrableFamily, coeffs, phi) -> np.ndarray:
+def _combine(fam, coeffs, phi) -> np.ndarray:
     """sum_k coeffs[k] X_k phi."""
-    return sum(coeffs[k] * (ifam.gens[k] @ phi) for k in range(ifam.d))
+    return sum(c * (X @ phi) for c, X in zip(coeffs, fam.gens))
 
 
 def int_identity_residual(
-    ifam: IntegrableFamily,
+    fam,
     i: int,
     j: int,
     t: float,
@@ -156,15 +125,16 @@ def int_identity_residual(
     is sum_k c_k X_k phi with c from ``conjugation_coefficients``, the
     exact algebra-level series, so no matrix series is summed.
     """
-    if not (1 <= i <= ifam.d and 1 <= j <= ifam.d):
-        raise UsageError(f"generator indices must lie in 1..{ifam.d}")
+    d = len(fam.gens)
+    if not (1 <= i <= d and 1 <= j <= d):
+        raise UsageError(f"generator indices must lie in 1..{d}")
     phi = np.asarray(phi, dtype=complex)
     chain.family.require_interior(
         support_bound(phi), n + 2, what="conjugation series check"
     )
-    E = ifam.evaluators[i - 1]
-    lhs = E(t, ifam.gens[j - 1] @ E(-t, phi))
-    rhs = _combine(ifam, conjugation_coefficients(i, j, t), phi)
+    E = fam.evaluators[i - 1]
+    lhs = E(t, fam.gens[j - 1] @ E(-t, phi))
+    rhs = _combine(fam, conjugation_coefficients(i, j, t), phi)
     return scale_norm(chain, lhs - rhs, n)
 
 
@@ -176,7 +146,7 @@ class DerivativeCheckRow:
 
 
 def derivative_identity_check(
-    ifam: IntegrableFamily,
+    fam,
     x_coeffs,
     t: float,
     phi,
@@ -190,13 +160,13 @@ def derivative_identity_check(
     on either side; central differencing makes both residuals O(h^2).
     """
     phi = np.asarray(phi, dtype=complex)
-    X = ifam.generator(x_coeffs)
+    X = fam.generator(x_coeffs)
     g = liecore.chart_exp(x_coeffs, t)
-    left, right = X @ integrate_chart(ifam, g, phi), integrate_chart(ifam, g, X @ phi)
+    left, right = X @ integrate_chart(fam, g, phi), integrate_chart(fam, g, X @ phi)
     rows = []
     for h in h_grid:
-        Up = integrate_chart(ifam, liecore.chart_exp(x_coeffs, t + h), phi)
-        Um = integrate_chart(ifam, liecore.chart_exp(x_coeffs, t - h), phi)
+        Up = integrate_chart(fam, liecore.chart_exp(x_coeffs, t + h), phi)
+        Um = integrate_chart(fam, liecore.chart_exp(x_coeffs, t - h), phi)
         fd = (Up - Um) / (2 * h)
         rows.append(
             DerivativeCheckRow(
@@ -209,7 +179,7 @@ def derivative_identity_check(
 
 
 def translated_derivative_residual(
-    ifam: IntegrableFamily,
+    fam,
     x_coeffs,
     t: float,
     g: GroupElement,
@@ -219,16 +189,16 @@ def translated_derivative_residual(
 ) -> float:
     """Residual of d/dt T(exp(t x) g) phi = X T(exp(t x) g) phi."""
     h = 1e-3  # central-difference step
-    X = ifam.generator(x_coeffs)
+    X = fam.generator(x_coeffs)
     mid = group_multiply(liecore.chart_exp(x_coeffs, t), g)
     up = group_multiply(liecore.chart_exp(x_coeffs, t + h), g)
     dn = group_multiply(liecore.chart_exp(x_coeffs, t - h), g)
-    fd = (integrate_chart(ifam, up, phi) - integrate_chart(ifam, dn, phi)) / (2 * h)
-    return scale_norm(chain, fd - X @ integrate_chart(ifam, mid, phi), n)
+    fd = (integrate_chart(fam, up, phi) - integrate_chart(fam, dn, phi)) / (2 * h)
+    return scale_norm(chain, fd - X @ integrate_chart(fam, mid, phi), n)
 
 
 def interpolation_constancy_residual(
-    ifam: IntegrableFamily,
+    fam,
     x_coeffs,
     t: float,
     g: GroupElement,
@@ -246,13 +216,12 @@ def interpolation_constancy_residual(
     for s in (0.0, 0.25, 0.5, 0.75, 1.0):
         right = group_multiply(liecore.chart_exp(x_coeffs, (1 - s) * t), g)
         left = liecore.chart_exp(x_coeffs, s * t)
-        values.append(integrate_chart(ifam, left, integrate_chart(ifam, right, phi)))
+        values.append(integrate_chart(fam, left, integrate_chart(fam, right, phi)))
     return max(scale_norm(chain, v - values[0], n) for v in values[1:])
 
 
 def conjugation_series_vs_automorphism(
-    ifam: IntegrableFamily,
-    hermite_family,
+    fam,
     i: int,
     t: float,
     phi,
@@ -267,11 +236,11 @@ def conjugation_series_vs_automorphism(
     """
     phi = np.asarray(phi, dtype=complex)
     g = liecore.chart_exp(tuple(1.0 if k == i - 1 else 0.0 for k in range(3)), t)
-    f = hermite_family.automorphism(liecore.group_inverse(g))
+    f = fam.automorphism(liecore.group_inverse(g))
     worst = 0.0
     for j in range(1, 4):
-        series = _combine(ifam, conjugation_coefficients(i, j, t), phi)
-        rhs = _combine(ifam, f[j - 1], phi)
+        series = _combine(fam, conjugation_coefficients(i, j, t), phi)
+        rhs = _combine(fam, f[j - 1], phi)
         worst = max(worst, scale_norm(chain, series - rhs, n))
     return worst
 
@@ -285,14 +254,14 @@ def dual_operator(A: np.ndarray) -> np.ndarray:
     return np.asarray(A, dtype=complex).conj().T
 
 
-def pairing_residual(ifam: IntegrableFamily, g: GroupElement, phi, F) -> float:
+def pairing_residual(fam, g: GroupElement, phi, F) -> float:
     """|<T(g) phi, F> - <phi, V(g^-1) F>| with V(g^-1) = dual(T(g)), applied as T(g)^*."""
-    lhs = complex(np.vdot(integrate_chart(ifam, g, phi), F))
-    rhs = complex(np.vdot(phi, integrate_chart(ifam, g, F, adjoint=True)))
+    lhs = complex(np.vdot(integrate_chart(fam, g, phi), F))
+    rhs = complex(np.vdot(phi, integrate_chart(fam, g, F, adjoint=True)))
     return abs(lhs - rhs)
 
 
-def dual_generator_residual(ifam: IntegrableFamily, i: int, F) -> float:
+def dual_generator_residual(fam, i: int, F) -> float:
     """Finite-difference generator of t -> V(exp(t x_i)) against -dual(X_i).
 
     V(t) applied to a functional is dual(E(-t)), the adjoint of E at -t;
@@ -300,9 +269,9 @@ def dual_generator_residual(ifam: IntegrableFamily, i: int, F) -> float:
     """
     h = 1e-4  # central-difference step
     F = np.asarray(F, dtype=complex)
-    E = ifam.evaluators[i - 1]
+    E = fam.evaluators[i - 1]
     fd = (E(-h, F, adjoint=True) - E(h, F, adjoint=True)) / (2 * h)
-    target = -dual_operator(ifam.gens[i - 1]) @ F
+    target = -dual_operator(fam.gens[i - 1]) @ F
     return float(np.linalg.norm(fd - target)) / max(float(np.linalg.norm(F)), 1e-300)
 
 

@@ -281,15 +281,6 @@ class SuiteContext:
         fam = self.chain.family
         return min(self.N // 4, fam.interior_modes(depth))
 
-    def hermite_integrable(self) -> integrator.IntegrableFamily:
-        """Chart family on the Hermite evaluators every Hermite suite shares."""
-        return integrator.IntegrableFamily(self.hermite.gens, self.hermite.evaluators)
-
-    def block_integrable(self) -> integrator.IntegrableFamily:
-        fam = self.blocks
-        evaluators = tuple(partial(blockrep.exp_apply, fam, i) for i in (1, 2, 3))
-        return integrator.IntegrableFamily(fam.gens, evaluators)
-
 
 class CaseRecorder:
     """Collects records for one case and stamps ids, anchors, and timing.
@@ -969,9 +960,7 @@ def _hy_type_trivial(cfg, ctx, rec):
     ident = lambda t, v: v
     est = hilleyosida.estimate_type(ident, ctx.chain, 1, (1.0, 10.0), phis)
     rec.check("identity-group", abs(est.omega_n), cfg.tolerance("algebraic"))
-    sign = liecore.x3_sign_factor(cfg.x3_sign)
-    phase = lambda t, v: np.exp(t * sign) * v
-    est = hilleyosida.estimate_type(phase, ctx.chain, 2, TYPE_T_GRID, phis)
+    est = hilleyosida.estimate_type(ctx.hermite.evaluators[2], ctx.chain, 2, TYPE_T_GRID, phis)
     rec.check("phase-subgroup", abs(est.omega_n), cfg.tolerance("omega"))
 
 
@@ -981,8 +970,7 @@ def _hy_type_blocks(cfg, ctx, rec):
         fam = blockrep.block_generators(M)
         chain = build_scale_chain(fam, 2)
         phis = interior_vector(rec.rng, fam.dim, fam.dim, 10)
-        apply = partial(blockrep.exp_apply, fam, 1)
-        est = hilleyosida.estimate_type(apply, chain, 0, (1.0, 10.0, 100.0), phis)
+        est = hilleyosida.estimate_type(fam.evaluators[0], chain, 0, (1.0, 10.0, 100.0), phis)
         omegas.append(est.omega_n)
     rec.holds(
         "positive-and-growing",
@@ -1386,7 +1374,7 @@ def _nl_h1_continuity(cfg, ctx, rec):
 
 def _in_evaluator_invariants(cfg, ctx, rec):
     phis = interior_vector(rec.rng, ctx.N, ctx.N // 4, 5)
-    checks = integrator.evaluator_invariants(ctx.hermite_integrable(), phis)
+    checks = integrator.evaluator_invariants(ctx.hermite, phis)
     rec.check(
         "hermite-group-law",
         max(c.group_law_residual for c in checks),
@@ -1400,33 +1388,32 @@ def _in_evaluator_invariants(cfg, ctx, rec):
     )
     fam = ctx.blocks
     phis_b = interior_vector(rec.rng, fam.dim, fam.dim, 5)
-    checks_b = integrator.evaluator_invariants(ctx.block_integrable(), phis_b)
+    checks_b = integrator.evaluator_invariants(fam, phis_b)
     rec.check("block-group-law", max(c.group_law_residual for c in checks_b), 1e-9)
     rec.check("block-derivative", max(c.derivative_residual for c in checks_b), 1e-5)
 
 
 def _in_chart_vs_analytic(cfg, ctx, rec):
-    ifam = ctx.hermite_integrable()
+    fam = ctx.hermite
     gs, block = _draw_pairs(rec.rng, ctx, 20, 1.0, ctx.N // 4)
-    analytic = ctx.hermite.action_analytic(gs, block).T
-    chart = (integrator.integrate_chart(ifam, g, phi) for g, phi in zip(gs.unstack(), block.T))
+    analytic = fam.action_analytic(gs, block).T
+    chart = (integrator.integrate_chart(fam, g, phi) for g, phi in zip(gs.unstack(), block.T))
     gaps = (np.linalg.norm(c - a) for c, a in zip(chart, analytic))
     rec.worst("random", gaps, cfg.tolerance("route_agreement"))
     eye = np.eye(ctx.N)  # the operator itself, the chart applied to I
     rec.check(
         "identity",
-        float(np.max(np.abs(integrator.integrate_chart(ifam, liecore.IDENTITY, eye) - eye))),
+        float(np.max(np.abs(integrator.integrate_chart(fam, liecore.IDENTITY, eye) - eye))),
         cfg.tolerance("algebraic"),
     )
 
 
 def _in_chart_vs_blockrep(cfg, ctx, rec):
-    ifam = ctx.block_integrable()
     eye = np.eye(ctx.blocks.dim)  # whole operators, the chart applied to I
 
     def gap():
         g = group_element(rec.rng, CHART_BOX)
-        U = integrator.integrate_chart(ifam, g, eye)
+        U = integrator.integrate_chart(ctx.blocks, g, eye)
         T = blockrep.rep_operator(g, ctx.blocks)
         return float(np.max(np.abs(U - T))) / max(1.0, float(np.max(np.abs(T))))
 
@@ -1436,27 +1423,27 @@ def _in_chart_vs_blockrep(cfg, ctx, rec):
 def _in_homomorphism(cfg, ctx, rec):
     rng = rec.rng
 
-    def residual(ifam, chain, dim, modes):
+    def residual(fam, chain, dim, modes):
         g = group_element(rng, 0.9)
         h = group_element(rng, 0.9)
         if max(abs(v) for v in group_multiply(g, h).as_array()) > CHART_BOX:
             return 0.0  # product outside the chart: drawn, but measures nothing
         phi = interior_vector(rng, dim, modes)
-        return integrator.homomorphism_residual(ifam, g, h, phi, chain, 1)
+        return integrator.homomorphism_residual(fam, g, h, phi, chain, 1)
 
-    ifam = ctx.hermite_integrable()
-    hermite = (ifam, ctx.chain, ctx.N, ctx.action_modes(2))
+    fam = ctx.hermite
+    hermite = (fam, ctx.chain, ctx.N, ctx.action_modes(2))
     tol = cfg.tolerance("homomorphism")
     rec.worst("hermite-level1", (residual(*hermite) for _ in range(15)), tol)
     phi = interior_vector(rng, ctx.N, ctx.action_modes(2))
     rec.check(
         "h-identity",
         integrator.homomorphism_residual(
-            ifam, group_element(rng, 0.9), liecore.IDENTITY, phi, ctx.chain, 1
+            fam, group_element(rng, 0.9), liecore.IDENTITY, phi, ctx.chain, 1
         ),
         cfg.tolerance("algebraic") * 100,
     )
-    blocks = (ctx.block_integrable(), ctx.block_chain, ctx.blocks.dim, ctx.blocks.dim)
+    blocks = (ctx.blocks, ctx.block_chain, ctx.blocks.dim, ctx.blocks.dim)
     block_scale = float(ctx.M**2)
     rec.worst(
         "block-level1",
@@ -1467,7 +1454,7 @@ def _in_homomorphism(cfg, ctx, rec):
 
 
 def _in_inverse_consistency(cfg, ctx, rec):
-    ifam = ctx.hermite_integrable()
+    fam = ctx.hermite
 
     def gap():
         g = group_element(rec.rng, 0.8)
@@ -1476,9 +1463,9 @@ def _in_inverse_consistency(cfg, ctx, rec):
         if max(abs(v) for p in products for v in p.as_array()) > CHART_BOX:
             return 0.0  # a product outside the chart: drawn, but measures nothing
         phi = interior_vector(rec.rng, ctx.N, ctx.action_modes(2))
-        r1 = integrator.homomorphism_residual(ifam, g, h, phi, ctx.chain, 1)
+        r1 = integrator.homomorphism_residual(fam, g, h, phi, ctx.chain, 1)
         r2 = integrator.homomorphism_residual(
-            ifam, group_inverse(h), group_inverse(g), phi, ctx.chain, 1
+            fam, group_inverse(h), group_inverse(g), phi, ctx.chain, 1
         )
         return abs(r1 - r2)
 
@@ -1491,23 +1478,23 @@ def _in_inverse_consistency(cfg, ctx, rec):
 
 def _in_int_identity(cfg, ctx, rec):
     rng = rec.rng
-    ifam = ctx.hermite_integrable()
+    fam = ctx.hermite
     tol = cfg.tolerance("int_identity")
     n = 1
     phi = interior_vector(rng, ctx.N, ctx.action_modes(n + 2))
     rec.check(
         "t-zero",
-        integrator.int_identity_residual(ifam, 1, 2, 0.0, phi, ctx.chain, n),
+        integrator.int_identity_residual(fam, 1, 2, 0.0, phi, ctx.chain, n),
         cfg.tolerance("algebraic") * 100,
     )
     rec.check(
         "x1-conjugates-x2",
-        integrator.int_identity_residual(ifam, 1, 2, 0.7, phi, ctx.chain, n),
+        integrator.int_identity_residual(fam, 1, 2, 0.7, phi, ctx.chain, n),
         tol,
     )
     rec.check(
         "self-conjugation",
-        integrator.int_identity_residual(ifam, 2, 2, 1.1, phi, ctx.chain, n),
+        integrator.int_identity_residual(fam, 2, 2, 1.1, phi, ctx.chain, n),
         1e-8,
     )
 
@@ -1515,10 +1502,10 @@ def _in_int_identity(cfg, ctx, rec):
         i = int(rng.integers(1, 4))
         j = int(rng.integers(1, 4))
         t = float(rng.uniform(-1.0, 1.0))
-        return integrator.int_identity_residual(ifam, i, j, t, phi, ctx.chain, n)
+        return integrator.int_identity_residual(fam, i, j, t, phi, ctx.chain, n)
 
     rec.worst("random-pairs", (residual() for _ in range(10)), tol)
-    bfam = ctx.block_integrable()
+    bfam = ctx.blocks
     phi_b = interior_vector(rng, ctx.blocks.dim, ctx.blocks.dim)
     worst_b = 0.0
     for (i, j, t) in ((1, 2, 0.8), (2, 1, -0.6), (1, 3, 1.2)):
@@ -1537,13 +1524,13 @@ def _in_product_derivative(cfg, ctx, rec):
     # d/dt T(t,Xi) T(t,Xj) phi = T(t,Xi) (Xi + Xj) T(t,Xj) phi by central
     # differences on the factored evaluators
     rng = rec.rng
-    ifam = ctx.hermite_integrable()
+    fam = ctx.hermite
     t = 0.4
     worst_rows = []
     phi = interior_vector(rng, ctx.N, ctx.action_modes(2))
     for (i, j) in ((1, 2), (2, 1), (1, 3)):
-        Ei, Ej = ifam.evaluators[i - 1], ifam.evaluators[j - 1]
-        Xi, Xj = ifam.gens[i - 1], ifam.gens[j - 1]
+        Ei, Ej = fam.evaluators[i - 1], fam.evaluators[j - 1]
+        Xi, Xj = fam.gens[i - 1], fam.gens[j - 1]
         target = Ei(t, (Xi + Xj) @ Ej(t, phi))
         rows = []
         for h in (1e-2, 5e-3):
@@ -1561,11 +1548,11 @@ def _in_product_derivative(cfg, ctx, rec):
 
 def _in_derivative_identity(cfg, ctx, rec):
     rng = rec.rng
-    ifam = ctx.hermite_integrable()
+    fam = ctx.hermite
     lo, hi = 3.4, 4.6
     phi = interior_vector(rng, ctx.N, ctx.action_modes(2))
     rows = integrator.derivative_identity_check(
-        ifam, (1.0, 1.0, 0.0), 0.3, phi, ctx.chain, 1, h_grid=(1e-2, 5e-3, 2.5e-3)
+        fam, (1.0, 1.0, 0.0), 0.3, phi, ctx.chain, 1, h_grid=(1e-2, 5e-3, 2.5e-3)
     )
     ratios = [
         rows[k].residual_left / rows[k + 1].residual_left for k in range(len(rows) - 1)
@@ -1579,8 +1566,8 @@ def _in_derivative_identity(cfg, ctx, rec):
         ratio_min=min(ratios),
     )
     # the two right-hand forms agree with each other
-    X = ifam.generator((1.0, 1.0, 0.0))
-    U = partial(integrator.integrate_chart, ifam, liecore.chart_exp((1.0, 1.0, 0.0), 0.3))
+    X = fam.generator((1.0, 1.0, 0.0))
+    U = partial(integrator.integrate_chart, fam, liecore.chart_exp((1.0, 1.0, 0.0), 0.3))
     rec.check(
         "left-right-forms-agree",
         scale_norm(ctx.chain, X @ U(phi) - U(X @ phi), 1),
@@ -1589,55 +1576,48 @@ def _in_derivative_identity(cfg, ctx, rec):
     rec.check(
         "translated-variant",
         integrator.translated_derivative_residual(
-            ifam, (0.0, 1.0, 0.0), 0.2, GroupElement(0.3, -0.2, 0.1), phi, ctx.chain, 1
+            fam, (0.0, 1.0, 0.0), 0.2, GroupElement(0.3, -0.2, 0.1), phi, ctx.chain, 1
         ),
         1e-4,
         note="first-order in the step h = 1e-3 squared",
     )
     zero = np.zeros(3)
     rows0 = integrator.derivative_identity_check(
-        ifam, zero, 0.0, phi, ctx.chain, 1, h_grid=(1e-2,)
+        fam, zero, 0.0, phi, ctx.chain, 1, h_grid=(1e-2,)
     )
     rec.check("zero-direction", rows0[0].residual_left, cfg.tolerance("algebraic") * 100)
 
 
 def _in_interpolation(cfg, ctx, rec):
     rng = rec.rng
-    ifam = ctx.hermite_integrable()
     phi = interior_vector(rng, ctx.N, ctx.action_modes(2))
 
     def residual():
         x = rng.standard_normal(3) * 0.4
         t = float(rng.uniform(0.2, 0.9))
         g = group_element(rng, 0.4)
-        return integrator.interpolation_constancy_residual(ifam, x, t, g, phi, ctx.chain, 1)
+        return integrator.interpolation_constancy_residual(ctx.hermite, x, t, g, phi, ctx.chain, 1)
 
     rec.worst("path-constant", (residual() for _ in range(5)), cfg.tolerance("homomorphism"))
 
 
 def _in_series_vs_automorphism(cfg, ctx, rec):
-    rng = rec.rng
-    ifam = ctx.hermite_integrable()
-    phi = interior_vector(rng, ctx.N, ctx.action_modes(2))
+    phi = interior_vector(rec.rng, ctx.N, ctx.action_modes(2))
     worst = 0.0
     for i in (1, 2, 3):
         worst = max(
             worst,
-            integrator.conjugation_series_vs_automorphism(
-                ifam, ctx.hermite, i, 0.6, phi, ctx.chain, 1
-            ),
+            integrator.conjugation_series_vs_automorphism(ctx.hermite, i, 0.6, phi, ctx.chain, 1),
         )
     rec.check("coefficients-match", worst, 1e-8, convention=cfg.x3_sign)
 
 
 def _in_dual_pairing(cfg, ctx, rec):
-    ifam = ctx.hermite_integrable()
-
     def residual():
         g = group_element(rec.rng, CHART_BOX)
         phi = interior_vector(rec.rng, ctx.N, ctx.N)
         F = interior_vector(rec.rng, ctx.N, ctx.N)
-        return integrator.pairing_residual(ifam, g, phi, F)
+        return integrator.pairing_residual(ctx.hermite, g, phi, F)
 
     # the pairing is the ambient inner product; level 1 names the test-side scale
     rec.worst(
@@ -1649,12 +1629,10 @@ def _in_dual_pairing(cfg, ctx, rec):
 
 
 def _in_dual_generator(cfg, ctx, rec):
-    rng = rec.rng
-    ifam = ctx.hermite_integrable()
     worst = 0.0
     for i in (1, 2, 3):
-        F = interior_vector(rng, ctx.N, ctx.N // 2)
-        worst = max(worst, integrator.dual_generator_residual(ifam, i, F))
+        F = interior_vector(rec.rng, ctx.N, ctx.N // 2)
+        worst = max(worst, integrator.dual_generator_residual(ctx.hermite, i, F))
     rec.check(
         "finite-difference-generator",
         worst,

@@ -5,8 +5,6 @@ always carries the verdict table.  Default sizes throughout: 64 Hermite
 modes, 50 blocks, scale depth 3, seed 42.
 """
 
-from functools import partial
-
 import numpy as np
 import pytest
 import scipy.special
@@ -340,20 +338,16 @@ def test_criterion_08_nilpotent_example(blocks):
 
 def test_criterion_09_integrator(fam, chain, blocks):
     rng = case_rng(SEED, "acceptance", "criterion-9")
-    ifam = integrator.IntegrableFamily(fam.gens, fam.evaluators)
-    bfam = integrator.IntegrableFamily(
-        blocks.gens, tuple(partial(blockrep.exp_apply, blocks, i) for i in (1, 2, 3))
-    )
     worst_chart = 0.0
     for _ in range(20):
         g = group_element(rng, 1.0)
         phi = interior_vector(rng, N, N // 4)
-        lhs = integrator.integrate_chart(ifam, g, phi)
+        lhs = integrator.integrate_chart(fam, g, phi)
         worst_chart = max(worst_chart, float(np.linalg.norm(lhs - fam.action_analytic(g, phi))))
     worst_block = 0.0
     for _ in range(20):
         g = group_element(rng, 2.0)
-        U = integrator.integrate_chart(bfam, g, np.eye(blocks.dim))
+        U = integrator.integrate_chart(blocks, g, np.eye(blocks.dim))
         T = blockrep.rep_operator(g, blocks)
         worst_block = max(
             worst_block, float(np.max(np.abs(U - T))) / max(1.0, float(np.max(np.abs(T))))
@@ -366,12 +360,12 @@ def test_criterion_09_integrator(fam, chain, blocks):
             continue
         phi = interior_vector(rng, N, N // 4)
         worst_hom = max(
-            worst_hom, integrator.homomorphism_residual(ifam, g, h, phi, chain, 1)
+            worst_hom, integrator.homomorphism_residual(fam, g, h, phi, chain, 1)
         )
     phi = interior_vector(rng, N, 12)
     worst_int = max(
-        integrator.int_identity_residual(ifam, 1, 2, 0.7, phi, chain, 1),
-        integrator.int_identity_residual(ifam, 2, 1, -0.5, phi, chain, 1),
+        integrator.int_identity_residual(fam, 1, 2, 0.7, phi, chain, 1),
+        integrator.int_identity_residual(fam, 2, 1, -0.5, phi, chain, 1),
     )
     worst_pair = 0.0
     for _ in range(100):
@@ -379,7 +373,7 @@ def test_criterion_09_integrator(fam, chain, blocks):
         worst_pair = max(
             worst_pair,
             integrator.pairing_residual(
-                ifam, g, interior_vector(rng, N, N), interior_vector(rng, N, N)
+                fam, g, interior_vector(rng, N, N), interior_vector(rng, N, N)
             ),
         )
     hermite_verdicts = []

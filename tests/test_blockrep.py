@@ -160,6 +160,18 @@ def test_exp_is_affine(blocks, rng):
         assert exp_operator_norm(blocks, i, t) == pytest.approx(np.linalg.norm(dense, 2), rel=1e-14)
 
 
+def test_evaluators_are_exp_apply(blocks, rng):
+    # the family's appliers are exp_apply itself, bit for bit
+    v = rng.standard_normal(blocks.dim) + 1j * rng.standard_normal(blocks.dim)
+    block = rng.standard_normal((blocks.dim, 3)) + 1j * rng.standard_normal((blocks.dim, 3))
+    assert blocks.evaluators is blocks.evaluators
+    for i, E in enumerate(blocks.evaluators, start=1):
+        for x in (v, block):
+            for adjoint in (False, True):
+                expect = exp_apply(blocks, i, -0.8, x, adjoint=adjoint)
+                assert np.array_equal(E(-0.8, x, adjoint=adjoint), expect)
+
+
 def test_exp_norm_closed_form_oracle():
     # oracle: the largest singular value of [[1, t], [0, 1]] solves
     # sigma^2 = 1 + t^2/2 + t sqrt(t^2 + 4)/2; check the golden-ratio case
@@ -191,13 +203,16 @@ def test_h1_continuity_constant_m_independent():
 
 
 def test_norm_equivalence_report(blocks, block_chain, rng):
-    phis = [rng.standard_normal(blocks.dim) + 1j * rng.standard_normal(blocks.dim) for _ in range(50)]
+    shape = (blocks.dim, 25)
+    phis = [rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in range(2)]
     report = norm_equivalence_report(block_chain, phis)
     assert report.within_bounds
     assert 1.0 <= report.ratio_min <= report.ratio_max <= np.sqrt(3) + 1e-12
     assert report.sample_count == 50
     with pytest.raises(UsageError):
-        norm_equivalence_report(block_chain, [np.zeros(blocks.dim)])
+        norm_equivalence_report(block_chain, [np.zeros((blocks.dim, 1))])
+    with pytest.raises(UsageError, match=r"\(3M, K\) blocks"):
+        norm_equivalence_report(block_chain, [phis[0][:, 0]])
 
 
 def _kron_generators(M):
@@ -294,7 +309,7 @@ def test_block_calls_match_the_vector_calls_bit_for_bit(M):
     for k in range(9):
         assert np.array_equal(out[:, k], rep_apply(g, fam, block[:, k]))
     # a block counts its nonzero columns, and its window is the per-vector one
-    cols = [block[:, k] for k in range(9)]
+    cols = [block[:, k : k + 1] for k in range(9)]
     assert norm_equivalence_report(chain, [block]) == norm_equivalence_report(chain, cols)
     assert norm_equivalence_report(chain, [block[:, :3], block[:, 3:]]).sample_count == 8
     with pytest.raises(UsageError):

@@ -335,6 +335,17 @@ def test_act_factored_matches_the_assembled_action(fam, rng):
     assert np.max(np.abs(fam.act_factored(g, block) - expect)) < 1e-12
 
 
+def test_act_factored_is_the_three_evaluators_in_order(fam, rng):
+    # E3(t3, E1(t1, E2(t2, phi))) bit for bit, one element and a block of them
+    E1, E2, E3 = fam.evaluators
+    block = np.stack([random_interior(rng, 64, 16) for _ in range(4)], axis=1)
+    one = GroupElement(0.7, -1.1, 0.4)
+    each = GroupElement(*rng.uniform(-1, 1, (3, 4)))
+    for g, phi in ((one, block[:, 0]), (one, block), (each, block)):
+        t1, t2, t3 = second_kind_coords(g)
+        assert np.array_equal(fam.act_factored(g, phi), E3(t3, E1(t1, E2(t2, phi))))
+
+
 def test_family_caches_do_not_keep_the_family_alive():
     fam = hermite_generators(16)
     phi = np.zeros(16, dtype=complex)

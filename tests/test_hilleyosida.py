@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.special
@@ -436,6 +438,20 @@ def test_tridiagonal_resolvent_guards():
     wide[0, 2], wide[2, 0] = 1.0, -1.0
     with pytest.raises(UsageError):
         hilleyosida.resolvent_skew_tridiagonal(wide, 1.0)   # not tridiagonal
+
+
+@pytest.mark.parametrize("N", [16, 64])
+def test_tridiagonal_resolvent_refuses_an_elimination_that_overflows(N):
+    # a subnormal Re lam overflows the first multiplier; no numpy warning escapes
+    x2 = hermite_generators(N).x2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for lam in (5e-324, 1e-310):
+            with pytest.raises(SingularOperatorError, match="floating-point range") as err:
+                hilleyosida.resolvent_skew_tridiagonal(x2, lam)
+            assert err.value.condition_estimate == np.inf
+        R = hilleyosida.resolvent_skew_tridiagonal(x2, 1e-300)
+    assert np.isfinite(R).all() and np.max(np.abs(R)) > 1e280
 
 
 def test_suite_context_keeps_a_read_only_x2_resolvent(monkeypatch):

@@ -1,4 +1,5 @@
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from scalerep import blockrep
 from scalerep.errors import UsageError
 from scalerep.heisenberg import hermite_generators
 from scalerep.integrator import (
-    IntegrableFamily,
     conjugation_coefficients,
     conjugation_series_vs_automorphism,
     derivative_identity_check,
@@ -33,31 +33,12 @@ from scalerep.liecore import (
 from scalerep.scale import build_scale_chain, scale_norm
 
 
-def hermite_family(hfam):
-    return IntegrableFamily(hfam.gens, hfam.evaluators)
-
-
-def block_family(blocks):
-    evaluators = tuple(partial(blockrep.exp_apply, blocks, i) for i in (1, 2, 3))
-    return IntegrableFamily(blocks.gens, evaluators)
-
-
-def chart_oracle(ifam, g):
+def chart_oracle(fam, g):
     """Dense T(g): scipy expm of each generator at its second-kind coordinate, in order."""
-    out = np.eye(ifam.dim, dtype=complex)
-    for X, t in zip(ifam.gens, second_kind_coords(g)):
+    out = np.eye(fam.gens[0].shape[0], dtype=complex)
+    for X, t in zip(fam.gens, second_kind_coords(g)):
         out = out @ scipy.linalg.expm(t * X)
     return out
-
-
-@pytest.fixture(scope="module")
-def ifam(fam):
-    return hermite_family(fam)
-
-
-@pytest.fixture(scope="module")
-def bfam(blocks):
-    return block_family(blocks)
 
 
 def interior(rng, n, modes):
@@ -66,17 +47,10 @@ def interior(rng, n, modes):
     return phi / np.linalg.norm(phi)
 
 
-def test_family_validation(fam):
-    with pytest.raises(UsageError):
-        IntegrableFamily(gens=fam.gens, evaluators=(), labels=("X1",))
-    with pytest.raises(UsageError):
-        IntegrableFamily(fam.gens, fam.evaluators[:2])
-
-
 ORACLE_FAMILIES = {
-    "hermite-16": lambda: hermite_family(hermite_generators(16)),
-    "hermite-64": lambda: hermite_family(hermite_generators(64)),
-    "blocks-5": lambda: block_family(blockrep.block_generators(5)),
+    "hermite-16": lambda: hermite_generators(16),
+    "hermite-64": lambda: hermite_generators(64),
+    "blocks-5": lambda: blockrep.block_generators(5),
 }
 
 
@@ -85,7 +59,7 @@ def test_integrate_chart_matches_the_expm_oracle(name):
     # oracle: each factor from scipy expm of its generator, multiplied in order
     family = ORACLE_FAMILIES[name]()
     rng = np.random.default_rng(len(name))
-    N = family.dim
+    N = family.gens[0].shape[0]
     for _ in range(4):
         g = GroupElement(*rng.uniform(-2, 2, 3))
         T = chart_oracle(family, g)
@@ -113,7 +87,7 @@ def test_a_block_acts_column_by_column(name):
     # ulps of the column's scale rather than bit for bit
     family = ORACLE_FAMILIES[name]()
     rng = np.random.default_rng(3 + len(name))
-    N = family.dim
+    N = family.gens[0].shape[0]
     g = GroupElement(0.7, -1.3, 0.4)
     block = rng.standard_normal((N, 6)) + 1j * rng.standard_normal((N, 6))
     for adjoint in (False, True):
@@ -124,78 +98,107 @@ def test_a_block_acts_column_by_column(name):
             assert np.max(np.abs(out[:, k] - single)) <= 1e-14 * np.max(np.abs(single))
 
 
-def test_evaluator_invariants(ifam, bfam, rng, blocks):
+def test_evaluator_invariants(fam, blocks, rng):
     phis = [interior(rng, 64, 16) for _ in range(3)]
-    for chk in evaluator_invariants(ifam, np.array(phis).T):
+    for chk in evaluator_invariants(fam, np.array(phis).T):
         assert chk.group_law_residual < 1e-10
         assert chk.derivative_residual < 1e-5
     phis_b = [interior(rng, blocks.dim, blocks.dim) for _ in range(3)]
-    for chk in evaluator_invariants(bfam, np.array(phis_b).T):
+    for chk in evaluator_invariants(blocks, np.array(phis_b).T):
         assert chk.group_law_residual < 1e-10
         assert chk.derivative_residual < 1e-7
 
 
-def test_integrate_chart_identity(ifam):
-    U = integrate_chart(ifam, GroupElement(), np.eye(64))
+def test_every_kernel_takes_the_model_families_directly(fam, chain, blocks, block_chain, rng):
+    g, h = GroupElement(0.4, -0.3, 0.2), GroupElement(-0.2, 0.5, 0.1)
+    for model, ch, modes in ((fam, chain, 12), (blocks, block_chain, blocks.dim)):
+        N = model.gens[0].shape[0]
+        phi, F = interior(rng, N, modes), interior(rng, N, N)
+        checks = evaluator_invariants(model, np.array([phi, F]).T)
+        assert [c.label for c in checks] == ["X1", "X2", "X3"]
+        scale = np.max(np.abs(model.gens[2])) ** 2  # 1 for Hermite, M^2 for blocks
+        assert homomorphism_residual(model, g, h, phi, ch, 1) < 1e-9 * scale
+        assert int_identity_residual(model, 1, 2, 0.7, phi, ch, 1) < 1e-6 * scale
+        x = (0.4, -0.3, 0.2)
+        assert interpolation_constancy_residual(model, x, 0.8, g, phi, ch, 1) < 1e-6 * scale
+        assert pairing_residual(model, g, phi, F) < 1e-10 * scale
+        assert dual_generator_residual(model, 2, F) < 1e-6
+    # the checks that need an algebra element or the conjugation law are Hermite's
+    phi = interior(rng, 64, 12)
+    assert translated_derivative_residual(fam, (0, 1, 0), 0.2, g, phi, chain, 1) < 1e-4
+    (row,) = derivative_identity_check(fam, (1, 1, 0), 0.3, phi, chain, 1, h_grid=(1e-3,))
+    assert row.residual_left < 1e-3
+    assert conjugation_series_vs_automorphism(fam, 1, 0.6, phi, chain, 1) < 1e-8
+    with pytest.raises(UsageError, match="3 coefficients"):
+        derivative_identity_check(fam, (1, 1), 0.3, phi, chain, 1)
+
+
+def test_integrate_chart_identity(fam):
+    U = integrate_chart(fam, GroupElement(), np.eye(64))
     assert np.max(np.abs(U - np.eye(64))) < 1e-14
 
 
-def test_integrate_chart_box(ifam):
-    with pytest.raises(UsageError):
-        integrate_chart(ifam, GroupElement(3.0, 0, 0), np.eye(64)[0])
-    with pytest.raises(UsageError):
-        integrate_chart(ifam, GroupElement(3.0, 0, 0), np.eye(64)[0], adjoint=True)
+def test_integrate_chart_box(fam, blocks):
+    # one element of the chart box per call: a block of elements is refused too
+    pair = GroupElement.stack([GroupElement(0.1, 0.2, 0.3), GroupElement(-0.1, 0.0, 0.4)])
+    for model in (fam, blocks):
+        v = np.ones(model.gens[0].shape[0], dtype=complex)
+        for adjoint in (False, True):
+            with pytest.raises(UsageError, match="outside the chart box"):
+                integrate_chart(model, GroupElement(3.0, 0, 0), v, adjoint=adjoint)
+            with pytest.raises(UsageError, match="one group element per call"):
+                integrate_chart(model, pair, v, adjoint=adjoint)
 
 
-def test_chart_matches_analytic_action(ifam, fam, rng):
+def test_chart_matches_analytic_action(fam, rng):
     for _ in range(10):
         g = GroupElement(*rng.uniform(-1, 1, 3))
         phi = interior(rng, 64, 16)
-        lhs = integrate_chart(ifam, g, phi)
+        lhs = integrate_chart(fam, g, phi)
         rhs = fam.action_analytic(g, phi)
         assert np.linalg.norm(lhs - rhs) < 1e-6
 
 
-def test_chart_matches_block_rep(bfam, blocks, rng):
+def test_chart_matches_block_rep(blocks, rng):
     for _ in range(10):
         g = GroupElement(*rng.uniform(-2, 2, 3))
-        U = integrate_chart(bfam, g, np.eye(blocks.dim))
+        U = integrate_chart(blocks, g, np.eye(blocks.dim))
         T = blockrep.rep_operator(g, blocks)
         scale = max(1.0, float(np.max(np.abs(T))))
         assert np.max(np.abs(U - T)) / scale < 1e-13
 
 
-def test_homomorphism_residual(ifam, chain, rng):
+def test_homomorphism_residual(fam, chain, rng):
     for _ in range(5):
         g = GroupElement(*rng.uniform(-0.9, 0.9, 3))
         h = GroupElement(*rng.uniform(-0.9, 0.9, 3))
         phi = interior(rng, 64, 16)
         if max(np.abs(group_multiply(g, h).as_array())) > 2.0:
             continue
-        assert homomorphism_residual(ifam, g, h, phi, chain, 1) < 1e-6
+        assert homomorphism_residual(fam, g, h, phi, chain, 1) < 1e-6
     phi = interior(rng, 64, 16)
     assert homomorphism_residual(
-        ifam, GroupElement(0.5, 0, 0), GroupElement(), phi, chain, 1
+        fam, GroupElement(0.5, 0, 0), GroupElement(), phi, chain, 1
     ) < 1e-10
 
 
-def test_homomorphism_chart_guard(ifam, chain):
+def test_homomorphism_chart_guard(fam, chain):
     phi = np.zeros(64, dtype=complex)
     phi[0] = 1.0
     with pytest.raises(UsageError):
         homomorphism_residual(
-            ifam, GroupElement(1.5, 0, 0), GroupElement(1.5, 1.5, 0), phi, chain, 0
+            fam, GroupElement(1.5, 0, 0), GroupElement(1.5, 1.5, 0), phi, chain, 0
         )
 
 
-def test_int_identity_nilpotent_two_terms(ifam, fam, chain, rng):
+def test_int_identity_nilpotent_two_terms(fam, chain, rng):
     phi = interior(rng, 64, 12)
-    assert int_identity_residual(ifam, 1, 2, 0.0, phi, chain, 1) < 1e-10
-    assert int_identity_residual(ifam, 1, 2, 0.7, phi, chain, 1) < 1e-6
-    assert int_identity_residual(ifam, 2, 2, 1.1, phi, chain, 1) < 1e-8
+    assert int_identity_residual(fam, 1, 2, 0.0, phi, chain, 1) < 1e-10
+    assert int_identity_residual(fam, 1, 2, 0.7, phi, chain, 1) < 1e-6
+    assert int_identity_residual(fam, 2, 2, 1.1, phi, chain, 1) < 1e-8
     # explicit two-term oracle: conjugate equals X2 + t [X1, X2] on phi
     t = 0.5
-    E = ifam.evaluators[0]
+    E = fam.evaluators[0]
     lhs = E(t, fam.x2 @ E(-t, phi))
     comm = fam.x1 @ fam.x2 - fam.x2 @ fam.x1
     rhs = (fam.x2 + t * comm) @ phi
@@ -220,32 +223,31 @@ def test_int_identity_holds_across_the_whole_chart(n_modes):
     # |t| = 1 at (1, 2) and (2, 1): an ad series summed on the truncated
     # matrices does not terminate there
     hfam = hermite_generators(n_modes)
-    ifam = hermite_family(hfam)
     chain = build_scale_chain(hfam.scale_family, 2)
     phi = interior(np.random.default_rng(5), n_modes, n_modes // 8)
     for i, j in ((1, 2), (2, 1), (1, 3)):
         for t in (-1.0, 1.0):
-            assert int_identity_residual(ifam, i, j, t, phi, chain, 1) < 1e-12
+            assert int_identity_residual(hfam, i, j, t, phi, chain, 1) < 1e-12
 
 
-def test_int_identity_blocks_exact(bfam, blocks, block_chain, rng):
+def test_int_identity_blocks_exact(blocks, block_chain, rng):
     phi = interior(rng, blocks.dim, blocks.dim)
     for (i, j, t) in ((1, 2, 0.8), (2, 1, -0.6), (3, 1, 1.2)):
-        res = int_identity_residual(bfam, i, j, t, phi, block_chain, 1)
+        res = int_identity_residual(blocks, i, j, t, phi, block_chain, 1)
         assert res < 1e-9 * blocks.M**2
 
 
-def test_int_identity_index_guard(ifam, chain):
+def test_int_identity_index_guard(fam, chain):
     phi = np.zeros(64, dtype=complex)
     phi[0] = 1.0
     with pytest.raises(UsageError):
-        int_identity_residual(ifam, 0, 2, 0.5, phi, chain, 1)
+        int_identity_residual(fam, 0, 2, 0.5, phi, chain, 1)
 
 
-def test_derivative_identity_second_order(ifam, chain, rng):
+def test_derivative_identity_second_order(fam, chain, rng):
     phi = interior(rng, 64, 12)
     rows = derivative_identity_check(
-        ifam, (1.0, 1.0, 0.0), 0.3, phi, chain, 1, h_grid=(1e-2, 5e-3, 2.5e-3)
+        fam, (1.0, 1.0, 0.0), 0.3, phi, chain, 1, h_grid=(1e-2, 5e-3, 2.5e-3)
     )
     for k in range(len(rows) - 1):
         ratio = rows[k].residual_left / rows[k + 1].residual_left
@@ -254,26 +256,26 @@ def test_derivative_identity_second_order(ifam, chain, rng):
         assert abs(row.residual_left - row.residual_right) < 1e-6
 
 
-def test_translated_derivative(ifam, chain, rng):
+def test_translated_derivative(fam, chain, rng):
     phi = interior(rng, 64, 12)
     res = translated_derivative_residual(
-        ifam, (0, 1, 0), 0.2, GroupElement(0.3, -0.2, 0.1), phi, chain, 1
+        fam, (0, 1, 0), 0.2, GroupElement(0.3, -0.2, 0.1), phi, chain, 1
     )
     assert res < 1e-4
 
 
-def test_interpolation_constancy(ifam, chain, rng):
+def test_interpolation_constancy(fam, chain, rng):
     phi = interior(rng, 64, 12)
     res = interpolation_constancy_residual(
-        ifam, (0.4, -0.3, 0.2), 0.8, GroupElement(0.2, 0.1, -0.3), phi, chain, 1
+        fam, (0.4, -0.3, 0.2), 0.8, GroupElement(0.2, 0.1, -0.3), phi, chain, 1
     )
     assert res < 1e-6
 
 
-def test_series_matches_automorphism_rows(ifam, fam, chain, rng):
+def test_series_matches_automorphism_rows(fam, chain, rng):
     phi = interior(rng, 64, 12)
     for i in (1, 2, 3):
-        res = conjugation_series_vs_automorphism(ifam, fam, i, 0.6, phi, chain, 1)
+        res = conjugation_series_vs_automorphism(fam, i, 0.6, phi, chain, 1)
         assert res < 1e-8
 
 
@@ -289,29 +291,29 @@ def test_dual_operator_properties(fam, rng):
     assert abs(lhs - rhs) < 1e-10 * abs(lhs)
 
 
-def test_dual_pairing_for_group(ifam, rng):
+def test_dual_pairing_for_group(fam, rng):
     for _ in range(20):
         g = GroupElement(*rng.uniform(-2, 2, 3))
         phi = rng.standard_normal(64) + 1j * rng.standard_normal(64)
         F = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-        assert pairing_residual(ifam, g, phi, F) < 1e-10 * np.linalg.norm(phi) * np.linalg.norm(F)
+        assert pairing_residual(fam, g, phi, F) < 1e-10 * np.linalg.norm(phi) * np.linalg.norm(F)
 
 
-def test_dual_pairing_sees_a_wrong_adjoint(ifam, rng):
+def test_dual_pairing_sees_a_wrong_adjoint(fam, rng):
     # the pairing is measured, not true by construction: evaluators whose
     # adjoint forgets to conjugate the phases fail it
-    forgetful = tuple((lambda t, v, adjoint=False, E=E: E(t, v)) for E in ifam.evaluators)
-    wrong = IntegrableFamily(ifam.gens, forgetful)
+    forgetful = tuple((lambda t, v, adjoint=False, E=E: E(t, v)) for E in fam.evaluators)
+    wrong = SimpleNamespace(gens=fam.gens, evaluators=forgetful)
     g = GroupElement(0.9, -1.1, 0.3)
     phi = rng.standard_normal(64) + 1j * rng.standard_normal(64)
     F = rng.standard_normal(64) + 1j * rng.standard_normal(64)
     assert pairing_residual(wrong, g, phi, F) > 1e-3 * np.linalg.norm(phi) * np.linalg.norm(F)
 
 
-def test_dual_generator_finite_difference(ifam, rng):
+def test_dual_generator_finite_difference(fam, rng):
     for i in (1, 2, 3):
         F = interior(rng, 64, 32)
-        assert dual_generator_residual(ifam, i, F) < 1e-6
+        assert dual_generator_residual(fam, i, F) < 1e-6
 
 
 def test_extension_probe_verdicts():

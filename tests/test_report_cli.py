@@ -352,7 +352,7 @@ def test_integrator_runs_on_the_cached_subgroups_without_expm(monkeypatch):
     monkeypatch.setattr(scipy.linalg, "expm", refuse)
     assert len(run_suite(cfg)[0]) == count
     ctx = suites.SuiteContext(cfg)
-    evaluators = ctx.hermite_integrable().evaluators
+    evaluators = ctx.hermite.evaluators
     rng = np.random.default_rng(11)
     v = rng.standard_normal(ctx.N) + 1j * rng.standard_normal(ctx.N)
     block = rng.standard_normal((ctx.N, 4)) + 1j * rng.standard_normal((ctx.N, 4))
@@ -506,6 +506,20 @@ def test_a_series_that_hits_its_cap_fails_its_case_and_the_report_completes(tmp_
     assert row["inputs"]["error"] == "ConvergenceError"
     assert row["inputs"]["message"] == "series cap j_max=512 hit at lambda=800"
     assert row["inputs"]["quantity"] == "last_term" and float(row["measured"]) > 0
+
+
+def test_a_subnormal_lambda_fails_its_case_as_a_singular_solve_without_warnings(tmp_path):
+    # at lambda = 5e-324 the tridiagonal elimination overflows its first multiplier
+    out = tmp_path / "hy.json"
+    proc = run_cli_child("run", "--suite", "hille-yosida", "--lambda=5e-324,3", "--out", str(out))
+    assert proc.returncode == 1, proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+    assert _hille_yosida_cases(out) == {c.case_id for c in suites.SUITES["hille-yosida"]}
+    [row] = [r for r in json.loads(out.read_text()) if r["case"].startswith("hy-10")]
+    assert row["case"] == "hy-10-yosida-reconstruction/numerical-error"
+    assert row["pass"] is False
+    assert row["inputs"]["error"] == "SingularOperatorError"
+    assert row["inputs"]["quantity"] == "condition_estimate" and row["measured"] == "inf"
 
 
 @pytest.mark.parametrize(
