@@ -31,7 +31,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from .errors import UsageError
-from .liecore import GroupElement, group_multiply
+from .liecore import GroupElement, group_multiply, require_column_times
 from .scale import DiagonalGram, ScaleChain, _GuardBand, scale_norm
 
 CHI1 = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
@@ -302,21 +302,26 @@ def nilpotent_resolvent(
     return NilpotentResolvent(R, residual)
 
 
-def _exp_stack(fam: BlockGeneratorFamily, i: int, t: float) -> np.ndarray:
+def _exp_stack(fam: BlockGeneratorFamily, i: int, t) -> np.ndarray:
     if i not in (1, 2, 3):
         raise UsageError("generator index must be 1, 2, or 3")
-    return EYE3 + t * fam.stacks[i - 1]
+    return EYE3 + np.multiply.outer(t, fam.stacks[i - 1])
 
 
-def exp_apply(fam: BlockGeneratorFamily, i: int, t: float, v, adjoint: bool = False):
+def exp_apply(fam: BlockGeneratorFamily, i: int, t, v, adjoint: bool = False):
     """exp(t X_i) v = (I + t X_i) v, exact by nilpotency of order two.
 
     One stacked product of the (M, 3, 3) blocks on ``v``, a vector or a
     (3M, K) block; ``adjoint`` applies exp(t X_i)^*, the transposed blocks.
+    A (K,) array ``t`` gives column k its own time t[k]: a (K, M, 3, 3)
+    stack, multiplied 3 x 1 per column of the block.
     """
     stack, v = _exp_stack(fam, i, t), np.asarray(v)
-    out = (stack.transpose(0, 2, 1) if adjoint else stack) @ v.reshape(fam.M, 3, -1)
-    return out.reshape(v.shape)
+    require_column_times(t, v)
+    stack = np.swapaxes(stack, -1, -2) if adjoint else stack
+    if np.ndim(t):
+        return (stack @ v.T.reshape(-1, fam.M, 3, 1)).reshape(v.shape[::-1]).T
+    return (stack @ v.reshape(fam.M, 3, -1)).reshape(v.shape)
 
 
 def exp_operator_norm(fam: BlockGeneratorFamily, i: int, t: float) -> float:

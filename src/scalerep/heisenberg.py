@@ -8,14 +8,14 @@ two independent routes:
 * ``HermiteHeisenberg.action_analytic`` applies the phase/modulation/
   translation formula as the displacement operator it equals, through
   its exact matrix elements (``hermite.displace``);
-* ``act_factored`` applies the one-parameter subgroups in coordinates of
-  the second kind, each through its cached eigenbasis (``UnitaryGroup``).
+* ``action_factored`` applies the one-parameter subgroups in coordinates
+  of the second kind: it is ``integrator.integrate_chart`` on this family.
 
 Each one-parameter group has one applier, ``evaluators[i - 1]``:
 (t, v) -> exp(t X_i) v for one vector or an (N, K) block (its adjoint with
-``adjoint=True``), through the cached ``subgroups`` for X1 and X2 and the
-scalar phase for X3.  The factored route and the chart integrator both go
-through them; no group element is ever assembled as a matrix.
+``adjoint=True``), with one time or one per block column, through the
+cached ``subgroups`` for X1 and X2 (``UnitaryGroup``) and the scalar phase
+for X3; no group element is ever assembled as a matrix.
 
 Cross-validation of the two routes is one of the package's main checks.
 """
@@ -30,7 +30,8 @@ import numpy as np
 from . import liecore
 from .errors import AccuracyError, UsageError
 from .hermite import derivative_matrix, displace, position_matrix
-from .liecore import GroupElement, group_inverse, second_kind_coords
+from .integrator import integrate_chart
+from .liecore import GroupElement, column_coords, group_inverse, require_column_times
 from .scale import (
     BoundCheck,
     DiagonalGram,
@@ -58,21 +59,6 @@ def effective_support(phi):
     # column norms from the real and imaginary views: no (N, K) complex temporaries
     sq = sum(np.einsum("i...,i...->...", part, part) for part in (phi.real, phi.imag))
     return support_bound(np.abs(phi) > SUPPORT_RTOL * np.sqrt(sq))
-
-
-def _chart_coords(g: GroupElement, phi) -> np.ndarray:
-    """(3, K) chart coordinates of the elements acting on the K columns of ``phi``.
-
-    One element acts on a vector (K = 1) or on every column of an (N, K)
-    block; a block element of K elements gives each column its own.
-    """
-    K = phi.shape[1] if phi.ndim == 2 else 1
-    coords = g.as_array()
-    if coords.ndim > 1 and (phi.ndim != 2 or coords.shape != (K, 3)):
-        raise UsageError(
-            f"need one group element per block column: {coords.shape[:-1]} for shape {phi.shape}"
-        )
-    return np.broadcast_to(coords, (K, 3)).T
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,8 +90,7 @@ class UnitaryGroup:
         (V^H v)).  A time array needs a block with one column per time.
         """
         v = np.asarray(v, dtype=complex)
-        if np.ndim(t) and (v.ndim != 2 or np.shape(t) != v.shape[1:]):
-            raise UsageError(f"times of shape {np.shape(t)} need an (N, K) block, got {v.shape}")
+        require_column_times(t, v)
         phase = np.exp(-1j * np.multiply.outer(self.w, t))
         phase = phase.conj() if adjoint else phase
         coeffs = self.V.conj().T @ v
@@ -177,7 +162,7 @@ class HermiteHeisenberg:
         if phi.shape[:1] != (self.N,) or phi.ndim > 2:
             raise UsageError(f"vector must have {self.N} modes, got {phi.shape}")
         block = phi.reshape(self.N, -1)
-        xi1, xi2, xi3 = _chart_coords(g, phi)
+        xi1, xi2, xi3 = column_coords(g, phi)
         for sb in effective_support(block):
             if sb > self.N // 2:
                 raise UsageError(
@@ -212,10 +197,12 @@ class HermiteHeisenberg:
     @cached_property
     def evaluators(self) -> tuple:
         """Appliers (t, v) -> exp(t X_i) v, i = 1, 2, 3: the two subgroups and
-        the central phase; ``adjoint=True`` applies exp(t X_i)^* instead."""
+        the central phase, each at one time or one per column of an (N, K)
+        block; ``adjoint=True`` applies exp(t X_i)^* instead."""
         s = liecore.x3_sign_factor(self.x3_sign)
 
         def phase(t, v, adjoint=False):
+            require_column_times(t, v)
             p = np.exp(t * s)
             return (np.conj(p) if adjoint else p) * np.asarray(v)
 
@@ -227,19 +214,9 @@ class HermiteHeisenberg:
             raise UsageError("generator index must be 1, 2, or 3")
         return self.evaluators[i - 1](t, v)
 
-    def act_factored(self, g: GroupElement, phi) -> np.ndarray:
-        """exp(t1 X1) exp(t2 X2) exp(t3 X3) phi through the ``evaluators``.
-
-        ``phi`` may be one vector or an (N, K) block of them.  For a block,
-        ``g`` may also be a block of K elements, giving each column its own
-        (t1, t2, t3).
-        """
-        t1, t2, t3 = second_kind_coords(g)
-        E1, E2, E3 = self.evaluators
-        return E3(t3, E1(t1, E2(t2, phi)))
-
-    # the former name of this route, under which bench/layertrace.py reports it
-    action_factored = act_factored
+    def action_factored(self, g: GroupElement, phi) -> np.ndarray:
+        """exp(t1 X1) exp(t2 X2) exp(t3 X3) phi: the chart integrator on this family."""
+        return integrate_chart(self, g, phi)
 
 
 def hermite_generators(N: int, x3_sign: str = "consistent") -> HermiteHeisenberg:

@@ -29,11 +29,8 @@ import numpy as np
 
 from . import liecore
 from .errors import UsageError
-from .liecore import GroupElement, group_multiply, second_kind_coords
+from .liecore import GroupElement, column_coords, group_multiply, second_kind_coords
 from .scale import ScaleChain, scale_norm, support_bound
-
-# the chart: group elements whose coordinates all satisfy |xi_k| <= CHART_BOX
-CHART_BOX = 2.0
 
 
 @dataclass(frozen=True)
@@ -60,19 +57,14 @@ def evaluator_invariants(fam, block) -> list:
 def integrate_chart(fam, g: GroupElement, phi, adjoint: bool = False):
     """T(g) phi: the family's evaluators at the second-kind coordinates of g, applied right to left.
 
-    ``g`` is one element of the chart box and ``phi`` one vector or an (N, K)
-    block; no factor is assembled.  ``adjoint`` gives T(g)^* phi, the
-    factors' adjoints applied left to right: the adjoint of the ordered
-    product, not the chart product at g^{-1}.
+    ``phi`` is one vector or an (N, K) block, and ``g`` one element for every
+    column or a block of K elements, one per column; no factor is assembled.
+    The coordinates cover the whole group and each evaluator is exact at
+    any time.  ``adjoint`` gives T(g)^* phi, the factors' adjoints applied
+    left to right: the adjoint of the ordered product, not the chart product
+    at g^{-1}.
     """
-    coords = (g.xi1, g.xi2, g.xi3)
-    if np.ndim(coords) != 1:
-        raise UsageError(f"one group element per call, got a block of shape {np.shape(g.xi1)}")
-    if max(map(abs, coords)) > CHART_BOX:
-        raise UsageError(
-            f"group element ({g.xi1:g},{g.xi2:g},{g.xi3:g}) outside the "
-            f"chart box |xi| <= {CHART_BOX:g}"
-        )
+    column_coords(g, phi)  # refuses a block element that does not match the columns
     factors = list(zip(fam.evaluators, second_kind_coords(g)))
     out = np.asarray(phi)
     for E, t in factors if adjoint else factors[::-1]:
@@ -254,10 +246,11 @@ def dual_operator(A: np.ndarray) -> np.ndarray:
     return np.asarray(A, dtype=complex).conj().T
 
 
-def pairing_residual(fam, g: GroupElement, phi, F) -> float:
-    """|<T(g) phi, F> - <phi, V(g^-1) F>| with V(g^-1) = dual(T(g)), applied as T(g)^*."""
-    lhs = complex(np.vdot(integrate_chart(fam, g, phi), F))
-    rhs = complex(np.vdot(phi, integrate_chart(fam, g, F, adjoint=True)))
+def pairing_residual(fam, g: GroupElement, phi, F) -> float | np.ndarray:
+    """|<T(g) phi, F> - <phi, V(g^-1) F>| with V(g^-1) = dual(T(g)), applied as T(g)^*;
+    (N, K) blocks of phi and F with a block of K elements give K residuals."""
+    lhs = np.sum(integrate_chart(fam, g, phi).conj() * F, axis=0)
+    rhs = np.sum(np.conj(phi) * integrate_chart(fam, g, F, adjoint=True), axis=0)
     return abs(lhs - rhs)
 
 

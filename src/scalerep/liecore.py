@@ -140,6 +140,28 @@ class GroupElement:
 IDENTITY = GroupElement(0.0, 0.0, 0.0)
 
 
+def column_coords(g: GroupElement, phi) -> np.ndarray:
+    """(3, K) chart coordinates of the elements acting on the K columns of ``phi``.
+
+    One element acts on a vector (K = 1) or on every column of an (N, K)
+    block; a block element of K elements gives each column its own.
+    """
+    phi = np.asarray(phi)
+    K = phi.shape[1] if phi.ndim == 2 else 1
+    coords = g.as_array()
+    if coords.ndim > 1 and (phi.ndim != 2 or coords.shape != (K, 3)):
+        raise UsageError(
+            f"need one group element per block column: {coords.shape[:-1]} for shape {phi.shape}"
+        )
+    return np.broadcast_to(coords, (K, 3)).T
+
+
+def require_column_times(t, v) -> None:
+    """Refuse a time array unless ``v`` is an (N, K) block with one column per time."""
+    if np.ndim(t) and (np.ndim(v) != 2 or np.shape(t) != np.shape(v)[1:]):
+        raise UsageError(f"times of shape {np.shape(t)} need an (N, K) block, got {np.shape(v)}")
+
+
 def group_multiply(g: GroupElement, h: GroupElement) -> GroupElement:
     return GroupElement(
         g.xi1 + h.xi1,

@@ -19,6 +19,9 @@ import numpy as np
 from .errors import UsageError
 from .liecore import GroupElement
 
+# the suites' sampling cube |xi_k| <= CHART_BOX for random group elements
+CHART_BOX = 2.0
+
 
 def case_rng(seed: int, suite: str, case: str) -> np.random.Generator:
     digest = hashlib.sha256(f"{int(seed)}|{suite}|{case}".encode()).digest()

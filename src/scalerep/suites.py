@@ -35,10 +35,9 @@ from .heisenberg import (
     norm_bound_sharp_check,
 )
 from .hermite import gauss_hermite
-from .integrator import CHART_BOX
 from .liecore import GroupElement, chart_distance, group_inverse, group_multiply
 from .report import CheckRecord
-from .sampling import case_rng, group_element, interior_vector
+from .sampling import CHART_BOX, case_rng, group_element, interior_vector
 from .scale import (
     GeneratorFamily,
     build_scale_chain,
@@ -165,7 +164,14 @@ class SuiteConfig:
                 floor, where = least, f" for {name}"
         if self.trunc is not None and self.trunc < floor:
             raise UsageError(f"truncation must be at least {floor}{where}")
+        if self.suite not in ("lie-core", "nilpotent-l2"):  # the others build the Hermite chain
+            N = DEFAULT_N if self.trunc is None else self.trunc
+            deepest = hermite_generators(N).scale_family.max_safe_depth()
+            if self.n_max > deepest:
+                raise UsageError(f"n_max must be at most {deepest}: deeper exhausts the guard band")
         hilleyosida.YosidaSeriesSpec(lambda_sequence=self.lambda_sequence)
+        if len(self.lambda_sequence) < 2 and self.suite in ("hille-yosida", "all"):
+            raise UsageError("hille-yosida compares lambda values: it needs at least two")
 
 
 def _has_type(value, kind) -> bool:
@@ -630,7 +636,7 @@ def _group_bound_ratios(cfg, ctx, rng, per_level):
     for n in range(1, min(cfg.n_max, 3) + 1):
         gs, block = _draw_pairs(rng, ctx, per_level, CHART_BOX, ctx.action_modes(n))
         f = ctx.hermite.automorphism(gs)
-        act = partial(ctx.hermite.act_factored, gs)
+        act = partial(ctx.hermite.action_factored, gs)
         yield from group_bound_check(ctx.chain, act, 1.0, f, n, block, rel_slack=slack).ratio
 
 
@@ -738,7 +744,7 @@ def _hh_unitarity(cfg, ctx, rec):
     gs, block = _draw_pairs(rec.rng, ctx, 50, CHART_BOX, ctx.action_modes(0))
     for name, act in (
         ("analytic-route", ctx.hermite.action_analytic),
-        ("factored-route", ctx.hermite.act_factored),
+        ("factored-route", ctx.hermite.action_factored),
     ):
         rec.worst(name, np.abs(np.linalg.norm(act(gs, block), axis=0) - 1.0), tol)
 
@@ -761,7 +767,7 @@ def _hh_route_agreement(cfg, ctx, rec):
     tol = cfg.tolerance("route_agreement")
 
     gs, block = _draw_pairs(rng, ctx, 40, 1.0, ctx.N // 4)
-    gaps = ctx.hermite.action_analytic(gs, block) - ctx.hermite.act_factored(gs, block)
+    gaps = ctx.hermite.action_analytic(gs, block) - ctx.hermite.action_factored(gs, block)
     rec.worst("l2-distance", np.linalg.norm(gaps, axis=0), tol)
     rec.worst("level1-distance", scale_norm(ctx.chain, gaps, 1), tol)
     g = GroupElement(0, 0.9, 0)
@@ -783,7 +789,7 @@ def _hh_action_homomorphism(cfg, ctx, rec):
         return np.linalg.norm(act(g, act(h, block)) - act(group_multiply(g, h), block), axis=0)
 
     tol = cfg.tolerance("homomorphism_l0")
-    rec.worst("factored-route", residuals(ctx.hermite.act_factored, 1.0, ctx.N // 4, 50), tol)
+    rec.worst("factored-route", residuals(ctx.hermite.action_factored, 1.0, ctx.N // 4, 50), tol)
     # analytic-route composition spreads support twice; use small vectors
     rec.worst("analytic-route", residuals(ctx.hermite.action_analytic, 0.5, ctx.N // 8, 10), tol)
 
@@ -1396,10 +1402,8 @@ def _in_evaluator_invariants(cfg, ctx, rec):
 def _in_chart_vs_analytic(cfg, ctx, rec):
     fam = ctx.hermite
     gs, block = _draw_pairs(rec.rng, ctx, 20, 1.0, ctx.N // 4)
-    analytic = fam.action_analytic(gs, block).T
-    chart = (integrator.integrate_chart(fam, g, phi) for g, phi in zip(gs.unstack(), block.T))
-    gaps = (np.linalg.norm(c - a) for c, a in zip(chart, analytic))
-    rec.worst("random", gaps, cfg.tolerance("route_agreement"))
+    gaps = integrator.integrate_chart(fam, gs, block) - fam.action_analytic(gs, block)
+    rec.worst("random", np.linalg.norm(gaps, axis=0), cfg.tolerance("route_agreement"))
     eye = np.eye(ctx.N)  # the operator itself, the chart applied to I
     rec.check(
         "identity",
@@ -1427,7 +1431,7 @@ def _in_homomorphism(cfg, ctx, rec):
         g = group_element(rng, 0.9)
         h = group_element(rng, 0.9)
         if max(abs(v) for v in group_multiply(g, h).as_array()) > CHART_BOX:
-            return 0.0  # product outside the chart: drawn, but measures nothing
+            return 0.0  # product outside the sampling box: drawn, but measures nothing
         phi = interior_vector(rng, dim, modes)
         return integrator.homomorphism_residual(fam, g, h, phi, chain, 1)
 
@@ -1461,7 +1465,7 @@ def _in_inverse_consistency(cfg, ctx, rec):
         h = group_element(rec.rng, 0.8)
         products = (group_multiply(g, h), group_multiply(group_inverse(h), group_inverse(g)))
         if max(abs(v) for p in products for v in p.as_array()) > CHART_BOX:
-            return 0.0  # a product outside the chart: drawn, but measures nothing
+            return 0.0  # a product outside the sampling box: drawn, but measures nothing
         phi = interior_vector(rec.rng, ctx.N, ctx.action_modes(2))
         r1 = integrator.homomorphism_residual(fam, g, h, phi, ctx.chain, 1)
         r2 = integrator.homomorphism_residual(
@@ -1613,19 +1617,13 @@ def _in_series_vs_automorphism(cfg, ctx, rec):
 
 
 def _in_dual_pairing(cfg, ctx, rec):
-    def residual():
-        g = group_element(rec.rng, CHART_BOX)
-        phi = interior_vector(rec.rng, ctx.N, ctx.N)
-        F = interior_vector(rec.rng, ctx.N, ctx.N)
-        return integrator.pairing_residual(ctx.hermite, g, phi, F)
-
-    # the pairing is the ambient inner product; level 1 names the test-side scale
-    rec.worst(
-        "pairing-identity",
-        (residual() for _ in range(100)),
-        cfg.tolerance("pairing"),
-        pairing_level=1,
+    draw = lambda: interior_vector(rec.rng, ctx.N, ctx.N)
+    gs, phis, Fs = zip(*((group_element(rec.rng, CHART_BOX), draw(), draw()) for _ in range(100)))
+    residuals = integrator.pairing_residual(
+        ctx.hermite, GroupElement.stack(gs), np.array(phis).T, np.array(Fs).T
     )
+    # the pairing is the ambient inner product; level 1 names the test-side scale
+    rec.worst("pairing-identity", residuals, cfg.tolerance("pairing"), pairing_level=1)
 
 
 def _in_dual_generator(cfg, ctx, rec):

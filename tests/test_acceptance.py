@@ -144,7 +144,7 @@ def test_criterion_03_growth_bounds(fam, chain):
             sharp = norm_bound_sharp_check(fam, chain, g, phi, n)
             worst_sharp = max(worst_sharp, sharp.ratio)
             generic = group_bound_check(
-                chain, lambda v: fam.act_factored(g, v), 1.0, fam.automorphism(g), n, phi
+                chain, lambda v: fam.action_factored(g, v), 1.0, fam.automorphism(g), n, phi
             )
             worst_generic = max(worst_generic, generic.ratio)
     worst_phase = 0.0

@@ -172,6 +172,31 @@ def test_evaluators_are_exp_apply(blocks, rng):
                 assert np.array_equal(E(-0.8, x, adjoint=adjoint), expect)
 
 
+def test_exp_apply_takes_one_time_per_block_column(rng):
+    # column k of a timed block call is the scalar-time call on column k alone
+    fam = block_generators(4)
+    ts = rng.uniform(-2, 2, 5)
+    block = rng.standard_normal((fam.dim, 5)) + 1j * rng.standard_normal((fam.dim, 5))
+    for i in (1, 2, 3):
+        for adjoint in (False, True):
+            out = exp_apply(fam, i, ts, block, adjoint=adjoint)
+            assert out.shape == block.shape
+            for k in range(5):
+                single = exp_apply(fam, i, ts[k], block[:, k], adjoint=adjoint)
+                assert np.array_equal(out[:, k], single)
+    # three times with a 12-vector once spread over the columns of every 3 x 3 block
+    wrong = (
+        (ts[:3], np.arange(12.0)),
+        (ts[:2], block),
+        (ts, block[:, :4]),
+        (ts[:4].reshape(2, 2), block[:, :2]),
+    )
+    for t, v in wrong:
+        for adjoint in (False, True):
+            with pytest.raises(UsageError, match="need an \\(N, K\\) block"):
+                exp_apply(fam, 1, t, v, adjoint=adjoint)
+
+
 def test_exp_norm_closed_form_oracle():
     # oracle: the largest singular value of [[1, t], [0, 1]] solves
     # sigma^2 = 1 + t^2/2 + t sqrt(t^2 + 4)/2; check the golden-ratio case

@@ -17,6 +17,7 @@ from scalerep.heisenberg import (
     support_bound,
 )
 from scalerep.hermite import gauss_hermite, hermite_functions
+from scalerep.integrator import integrate_chart
 from scalerep.liecore import GroupElement, chart_exp, second_kind_coords, x3_sign_factor
 from scalerep.scale import scale_norm
 
@@ -139,7 +140,7 @@ def test_factored_route_matches_analytic(fam, rng):
         g = GroupElement(*rng.uniform(-1, 1, 3))
         phi = random_interior(rng, 64, 16)
         a = fam.action_analytic(g, phi)
-        b = fam.act_factored(g, phi)
+        b = fam.action_factored(g, phi)
         assert np.linalg.norm(a - b) < 1e-6
 
 
@@ -226,8 +227,8 @@ def test_action_homomorphism_factored(fam, rng):
         g = GroupElement(*rng.uniform(-1, 1, 3))
         h = GroupElement(*rng.uniform(-1, 1, 3))
         phi = random_interior(rng, 64, 16)
-        lhs = fam.act_factored(g, fam.act_factored(h, phi))
-        rhs = fam.act_factored(group_multiply(g, h), phi)
+        lhs = fam.action_factored(g, fam.action_factored(h, phi))
+        rhs = fam.action_factored(group_multiply(g, h), phi)
         assert np.linalg.norm(lhs - rhs) < 1e-7
 
 
@@ -324,26 +325,47 @@ def test_unitary_group_arrays_are_read_only(fam):
                 arr[0] = 0
 
 
-def test_act_factored_matches_the_assembled_action(fam, rng):
+def test_action_factored_matches_the_assembled_action(fam, rng):
     for _ in range(5):
         g = GroupElement(*rng.uniform(-1, 1, 3))
         phi = random_interior(rng, 64, 16)
         expect = factored_matrix(fam, g) @ phi
-        assert np.linalg.norm(fam.act_factored(g, phi) - expect) < 1e-12
+        assert np.linalg.norm(fam.action_factored(g, phi) - expect) < 1e-12
     block = np.stack([random_interior(rng, 64, 16) for _ in range(3)], axis=1)
     expect = factored_matrix(fam, g) @ block
-    assert np.max(np.abs(fam.act_factored(g, block) - expect)) < 1e-12
+    assert np.max(np.abs(fam.action_factored(g, block) - expect)) < 1e-12
 
 
-def test_act_factored_is_the_three_evaluators_in_order(fam, rng):
-    # E3(t3, E1(t1, E2(t2, phi))) bit for bit, one element and a block of them
+def test_action_factored_is_the_chart_integrator(fam, rng):
+    # integrate_chart on this family, bit for bit: E1(t1, E2(t2, E3(t3, phi))),
+    # one element, a block of them, and an element outside |xi| <= 2
     E1, E2, E3 = fam.evaluators
     block = np.stack([random_interior(rng, 64, 16) for _ in range(4)], axis=1)
     one = GroupElement(0.7, -1.1, 0.4)
     each = GroupElement(*rng.uniform(-1, 1, (3, 4)))
-    for g, phi in ((one, block[:, 0]), (one, block), (each, block)):
+    far = GroupElement(0.5, -0.4, 3.0)
+    for g, phi in ((one, block[:, 0]), (one, block), (each, block), (far, block)):
         t1, t2, t3 = second_kind_coords(g)
-        assert np.array_equal(fam.act_factored(g, phi), E3(t3, E1(t1, E2(t2, phi))))
+        out = fam.action_factored(g, phi)
+        assert np.array_equal(out, integrate_chart(fam, g, phi))
+        assert np.array_equal(out, E1(t1, E2(t2, E3(t3, phi))))
+
+
+def test_the_phase_takes_one_time_per_block_column(rng):
+    # column k of a timed block call is the scalar-time call on column k alone
+    fam = hermite_generators(8)
+    phase = fam.evaluators[2]
+    ts = rng.uniform(-2, 2, 8)
+    block = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    for adjoint in (False, True):
+        out = phase(ts, block, adjoint=adjoint)
+        for k in range(8):
+            assert np.array_equal(out[:, k], phase(ts[k], block[:, k], adjoint=adjoint))
+        # N = K = 8: a (K,) time array with a vector once gave one phase per entry
+        wrong = ((ts, block[:, 0]), (ts, block[:, :5]), (ts[:3], block), (ts.reshape(2, 4), block))
+        for t, v in wrong:
+            with pytest.raises(UsageError, match="need an \\(N, K\\) block"):
+                phase(t, v, adjoint=adjoint)
 
 
 def test_family_caches_do_not_keep_the_family_alive():
@@ -368,12 +390,12 @@ def test_block_actions_match_the_vector_calls(N, K):
     gs = [GroupElement(*rng.uniform(-1, 1, 3)) for _ in range(K)]
     block = np.stack([random_interior(rng, N, N // 4) for _ in range(K)], axis=1)
     analytic = fam.action_analytic(GroupElement.stack(gs), block)
-    factored = fam.act_factored(GroupElement.stack(gs), block)
+    factored = fam.action_factored(GroupElement.stack(gs), block)
     assert analytic.shape == factored.shape == (N, K)
     for j, g in enumerate(gs):
         scale = 1e-13 * np.linalg.norm(block[:, j])
         assert np.linalg.norm(analytic[:, j] - fam.action_analytic(g, block[:, j])) <= scale
-        assert np.linalg.norm(factored[:, j] - fam.act_factored(g, block[:, j])) <= scale
+        assert np.linalg.norm(factored[:, j] - fam.action_factored(g, block[:, j])) <= scale
     # the two routes agree column by column, as hh-05 asserts
     assert np.max(np.linalg.norm(analytic - factored, axis=0)) < 1e-6
 
@@ -402,7 +424,7 @@ def test_action_matches_the_factored_route_past_the_old_node_cap(N):
     gs = GroupElement.stack([GroupElement(*rng.uniform(-2, 2, 3)) for _ in range(6)])
     block = np.stack([random_interior(rng, N, N // 4) for _ in range(6)], axis=1)
     analytic = fam.action_analytic(gs, block)
-    assert np.max(np.linalg.norm(analytic - fam.act_factored(gs, block), axis=0)) <= 1e-12
+    assert np.max(np.linalg.norm(analytic - fam.action_factored(gs, block), axis=0)) <= 1e-12
     assert np.max(np.abs(np.linalg.norm(analytic, axis=0) - 1.0)) <= 1e-12
 
 
@@ -430,11 +452,11 @@ def test_block_with_one_bad_column_raises_the_vector_error(fam, rng):
     assert blocked.value.residual == pytest.approx(vector.value.residual, rel=1e-9)
 
 
-@pytest.mark.parametrize("check", ["action_analytic", "act_factored", "conjugation", "sharp"])
+@pytest.mark.parametrize("check", ["action_analytic", "action_factored", "conjugation", "sharp"])
 def test_a_block_element_of_the_wrong_length_is_refused(fam, chain, rng, check):
     call = {
         "action_analytic": lambda g, v: fam.action_analytic(g, v),
-        "act_factored": lambda g, v: fam.act_factored(g, v),
+        "action_factored": lambda g, v: fam.action_factored(g, v),
         "conjugation": lambda g, v: conjugation_residual(fam, chain, g, 1, v, 1),
         "sharp": lambda g, v: norm_bound_sharp_check(fam, chain, g, v, 2).ratio,
     }[check]

@@ -139,15 +139,41 @@ def test_integrate_chart_identity(fam):
 
 
 def test_integrate_chart_box(fam, blocks):
-    # one element of the chart box per call: a block of elements is refused too
-    pair = GroupElement.stack([GroupElement(0.1, 0.2, 0.3), GroupElement(-0.1, 0.0, 0.4)])
+    # second-kind coordinates cover the whole group and every evaluator is
+    # exact at any time: elements outside the sampling box |xi| <= 2, as
+    # hh-06's products of two box-1 elements can be, are applied like any other
+    rng = np.random.default_rng(2)
     for model in (fam, blocks):
-        v = np.ones(model.gens[0].shape[0], dtype=complex)
-        for adjoint in (False, True):
-            with pytest.raises(UsageError, match="outside the chart box"):
-                integrate_chart(model, GroupElement(3.0, 0, 0), v, adjoint=adjoint)
-            with pytest.raises(UsageError, match="one group element per call"):
-                integrate_chart(model, pair, v, adjoint=adjoint)
+        N = model.gens[0].shape[0]
+        v = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+        far = (GroupElement(3.0, 0, 0), GroupElement(1.5, 1.5, 3.0), GroupElement(-2.5, 0.5, -4))
+        for g in far:
+            T = chart_oracle(model, g)
+            for adjoint, expect in ((False, T @ v), (True, T.conj().T @ v)):
+                out = integrate_chart(model, g, v, adjoint=adjoint)
+                assert np.linalg.norm(out - expect) <= 1e-12 * np.linalg.norm(expect)
+
+
+@pytest.mark.parametrize("name", ORACLE_FAMILIES)
+def test_a_block_element_acts_one_element_per_column(name):
+    # a block of K elements against the K single-element calls on the columns
+    family = ORACLE_FAMILIES[name]()
+    rng = np.random.default_rng(7 + len(name))
+    N = family.gens[0].shape[0]
+    xi = rng.uniform(-3, 3, (3, 6))
+    block = rng.standard_normal((N, 6)) + 1j * rng.standard_normal((N, 6))
+    for adjoint in (False, True):
+        apply = partial(integrate_chart, family, adjoint=adjoint)
+        out = apply(GroupElement(*xi), block)
+        for k in range(6):
+            single = apply(GroupElement(*xi[:, k]), block[:, k])
+            assert np.linalg.norm(out[:, k] - single) <= 1e-13 * np.linalg.norm(single)
+        # too few, too many, a (2, 3) block of them, and a block element with one vector
+        for shape in ((3, 5), (3, 7), (3, 2, 3)):
+            with pytest.raises(UsageError, match="one group element per block column"):
+                apply(GroupElement(*rng.uniform(-1, 1, shape)), block)
+        with pytest.raises(UsageError, match="one group element per block column"):
+            apply(GroupElement(*xi), block[:, 0])
 
 
 def test_chart_matches_analytic_action(fam, rng):
@@ -180,15 +206,6 @@ def test_homomorphism_residual(fam, chain, rng):
     assert homomorphism_residual(
         fam, GroupElement(0.5, 0, 0), GroupElement(), phi, chain, 1
     ) < 1e-10
-
-
-def test_homomorphism_chart_guard(fam, chain):
-    phi = np.zeros(64, dtype=complex)
-    phi[0] = 1.0
-    with pytest.raises(UsageError):
-        homomorphism_residual(
-            fam, GroupElement(1.5, 0, 0), GroupElement(1.5, 1.5, 0), phi, chain, 0
-        )
 
 
 def test_int_identity_nilpotent_two_terms(fam, chain, rng):
@@ -297,6 +314,15 @@ def test_dual_pairing_for_group(fam, rng):
         phi = rng.standard_normal(64) + 1j * rng.standard_normal(64)
         F = rng.standard_normal(64) + 1j * rng.standard_normal(64)
         assert pairing_residual(fam, g, phi, F) < 1e-10 * np.linalg.norm(phi) * np.linalg.norm(F)
+    # a block of K elements with (N, K) blocks gives the K column residuals
+    xi = rng.uniform(-2, 2, (3, 5))
+    phis = rng.standard_normal((64, 5)) + 1j * rng.standard_normal((64, 5))
+    Fs = rng.standard_normal((64, 5)) + 1j * rng.standard_normal((64, 5))
+    block = pairing_residual(fam, GroupElement(*xi), phis, Fs)
+    assert block.shape == (5,)
+    for k in range(5):
+        one = pairing_residual(fam, GroupElement(*xi[:, k]), phis[:, k], Fs[:, k])
+        assert abs(block[k] - one) < 1e-10 * np.linalg.norm(phis[:, k]) * np.linalg.norm(Fs[:, k])
 
 
 def test_dual_pairing_sees_a_wrong_adjoint(fam, rng):

@@ -18,8 +18,7 @@ from scalerep.cli import build_config, main, make_parser
 from scalerep.errors import AccuracyError, ConvergenceError, SingularOperatorError, UsageError
 from scalerep.heisenberg import HermiteHeisenberg
 from scalerep.report import CheckRecord, render, to_csv, to_json
-from scalerep.integrator import CHART_BOX
-from scalerep.sampling import case_rng, group_element, interior_vector
+from scalerep.sampling import CHART_BOX, case_rng, group_element, interior_vector
 from scalerep.scale import monotonicity_check, scale_norm
 from scalerep import suites
 from scalerep.suites import (
@@ -327,19 +326,33 @@ def test_hermite_suites_never_assemble_a_group_matrix(monkeypatch):
     # N x N unitary of a group element or one-parameter subgroup: no group
     # matrix route is left in the Hermite model, and the one dense assembly
     # left in the package, the block model's, is refused (hy-03 applies the
-    # block model's one-parameter group to vectors)
+    # block model's one-parameter group to vectors).  The factored route the
+    # suites do take, action_factored, is counted: bench/layertrace.py
+    # reports its calls, which must not read 0 on working code
     guarded = ("scale-core", "heisenberg-hermite", "hille-yosida")
     counts = {name: len(run_suite(SuiteConfig(suite=name))[0]) for name in guarded}
 
     def refuse(*args, **kwargs):
         raise AssertionError("a dense group matrix was assembled")
 
+    factored = []
+    action_factored = HermiteHeisenberg.action_factored
+
+    def counted(self, g, phi):
+        factored.append(g)
+        return action_factored(self, g, phi)
+
     assert not any(callable(U) for U in HermiteHeisenberg(8).subgroups)
     monkeypatch.setattr(HermiteHeisenberg, "one_parameter", refuse)
-    monkeypatch.setattr(HermiteHeisenberg, "action_factored", refuse)
     monkeypatch.setattr(blockrep, "_assemble", refuse)
+    monkeypatch.setattr(HermiteHeisenberg, "action_factored", counted)
+    made = {}
     for name in guarded:
+        factored.clear()
         assert len(run_suite(SuiteConfig(suite=name))[0]) == counts[name]
+        made[name] = len(factored)
+    # sc-05 at levels 1-3; hh-03, hh-05, hh-06 (three) and hh-12 at levels 1-3
+    assert made == {"scale-core": 3, "heisenberg-hermite": 8, "hille-yosida": 0}
 
 
 def test_integrator_runs_on_the_cached_subgroups_without_expm(monkeypatch):
@@ -426,10 +439,18 @@ def no_case_runs(monkeypatch):
         ([], {"n_max": 2.5}, "n_max=2.5 is not of type int"),
         ([], {"timings": "yes"}, "timings='yes' is not of type bool"),
         ([], {"seed": True}, "seed=True is not of type int"),
+        # two hy-10 rows compare lambda values: with one, one passes vacuously, one fails
+        (["--suite", "hille-yosida", "--lambda", "10"], None, "needs at least two"),
+        ([], {"lambda": [10]}, "needs at least two"),
+        # the Hermite chain at 8 modes has room for depth 3 only
+        (["--suite", "scale-core", "--trunc", "8", "--nmax", "4"], None, "at most 3"),
+        (["--suite", "hille-yosida", "--trunc", "9", "--nmax", "4"], None, "at most 3"),
     ],
     ids=["lambda-decreasing", "lambda-negative", "chart-box-key", "t-grid-key",
          "integrator-trunc-8", "integrator-trunc-12", "trunc-string", "seed-string",
-         "lambda-string", "tol-string", "n-max-float", "timings-string", "seed-bool"],
+         "lambda-string", "tol-string", "n-max-float", "timings-string", "seed-bool",
+         "lambda-one-value", "lambda-one-value-all", "nmax-past-guard-band-8",
+         "nmax-past-guard-band-9"],
 )
 def test_cli_refuses_before_any_case_runs(tmp_path, capsys, no_case_runs, argv, config, message):
     if config is not None:
@@ -470,7 +491,7 @@ def test_cli_refusals_are_one_line_and_run_nothing(suite, trunc, n_max, lams):
     assert len(err.getvalue().splitlines()) == 1
 
 
-def _hille_yosida_cases(out):
+def _report_cases(out):
     return {row["case"].split("/")[0] for row in json.loads(out.read_text())}
 
 
@@ -478,7 +499,7 @@ def _hille_yosida_cases(out):
 @given(
     lams=st.lists(
         st.floats(min_value=0.0, max_value=1e4, exclude_min=True),
-        min_size=1,
+        min_size=2,
         max_size=4,
         unique=True,
     ).map(sorted)
@@ -492,14 +513,54 @@ def test_accepted_lambda_sequences_end_in_a_complete_report(tmp_path_factory, la
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sys, "stderr", io.StringIO())
         assert main(argv) in (0, 1)
-    assert _hille_yosida_cases(out) == {c.case_id for c in suites.SUITES["hille-yosida"]}
+    assert _report_cases(out) == {c.case_id for c in suites.SUITES["hille-yosida"]}
+
+
+# the --trunc range each suite draws from: its floor in validate to about 40,
+# and from the heisenberg-hermite floor for the suites that run it
+TRUNC_RANGES = dict.fromkeys(SUITE_NAMES, (8, 40)) | {
+    "integrator": (suites.INTEGRATOR_MIN_TRUNC, 40),
+    "heisenberg-hermite": (suites.HERMITE_SUITE_MIN_TRUNC, 70),
+    "all": (suites.HERMITE_SUITE_MIN_TRUNC, 70),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    suite=st.sampled_from(SUITE_NAMES + ("all",)),
+    n_max=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    x3_sign=st.sampled_from(liecore.X3_SIGN_CHOICES),
+)
+def test_accepted_configurations_end_in_a_complete_report(
+    tmp_path_factory, data, suite, n_max, seed, x3_sign
+):
+    # the sibling of the refusal property for the other flags: every draw
+    # validate accepts exits 0 or 1 with every case of its suite in the report
+    trunc = data.draw(st.integers(*TRUNC_RANGES[suite]), label="trunc")
+    cfg = SuiteConfig(suite=suite, trunc=trunc, n_max=n_max, seed=seed, x3_sign=x3_sign)
+    try:
+        cfg.validate()
+    except UsageError:
+        assume(False)
+    out = tmp_path_factory.mktemp("run") / "report.json"
+    argv = ["run", "--suite", suite, "--trunc", str(trunc), "--nmax", str(n_max),
+            "--seed", str(seed), "--x3-sign", x3_sign, "--out", str(out)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sys, "stderr", io.StringIO())
+        assert main(argv) in (0, 1)
+    names = SUITE_NAMES if suite == "all" else (suite,)
+    assert _report_cases(out) == {c.case_id for name in names for c in suites.SUITES[name]}
 
 
 def test_a_series_that_hits_its_cap_fails_its_case_and_the_report_completes(tmp_path):
-    # at lambda = 800 the reconstruction series needs more than j_max = 512 terms
+    # at lambda = 800 the reconstruction series needs more than j_max = 512 terms;
+    # 700 completes first, so the message names 800
     out = tmp_path / "hy.json"
-    assert main(["run", "--suite", "hille-yosida", "--lambda", "800", "--out", str(out)]) == 1
-    assert _hille_yosida_cases(out) == {c.case_id for c in suites.SUITES["hille-yosida"]}
+    argv = ["run", "--suite", "hille-yosida", "--lambda", "700,800", "--out", str(out)]
+    assert main(argv) == 1
+    assert _report_cases(out) == {c.case_id for c in suites.SUITES["hille-yosida"]}
     [row] = [r for r in json.loads(out.read_text()) if r["case"].startswith("hy-10")]
     assert row["case"] == "hy-10-yosida-reconstruction/numerical-error"
     assert row["pass"] is False
@@ -514,7 +575,7 @@ def test_a_subnormal_lambda_fails_its_case_as_a_singular_solve_without_warnings(
     proc = run_cli_child("run", "--suite", "hille-yosida", "--lambda=5e-324,3", "--out", str(out))
     assert proc.returncode == 1, proc.stderr
     assert "RuntimeWarning" not in proc.stderr
-    assert _hille_yosida_cases(out) == {c.case_id for c in suites.SUITES["hille-yosida"]}
+    assert _report_cases(out) == {c.case_id for c in suites.SUITES["hille-yosida"]}
     [row] = [r for r in json.loads(out.read_text()) if r["case"].startswith("hy-10")]
     assert row["case"] == "hy-10-yosida-reconstruction/numerical-error"
     assert row["pass"] is False
