@@ -23,7 +23,6 @@ from .errors import AccuracyError, ConvergenceError, SingularOperatorError, Usag
 from .hermite import golub_welsch_rule
 from .scale import BoundCheck, ScaleChain, scale_norm, scale_operator_norm
 
-RESOLVENT_RESIDUAL_TOL = 1e-10
 DEFAULT_LAMBDAS = (10.0, 20.0, 50.0, 100.0)
 
 
@@ -64,26 +63,6 @@ def estimate_type(apply, chain: ScaleChain, n: int, t_grid, block) -> TypeEstima
 
 
 def resolvent_matrix(X: np.ndarray, lam: complex) -> np.ndarray:
-    """(lam I - X)^{-1} with a residual guard."""
-    X = np.asarray(X, dtype=complex)
-    N = X.shape[0]
-    A = lam * np.eye(N) - X
-    try:
-        R = np.linalg.solve(A, np.eye(N, dtype=complex))
-    except np.linalg.LinAlgError:
-        raise SingularOperatorError(
-            f"lam={lam} is numerically an eigenvalue", condition_estimate=np.inf
-        )
-    residual = float(np.max(np.abs(A @ R - np.eye(N))))
-    if residual > RESOLVENT_RESIDUAL_TOL:
-        raise SingularOperatorError(
-            f"resolvent residual {residual:.2e} at lam={lam}",
-            condition_estimate=float(np.linalg.cond(A)),
-        )
-    return R
-
-
-def resolvent_skew_tridiagonal(X: np.ndarray, lam: complex) -> np.ndarray:
     """(lam I - X)^{-1} for a skew-Hermitian tridiagonal X, by elimination without pivoting.
 
     The pivots of lam I - X are d_0 = lam - X[0, 0] and
@@ -91,8 +70,7 @@ def resolvent_skew_tridiagonal(X: np.ndarray, lam: complex) -> np.ndarray:
     imaginary and Re(1/d) has the sign of Re d, so by induction
     Re d_k >= Re lam when Re lam > 0 (and <= when Re lam < 0): every pivot
     has |d_k| >= |Re lam|, so in exact arithmetic the elimination cannot
-    break down off the imaginary axis.  That bound stands in for the
-    residual guard of ``resolvent_matrix``.  In floating point a |Re lam|
+    break down off the imaginary axis.  In floating point a |Re lam|
     near the underflow threshold can still overflow a multiplier; an
     elimination that leaves the floating-point range raises
     ``SingularOperatorError``.  All columns of I are eliminated at once, in
@@ -410,7 +388,6 @@ class GlobalConditionsVerdict:
     omega_sup: float
     bounded_type: bool         # sup_n omega_n ~ 0 within tolerance
     uniform_equicontinuity: bool   # beta ladder admits a finite sup (not increasing)
-    beta_strictly_increasing: bool
 
 
 def global_conditions_report(
@@ -439,5 +416,4 @@ def global_conditions_report(
         omega_sup=float(omega_sup),
         bounded_type=bool(omega_sup <= omega_tol),
         uniform_equicontinuity=not increasing,
-        beta_strictly_increasing=increasing,
     )

@@ -79,8 +79,8 @@ def homomorphism_residual(
     phi,
     chain: ScaleChain,
     n: int,
-) -> float:
-    """Level-n norm of T(g) T(h) phi - T(gh) phi."""
+) -> float | np.ndarray:
+    """Level-n norm of T(g) T(h) phi - T(gh) phi: one per column of an (N, K) block."""
     lhs = integrate_chart(fam, g, integrate_chart(fam, h, phi))
     rhs = integrate_chart(fam, group_multiply(g, h), phi)
     return scale_norm(chain, lhs - rhs, n)

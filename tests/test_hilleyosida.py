@@ -71,7 +71,9 @@ def test_resolvent_matrix_basic():
     R = resolvent_matrix(np.zeros((5, 5)), lam)
     assert np.max(np.abs(R - np.eye(5) / lam)) < 1e-14
     with pytest.raises(SingularOperatorError):
-        resolvent_matrix(np.diag([1.0, 2.0, 3.0]), 2.0)
+        resolvent_matrix(np.diag([1j, 2j, 3j]), 2j)
+    with pytest.raises(UsageError):
+        resolvent_matrix(np.diag([1.0, 2.0, 3.0]), 2.0)   # not skew-Hermitian
 
 
 def test_resolvent_routes_agree_at_moderate_lambda(fam, chain, x2_group):
@@ -363,7 +365,6 @@ def test_global_conditions_verdicts(fam, chain, x2_evaluator, rng):
     )
     verdict = global_conditions_report(estimates, betas)
     assert verdict.bounded_type
-    assert verdict.beta_strictly_increasing
     assert not verdict.uniform_equicontinuity
     with pytest.raises(UsageError):
         global_conditions_report(estimates[:1], betas[:1])
@@ -389,34 +390,27 @@ def test_estimate_beta_applies_the_resolvent_to_leading_blocks_only(fam, chain):
 def test_global_conditions_build_each_resolvent_once(monkeypatch):
     # hy-13 measures every level on one resolvent per lambda, applied to
     # (N, k) blocks; the phase family needs no resolvent matrix at all
-    x2_calls, all_calls, tridiagonal_calls = [], [], []
+    x2_calls, calls = [], []
     apply_x2 = suites.SuiteContext.apply_x2_resolvent
     build = hilleyosida.resolvent_matrix
-    build_tridiagonal = hilleyosida.resolvent_skew_tridiagonal
 
     def count_x2(ctx, lam, B):
         x2_calls.append((lam, B.shape))
         return apply_x2(ctx, lam, B)
 
     def count(X, lam):
-        all_calls.append(lam)
+        calls.append(lam)
         return build(X, lam)
-
-    def count_tridiagonal(X, lam):
-        tridiagonal_calls.append(lam)
-        return build_tridiagonal(X, lam)
 
     monkeypatch.setattr(suites.SuiteContext, "apply_x2_resolvent", count_x2)
     monkeypatch.setattr(hilleyosida, "resolvent_matrix", count)
-    monkeypatch.setattr(hilleyosida, "resolvent_skew_tridiagonal", count_tridiagonal)
     [hy13] = [c for c in suites.SUITES["hille-yosida"] if c.case_id.startswith("hy-13")]
     monkeypatch.setitem(suites.SUITES, "hille-yosida", (hy13,))
     records, _ = suites.run_suite(suites.SuiteConfig(suite="hille-yosida"))
     assert len(records) == 3
-    assert len(tridiagonal_calls) == len(set(tridiagonal_calls)) == 7   # the x2 lambda grid
+    assert len(calls) == len(set(calls)) == 7   # the x2 lambda grid
     # five powers per lambda, each an (N, k) block with k = N/4 interior modes
-    assert x2_calls == [(lam, (64, 16)) for lam in tridiagonal_calls for _ in range(5)]
-    assert all_calls == []                              # no LU anywhere
+    assert x2_calls == [(lam, (64, 16)) for lam in calls for _ in range(5)]
 
 
 @pytest.mark.parametrize("N", [8, 64, 160])
@@ -424,20 +418,20 @@ def test_global_conditions_build_each_resolvent_once(monkeypatch):
 def test_tridiagonal_resolvent_is_the_lu_resolvent_bit_for_bit(N, lam):
     # oracle: LAPACK's partial-pivoting solve, which never swaps a row here
     x2 = hermite_generators(N).x2
-    R = hilleyosida.resolvent_skew_tridiagonal(x2, lam)
-    assert np.array_equal(R, resolvent_matrix(x2, lam))
+    eye = np.eye(N, dtype=complex)
+    assert np.array_equal(resolvent_matrix(x2, lam), np.linalg.solve(lam * eye - x2, eye))
 
 
 def test_tridiagonal_resolvent_guards():
     x2 = hermite_generators(16).x2
     with pytest.raises(SingularOperatorError):
-        hilleyosida.resolvent_skew_tridiagonal(x2, 2.0j)
+        hilleyosida.resolvent_matrix(x2, 2.0j)
     with pytest.raises(UsageError):
-        hilleyosida.resolvent_skew_tridiagonal(x2 + np.diag(np.ones(16)), 1.0)   # not skew
+        hilleyosida.resolvent_matrix(x2 + np.diag(np.ones(16)), 1.0)   # not skew
     wide = x2.copy()
     wide[0, 2], wide[2, 0] = 1.0, -1.0
     with pytest.raises(UsageError):
-        hilleyosida.resolvent_skew_tridiagonal(wide, 1.0)   # not tridiagonal
+        hilleyosida.resolvent_matrix(wide, 1.0)   # not tridiagonal
 
 
 @pytest.mark.parametrize("N", [16, 64])
@@ -448,18 +442,18 @@ def test_tridiagonal_resolvent_refuses_an_elimination_that_overflows(N):
         warnings.simplefilter("error")
         for lam in (5e-324, 1e-310):
             with pytest.raises(SingularOperatorError, match="floating-point range") as err:
-                hilleyosida.resolvent_skew_tridiagonal(x2, lam)
+                hilleyosida.resolvent_matrix(x2, lam)
             assert err.value.condition_estimate == np.inf
-        R = hilleyosida.resolvent_skew_tridiagonal(x2, 1e-300)
+        R = hilleyosida.resolvent_matrix(x2, 1e-300)
     assert np.isfinite(R).all() and np.max(np.abs(R)) > 1e280
 
 
 def test_suite_context_keeps_a_read_only_x2_resolvent(monkeypatch):
     ctx = suites.SuiteContext(suites.SuiteConfig(suite="hille-yosida"))
     calls = []
-    build = hilleyosida.resolvent_skew_tridiagonal
+    build = hilleyosida.resolvent_matrix
     monkeypatch.setattr(
-        hilleyosida, "resolvent_skew_tridiagonal", lambda X, lam: calls.append(lam) or build(X, lam)
+        hilleyosida, "resolvent_matrix", lambda X, lam: calls.append(lam) or build(X, lam)
     )
     R = ctx.x2_resolvent(3.0)
     assert ctx.x2_resolvent(3.0) is R and calls == [3.0]

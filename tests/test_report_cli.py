@@ -141,7 +141,8 @@ def test_cli_run_lie_core_exit_zero(tmp_path, capsys):
     out = tmp_path / "report.csv"
     code = main(["run", "--suite", "lie-core", "--seed", "7", "--out", str(out), "--format", "csv"])
     assert code == 0
-    rows = list(csv.reader(out.open()))
+    with out.open() as f:
+        rows = list(csv.reader(f))
     assert rows[0][0] == "suite"
     assert all(r[6] == "true" for r in rows[1:])
 
@@ -353,6 +354,20 @@ def test_hermite_suites_never_assemble_a_group_matrix(monkeypatch):
         made[name] = len(factored)
     # sc-05 at levels 1-3; hh-03, hh-05, hh-06 (three) and hh-12 at levels 1-3
     assert made == {"scale-core": 3, "heisenberg-hermite": 8, "hille-yosida": 0}
+
+
+def test_hille_yosida_takes_every_resolvent_from_the_one_elimination(monkeypatch):
+    # resolvent_matrix, the tridiagonal elimination, is the one matrix
+    # resolvent: no case may build one by a general LAPACK solve or inverse
+    cfg = SuiteConfig(suite="hille-yosida")
+    count = len(run_suite(cfg)[0])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a resolvent was built by a general solve")
+
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+    monkeypatch.setattr(np.linalg, "inv", refuse)
+    assert len(run_suite(cfg)[0]) == count
 
 
 def test_integrator_runs_on_the_cached_subgroups_without_expm(monkeypatch):
@@ -960,3 +975,53 @@ def test_run_suite_builds_one_context_per_call(monkeypatch):
     monkeypatch.setattr(suites, "SUITES", {name: () for name in SUITE_NAMES})
     run_suite(SuiteConfig(suite="all"))
     assert len(built) == 2
+
+
+@pytest.mark.parametrize("elements, vectors", ((2, 1), (1, 2)))
+def test_draw_samples_interleaves_single_draws(elements, vectors):
+    # per sample: the elements, then the vectors, each a single draw
+    rng, oracle = (case_rng(42, "some-suite", "xx-01-case") for _ in range(2))
+    blocks = suites._draw_samples(rng, 7, 0.9, 12, 5, elements=elements, vectors=vectors)
+    columns = [[] for _ in range(elements + vectors)]
+    for _ in range(7):
+        for k in range(elements):
+            columns[k].append(group_element(oracle, 0.9).as_array())
+        for k in range(elements, elements + vectors):
+            columns[k].append(interior_vector(oracle, 12, 5))
+    assert len(blocks) == elements + vectors
+    for g, column in zip(blocks[:elements], columns):
+        assert np.array_equal(g.as_array(), np.array(column))
+    for block, column in zip(blocks[elements:], columns[elements:]):
+        assert np.array_equal(block, np.array(column).T)
+    assert rng.standard_normal() == oracle.standard_normal()   # the stream goes on alike
+
+
+@pytest.mark.parametrize("seed", (41, 42))
+def test_in04_in05_measure_every_draw_in_one_block_call(monkeypatch, seed):
+    # no draw is skipped for leaving the sampling box: each sampled row hands
+    # all its draws to one homomorphism_residual call
+    calls = []
+    original = integrator.homomorphism_residual
+
+    def spy(fam, g, h, phi, chain, n):
+        calls.append((g, h, phi))
+        return original(fam, g, h, phi, chain, n)
+
+    monkeypatch.setattr(integrator, "homomorphism_residual", spy)
+    shapes = lambda: [(np.shape(g.xi1), np.shape(h.xi1), np.shape(phi)) for g, h, phi in calls]
+    fn = {c.case_id: c.fn for c in suites.SUITES["integrator"]}
+    N, dim = DEFAULT_N, 3 * DEFAULT_M
+    records = _run_case(fn["in-04-homomorphism"], "integrator", "in-04-homomorphism", seed)
+    assert shapes() == [((15,), (15,), (N, 15)), ((), (), (N,)), ((15,), (15,), (dim, 15))]
+    assert [r.inputs.get("samples") for r in records] == [15, None, 15]
+    calls.clear()
+    records = _run_case(
+        fn["in-05-inverse-consistency"], "integrator", "in-05-inverse-consistency", seed
+    )
+    assert shapes() == [((20,), (20,), (N, 20))] and records[0].inputs["samples"] == 10
+    # columns 10-19 pair (h^-1, g^-1) with the vectors of (g, h) in columns 0-9
+    [(g, h, phi)] = calls
+    inverse = lambda e: liecore.group_inverse(liecore.GroupElement(*e.T)).as_array()
+    g, h = g.as_array(), h.as_array()
+    assert np.array_equal(g[10:], inverse(h[:10])) and np.array_equal(h[10:], inverse(g[:10]))
+    assert np.array_equal(phi[:, 10:], phi[:, :10])
