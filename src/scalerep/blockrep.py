@@ -41,6 +41,7 @@ CHIS = (CHI1, CHI2, CHI3)
 CHI_SLOTS = ((0, 1), (1, 2), (0, 2))  # the one nonzero entry of each CHI
 EYE3 = np.eye(3)
 _CHUNK_ENTRIES = 4096  # pairs x blocks per homomorphism-residual step (one pair if M is larger)
+WINDOW_SLACK = 1e-12  # rounding allowed at either end of the norm-ratio window
 
 
 def chi_matrix(coeffs) -> np.ndarray:
@@ -122,17 +123,17 @@ class BlockGeneratorFamily(_GuardBand):
         """Appliers (t, v, adjoint=False) -> exp(t X_i) v, i = 1, 2, 3: ``exp_apply``."""
         return tuple(partial(exp_apply, self, i) for i in (1, 2, 3))
 
-    def rep_stack(self, g: GroupElement, n=slice(None)) -> np.ndarray:
+    def rep_stack(self, g: GroupElement) -> np.ndarray:
         """Diagonal blocks of T(g) = I + xi1 X1 + xi2 X2 + xi3 X3.
 
-        The (M, 3, 3) stack, or the 3 x 3 block at index ``n`` alone; a
-        block of elements puts its shape in front.  Each block is the
-        identity with xi_i w_i(n) in the one nonzero slot of CHI_i.
+        The (M, 3, 3) stack; a block of elements puts its shape in front.
+        Block n is the identity with xi_i w_i(n) in the one nonzero slot of
+        CHI_i.
         """
-        stack = np.empty(np.broadcast(g.xi1, g.xi2, g.xi3).shape + self.stacks[0][n].shape)
+        stack = np.empty(np.broadcast(g.xi1, g.xi2, g.xi3).shape + self.stacks[0].shape)
         stack[...] = EYE3
         for xi, S, (i, j) in zip((g.xi1, g.xi2, g.xi3), self.stacks, CHI_SLOTS):
-            stack[..., i, j] = np.multiply.outer(xi, S[n][..., i, j])
+            stack[..., i, j] = np.multiply.outer(xi, S[..., i, j])
         return stack
 
     def pair_residual(self, i: int, j: int) -> float:
@@ -235,13 +236,12 @@ class NormEquivalenceReport:
     within_bounds: bool
 
 
-def norm_equivalence_report(
-    chain: ScaleChain, phis, slack: float = 1e-12
-) -> NormEquivalenceReport:
+def norm_equivalence_report(chain: ScaleChain, phis) -> NormEquivalenceReport:
     """Measure the two-norm equivalence window on sample vectors.
 
     Each item of ``phis`` is a (3M, K) block of K vectors; zero columns are
-    skipped and not counted.
+    skipped and not counted.  ``within_bounds`` allows ``WINDOW_SLACK`` at
+    either end of the window.
     """
     lo_b, hi_b = norm_ratio_bounds()
     lo, hi = np.inf, 0.0
@@ -258,7 +258,7 @@ def norm_equivalence_report(
         count += int(np.count_nonzero(live))
     if count == 0:
         raise UsageError("need at least one nonzero sample vector")
-    ok = lo >= lo_b - slack and hi <= hi_b + slack
+    ok = lo >= lo_b - WINDOW_SLACK and hi <= hi_b + WINDOW_SLACK
     return NormEquivalenceReport(float(lo), float(hi), count, bool(ok))
 
 

@@ -141,18 +141,14 @@ class HermiteHeisenberg:
     def automorphism(self, g: GroupElement) -> np.ndarray:
         return liecore.automorphism_matrix(g, self.x3_sign)
 
-    def action_analytic(
-        self,
-        g,
-        phi,
-        defect_tol: float = UNITARITY_DEFECT_TOL,
-    ) -> np.ndarray:
+    def action_analytic(self, g, phi) -> np.ndarray:
         """Coefficients of x -> exp(-i xi3) exp(-i x xi2) phi(x + xi1).
 
         By BCH this is e^{-i xi3 + i xi1 xi2 / 2} D(alpha), alpha =
         -(xi1 + i xi2)/sqrt(2), exact up to the truncation to N modes (the
         identity returns ``phi`` bit for bit).  Any drop in the squared norm
-        measures mass pushed past the truncation; above ``defect_tol`` it
+        measures mass pushed past the truncation; above
+        ``UNITARITY_DEFECT_TOL`` (relative to max(1, ||phi||^2)) it
         raises ``AccuracyError``.  Block form: ``phi`` an (N, K) block and
         ``g`` a block of K elements (or one element for every column) act
         column by column in one pass, both guards per column; a vector is
@@ -173,7 +169,7 @@ class HermiteHeisenberg:
         out = displace(alpha, block) * np.exp(1j * (0.5 * xi1 * xi2 - xi3))
         before = np.einsum("ij,ij->j", block.conj(), block).real
         defects = before - np.einsum("ij,ij->j", out.conj(), out).real
-        for k in np.flatnonzero(np.abs(defects) > defect_tol * np.maximum(1.0, before)):
+        for k in np.flatnonzero(np.abs(defects) > UNITARITY_DEFECT_TOL * np.maximum(1.0, before)):
             raise AccuracyError(
                 f"projection lost {defects[k]:.3e} of the squared norm for g="
                 f"({xi1[k]:g},{xi2[k]:g},{xi3[k]:g})",
@@ -321,16 +317,15 @@ def norm_bound_sharp_check(
     g: GroupElement,
     phi,
     n: int,
-    rel_slack: float = 1e-6,
 ) -> BoundCheck:
-    """Check ||T(g) phi||_n <= (1 + xi1^2 + xi2^2)^{n/2} ||phi||_n.
+    """Measure ||T(g) phi||_n against (1 + xi1^2 + xi2^2)^{n/2} ||phi||_n.
 
     Block form: an (N, K) block with a block of K group elements gives
-    K-long ``lhs``, ``bound`` and ``passed``.
+    K-long ``lhs`` and ``bound``.
     """
     phi = np.asarray(phi, dtype=complex)
     chain.family.require_interior(int(np.max(support_bound(phi))), n, what="sharp growth bound")
     lhs = scale_norm(chain, fam.action_analytic(g, phi), n)
     factor = (1.0 + g.xi1**2 + g.xi2**2) ** (n / 2.0)
     bound = factor * scale_norm(chain, phi, n)
-    return BoundCheck(lhs, bound, lhs <= bound * (1.0 + rel_slack))
+    return BoundCheck(lhs, bound)

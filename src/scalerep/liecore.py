@@ -250,9 +250,7 @@ def automorphism_identity_residual(
     return _max_abs(lhs - rhs, (-3, -2, -1))
 
 
-def auto_expansion_residual(
-    sc: StructureConstants, k: int, t: float, x3_sign: str = "consistent"
-) -> float:
+def auto_expansion_residual(sc: StructureConstants, k: int, t: float) -> float:
     """Residual of f(exp(-t x_k)) - (I + t C_k) with (C_k)_ij = c[k, i, j].
 
     First-order expansion of the adjoint representation along the k-th
@@ -261,7 +259,7 @@ def auto_expansion_residual(
     """
     basis = np.zeros(3)
     basis[k] = 1.0
-    f = automorphism_matrix(chart_exp(basis, -t), x3_sign)
+    f = automorphism_matrix(chart_exp(basis, -t))
     ck = sc.c[k]
     return float(np.max(np.abs(f - (np.eye(3) + t * ck))))
 

@@ -314,7 +314,6 @@ def monotonicity_check(chain: ScaleChain, phi, n: int) -> MonotonicityResult:
 class BoundCheck:
     lhs: float
     bound: float
-    passed: bool
 
     @property
     def ratio(self):
@@ -331,23 +330,22 @@ def group_bound_check(
     f_matrix: np.ndarray,
     n: int,
     phi,
-    rel_slack: float = 1e-6,
 ) -> BoundCheck:
-    """Check ||Tg phi||_n <= omega (1 + sum |f_ij|)^n ||phi||_n.
+    """Measure ||Tg phi||_n against omega (1 + sum |f_ij|)^n ||phi||_n.
 
     ``apply(phi)`` returns Tg phi, the action of the group element being
     tested; ``omega`` is the caller's ambient-space continuity constant
     (1 for unitary actions); ``f_matrix`` is the conjugation-law matrix of
     that element.  Block form: an (N, K) block, an ``apply`` acting on it
     column by column and a (K, d, d) stack of matrices give K-long
-    ``lhs``, ``bound`` and ``passed``.
+    ``lhs`` and ``bound``.
     """
     phi = np.asarray(phi, dtype=complex)
     chain.family.require_interior(int(np.max(support_bound(phi))), n, what="group bound")
     lhs = scale_norm(chain, apply(phi), n)
     factor = (1.0 + np.sum(np.abs(f_matrix), axis=(-2, -1))) ** n
     bound = float(omega) * factor * scale_norm(chain, phi, n)
-    return BoundCheck(lhs, bound, lhs <= bound * (1.0 + rel_slack))
+    return BoundCheck(lhs, bound)
 
 
 def scale_operator_norm(chain: ScaleChain, A: np.ndarray, n: int) -> float:

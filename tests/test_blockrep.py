@@ -389,7 +389,7 @@ def test_block_of_pairs_matches_the_per_pair_residuals_bit_for_bit(M):
     assert np.max(block) > 0.0  # rounding shows, so the comparison is not of zeros
     # one diagonal block of a block of elements is that block of each element's stack
     for n in {0, M // 2, M - 1}:
-        stack = fam.rep_stack(g, n)
+        stack = fam.rep_stack(g)[:, n]
         assert stack.shape == (300, 3, 3)
         for j, (a, _) in enumerate(singles[:20]):
             old = np.eye(3) + a.xi1 * fam.stacks[0] + a.xi2 * fam.stacks[1] + a.xi3 * fam.stacks[2]

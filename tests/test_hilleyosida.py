@@ -80,7 +80,7 @@ def test_resolvent_routes_agree_at_moderate_lambda(fam, chain, x2_group):
     for lam in (2.0, 4.0):
         matrix = resolvent_matrix(fam.x2, lam) @ h0()
         closed = resolvent_closed_form_x2(lam, h0(), 64)
-        laplace = resolvent_laplace(x2_group, lam, h0(), tol=1e-8).vector
+        laplace = resolvent_laplace(x2_group, lam, h0()).vector
         for n in (0, 1):
             assert scale_norm(chain, matrix - closed, n) < 1e-6
             assert scale_norm(chain, laplace - matrix, n) < 1e-6
@@ -100,27 +100,31 @@ def test_closed_form_matches_the_matrix_route_past_the_old_node_cap():
 
 def test_resolvent_negative_branch(fam, x2_group):
     lam = -2.0
-    laplace = resolvent_laplace(x2_group, lam, h0(), tol=1e-8)
+    laplace = resolvent_laplace(x2_group, lam, h0())
     matrix = resolvent_matrix(fam.x2, lam) @ h0()
     assert np.linalg.norm(laplace.vector - matrix) < 1e-6
 
 
-def test_laplace_identity_group_scalar():
+def test_laplace_identity_group_scalar(monkeypatch):
+    monkeypatch.setattr(hilleyosida, "LAPLACE_TOL", 1e-10)
     ident = UnitaryGroup.of(np.zeros((4, 4)))
     phi = np.array([1.0, 2.0, 0.0, -1.0], dtype=complex)
-    out = resolvent_laplace(ident, 2.0, phi, tol=1e-10)
+    out = resolvent_laplace(ident, 2.0, phi)
     assert np.max(np.abs(out.vector - phi / 2.0)) < 1e-9
 
 
-def test_laplace_tail_control(x2_group):
-    res_small = resolvent_laplace(x2_group, 0.5, h0(), tol=1e-6)
-    res_big = resolvent_laplace(x2_group, 4.0, h0(), tol=1e-6)
+def test_laplace_tail_control(x2_group, monkeypatch):
+    monkeypatch.setattr(hilleyosida, "LAPLACE_TOL", 1e-6)
+    res_small = resolvent_laplace(x2_group, 0.5, h0())
+    res_big = resolvent_laplace(x2_group, 4.0, h0())
     assert res_small.t_max > res_big.t_max
     assert res_small.tail_bound <= 1e-6
     with pytest.raises(UsageError):
         resolvent_laplace(x2_group, 1j, h0())
+    # t_max is chosen without the 1/|Re lambda| of the tail bound, so the
+    # guard trips at every |Re lambda| < 0.1
     with pytest.raises(AccuracyError):
-        resolvent_laplace(x2_group, 1.0, h0(), tol=1e-10, t_max=2.0)
+        resolvent_laplace(x2_group, 0.05, h0())
 
 
 def laplace_by_nodes(apply, lam, phi, tol, nodes_per_panel=16):
@@ -155,7 +159,7 @@ def test_spectral_laplace_sum_matches_per_node_loop(x2_group, x2_evaluator, monk
             vector, t_max, panels, tail = laplace_by_nodes(x2_evaluator, lam, phi, 1e-8)
             with monkeypatch.context() as m:
                 m.setattr(UnitaryGroup, "apply", no_apply)
-                got = resolvent_laplace(x2_group, lam, phi, tol=1e-8)
+                got = resolvent_laplace(x2_group, lam, phi)
             assert np.linalg.norm(got.vector - vector) <= 1e-13 * np.linalg.norm(phi)
             assert (got.t_max, got.panels, got.tail_bound) == (t_max, panels, tail)
 
@@ -190,6 +194,42 @@ def test_type_estimate_x2_vanishes(fam, chain, x2_evaluator, rng):
         assert abs(est.omega_n) < 1e-6
 
 
+def with_nan_columns(apply, columns):
+    """``apply`` with the given output columns replaced by NaN, as a failed solve would leave them."""
+
+    def applied(*args):
+        out = np.array(apply(*args), dtype=complex)
+        out[:, columns] = np.nan
+        return out
+
+    return applied
+
+
+def test_a_nan_sample_makes_the_type_and_the_verdict_nan(chain):
+    block = np.eye(64, 3, dtype=complex)
+    ident = lambda t, v: v
+    finite = estimate_type(ident, chain, 0, (1.0, 2.0), block)
+    assert finite.omega_n == 0.0
+    for columns in ([1], [0, 1, 2]):
+        est = estimate_type(with_nan_columns(ident, columns), chain, 0, (1.0, 2.0), block)
+        assert np.isnan(est.omega_n)
+        assert np.isnan(global_conditions_report([finite, est], (0, 1)).omega_sup)
+
+
+def test_a_nan_sample_makes_the_worst_equicontinuity_ratio_nan(chain):
+    block = np.eye(64, 3, dtype=complex)
+
+    def scaled(lam, v):
+        return v / lam
+
+    report = equicontinuity_bound_check(scaled, chain, 0, 2, 20.0, block)
+    assert [worst for _, worst, _ in report.rows] == pytest.approx([1.0, 1.0])
+    for columns in ([1], [0, 1, 2]):
+        nan_resolvent = with_nan_columns(scaled, columns)
+        report = equicontinuity_bound_check(nan_resolvent, chain, 0, 2, 20.0, block)
+        assert all(np.isnan(worst) for _, worst, _ in report.rows)
+
+
 def test_type_estimate_validation(chain):
     ident = lambda t, v: v
     with pytest.raises(UsageError):
@@ -209,7 +249,7 @@ def test_yosida_series_spec_validation():
     with pytest.raises(UsageError):
         YosidaSeriesSpec(lambda_sequence=(-1.0, 2.0))
     with pytest.raises(UsageError):
-        YosidaSeriesSpec(j_max=0)
+        YosidaSeriesSpec(lambda_sequence=())
 
 
 def test_yosida_reconstruction_converges(fam, chain, x2_evaluator):
@@ -245,20 +285,18 @@ def test_yosida_guards(fam, chain):
     def apply_resolvent(lam, v):
         return resolvent_matrix(fam.x2, lam) @ v
 
-    spec = YosidaSeriesSpec(lambda_sequence=(5.0,), j_max=3)
-    with pytest.raises(ConvergenceError):
+    def nan_resolvent(lam, v):
+        return np.full_like(v, np.nan)
+
+    # NaN terms never meet the stop rule: the cap 5 + 20 sqrt(5) + 40 = 89 ends the series
+    spec = YosidaSeriesSpec(lambda_sequence=(5.0,))
+    with pytest.raises(ConvergenceError, match="series cap j_max=89 hit at lambda=5"):
+        yosida_reconstruct(nan_resolvent, spec, 1.0, h0(), chain, 0, h0())
+    # e^{-1500} underflows: refused before any term, not summed to a zero vector
+    spec = YosidaSeriesSpec(lambda_sequence=(700.0, 1500.0))
+    with pytest.raises(ConvergenceError, match="e\\^-1500 underflows at lambda=1500") as err:
         yosida_reconstruct(apply_resolvent, spec, 1.0, h0(), chain, 0, h0())
-    with pytest.raises(UsageError):
-        yosida_reconstruct(
-            apply_resolvent,
-            YosidaSeriesSpec(lambda_sequence=(2.0,)),
-            1.0,
-            h0(),
-            chain,
-            0,
-            h0(),
-            beta=3.0,
-        )
+    assert err.value.last_term == 0.0
 
 
 def test_equicontinuity_bound_ladder(fam, chain, rng):
@@ -274,7 +312,7 @@ def test_equicontinuity_bound_ladder(fam, chain, rng):
             phi[:modes] = rng.standard_normal(modes) + 1j * rng.standard_normal(modes)
             phis.append(phi / np.linalg.norm(phi))
         report = equicontinuity_bound_check(apply_resolvent, chain, n, 5, lam, np.array(phis).T)
-        assert report.passed
+        assert max(worst for _, worst, _ in report.rows) <= 1 + 1e-8
         # bound at lam = n + 2 is 2^{-p}
         for p, _, bound in report.rows:
             assert bound == pytest.approx(2.0**-p)
@@ -301,7 +339,7 @@ def test_e118_bound_level0(fam, chain):
 
     res = e118_bound_check(apply_resolvent, 3.0, h0(), chain, 0)
     assert res.bound == pytest.approx(scale_norm(chain, h0(), 0) / 3.0)
-    assert res.passed
+    assert res.lhs <= res.bound * (1 + 1e-6)
     with pytest.raises(UsageError):
         e118_bound_check(apply_resolvent, 2j, h0(), chain, 0)
 
@@ -364,7 +402,7 @@ def test_global_conditions_verdicts(fam, chain, x2_evaluator, rng):
         p_max=4,
     )
     verdict = global_conditions_report(estimates, betas)
-    assert verdict.bounded_type
+    assert verdict.omega_sup <= 1e-6
     assert not verdict.uniform_equicontinuity
     with pytest.raises(UsageError):
         global_conditions_report(estimates[:1], betas[:1])

@@ -10,7 +10,7 @@ import types
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import scalerep
 from scalerep import blockrep, heisenberg, integrator, liecore, sampling
@@ -519,6 +519,9 @@ def _report_cases(out):
         unique=True,
     ).map(sorted)
 )
+@example(lams=[1e-10, 1.0])
+@example(lams=[0.001, 1400.0])
+@example(lams=[700.0, 1500.0])
 def test_accepted_lambda_sequences_end_in_a_complete_report(tmp_path_factory, lams):
     # the sibling of the refusal property: an accepted draw runs every case to a report
     SuiteConfig(suite="hille-yosida", lambda_sequence=tuple(lams)).validate()
@@ -528,7 +531,20 @@ def test_accepted_lambda_sequences_end_in_a_complete_report(tmp_path_factory, la
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sys, "stderr", io.StringIO())
         assert main(argv) in (0, 1)
-    assert _report_cases(out) == {c.case_id for c in suites.SUITES["hille-yosida"]}
+    rows = json.loads(out.read_text())
+    assert {row["case"].split("/")[0] for row in rows} == {
+        c.case_id for c in suites.SUITES["hille-yosida"]
+    }
+    # hy-10's series length follows lambda |t|: every lambda up to 1400 is summed
+    # (t = 0.5), and from 1500 on the first weight e^{-lambda/2} underflows
+    hy10 = [row["case"].split("/")[1] for row in rows if row["case"].startswith("hy-10")]
+    if lams[0] >= 1e-10 and lams[-1] <= 1400:
+        assert f"distance-at-lam{50 if 50.0 in lams else lams[-1]:g}" in hy10
+        assert "numerical-error" not in hy10
+    if lams[0] >= 1e-10 and lams[-1] >= 1500:
+        [row] = [r for r in rows if r["case"].startswith("hy-10")]
+        assert row["inputs"]["message"].startswith("first series weight e^-")
+        assert "underflows" in row["inputs"]["message"]
 
 
 # the --trunc range each suite draws from: its floor in validate to about 40,
@@ -569,19 +585,19 @@ def test_accepted_configurations_end_in_a_complete_report(
     assert _report_cases(out) == {c.case_id for name in names for c in suites.SUITES[name]}
 
 
-def test_a_series_that_hits_its_cap_fails_its_case_and_the_report_completes(tmp_path):
-    # at lambda = 800 the reconstruction series needs more than j_max = 512 terms;
-    # 700 completes first, so the message names 800
+def test_an_underflowing_series_fails_its_case_and_the_report_completes(tmp_path):
+    # at lambda = 1500 and t = 0.5 the first weight e^{-750} of the reconstruction
+    # series underflows; 700 completes first, so the message names 1500
     out = tmp_path / "hy.json"
-    argv = ["run", "--suite", "hille-yosida", "--lambda", "700,800", "--out", str(out)]
+    argv = ["run", "--suite", "hille-yosida", "--lambda", "700,1500", "--out", str(out)]
     assert main(argv) == 1
     assert _report_cases(out) == {c.case_id for c in suites.SUITES["hille-yosida"]}
     [row] = [r for r in json.loads(out.read_text()) if r["case"].startswith("hy-10")]
     assert row["case"] == "hy-10-yosida-reconstruction/numerical-error"
     assert row["pass"] is False
     assert row["inputs"]["error"] == "ConvergenceError"
-    assert row["inputs"]["message"] == "series cap j_max=512 hit at lambda=800"
-    assert row["inputs"]["quantity"] == "last_term" and float(row["measured"]) > 0
+    assert row["inputs"]["message"] == "first series weight e^-750 underflows at lambda=1500"
+    assert row["inputs"]["quantity"] == "last_term" and float(row["measured"]) == 0.0
 
 
 def test_a_subnormal_lambda_fails_its_case_as_a_singular_solve_without_warnings(tmp_path):

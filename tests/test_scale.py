@@ -154,7 +154,7 @@ def test_recombination_validation(chain):
 
 def test_group_bound_identity_element(chain):
     res = group_bound_check(chain, lambda v: v, 1.0, np.eye(3), 2, h0())
-    assert res.passed
+    assert res.lhs <= res.bound * (1 + 1e-6)
     assert res.bound == pytest.approx((1 + 3.0) ** 2 * scale_norm(chain, h0(), 2))
 
 
