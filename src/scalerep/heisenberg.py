@@ -123,13 +123,7 @@ class HermiteHeisenberg:
         X2 = -i (a + a^+)/sqrt(2), X1^* D X1 + X2^* D X2 = a D a^+ + a^+ D a
         for diagonal D, the a D a and a^+ D a^+ terms cancelling exactly.
         """
-        return GeneratorFamily(
-            dim=self.N,
-            gens=(self.x1, self.x2),
-            labels=("X1", "X2"),
-            interior_bound=self.N - 1,
-            gram_form=DiagonalGram,
-        )
+        return GeneratorFamily((self.x1, self.x2), DiagonalGram)
 
     def generator(self, x_coeffs) -> np.ndarray:
         """Matrix of the algebra element with the given basis coefficients."""

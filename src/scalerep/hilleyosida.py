@@ -194,6 +194,8 @@ class YosidaSeriesSpec:
 
     def __post_init__(self):
         lams = tuple(float(v) for v in self.lambda_sequence)
+        if not all(np.isfinite(lams)):
+            raise UsageError(f"lambda_sequence must be finite, got {lams}")
         if not lams or any(b <= a for a, b in zip(lams, lams[1:])):
             raise UsageError("lambda_sequence must be strictly increasing")
         if any(v <= 0 for v in lams):

@@ -42,6 +42,8 @@ import numpy as np
 from .errors import ConvergenceError, UsageError
 
 X3_SIGN_CHOICES = ("consistent", "paper")
+AD_SERIES_TOL = 1e-14       # max-entry size of the first term ad_series drops
+AD_SERIES_MAX_TERMS = 64    # terms ad_series sums before it raises
 
 
 def _check_x3_sign(x3_sign: str) -> str:
@@ -264,19 +266,13 @@ def auto_expansion_residual(sc: StructureConstants, k: int, t: float) -> float:
     return float(np.max(np.abs(f - (np.eye(3) + t * ck))))
 
 
-def ad_series(
-    X: np.ndarray,
-    Y: np.ndarray,
-    t: float,
-    tol: float = 1e-14,
-    max_terms: int = 64,
-) -> np.ndarray:
+def ad_series(X: np.ndarray, Y: np.ndarray, t: float) -> np.ndarray:
     """Partial sum of sum_n (t^n / n!) ad(X)^n Y, with a dual stopping rule.
 
-    Stops when the next term's max-entry magnitude drops below ``tol``;
-    raises ``ConvergenceError`` if ``max_terms`` is reached first.  All
-    in-scope instances are nilpotent or rapidly convergent, so the cap
-    converts silent divergence into a reported failure.
+    Stops when the next term's max-entry magnitude drops below
+    ``AD_SERIES_TOL``; raises ``ConvergenceError`` if ``AD_SERIES_MAX_TERMS``
+    is reached first.  All in-scope instances are nilpotent or rapidly
+    convergent, so the cap converts silent divergence into a reported failure.
     """
     X = np.asarray(X, dtype=complex)
     Y = np.asarray(Y, dtype=complex)
@@ -284,18 +280,16 @@ def ad_series(
         raise UsageError(f"X must be square, got shape {X.shape}")
     if Y.shape != X.shape:
         raise UsageError(f"X and Y shapes differ: {X.shape} vs {Y.shape}")
-    if tol <= 0:
-        raise UsageError("tol must be positive")
 
     total = Y.copy()
     term = Y
-    for n in range(1, max_terms + 1):
+    for n in range(1, AD_SERIES_MAX_TERMS + 1):
         term = (t / n) * (X @ term - term @ X)
         size = float(np.max(np.abs(term))) if term.size else 0.0
-        if size < tol:
+        if size < AD_SERIES_TOL:
             return total
         total = total + term
     raise ConvergenceError(
-        f"ad series did not meet tol={tol} within {max_terms} terms",
+        f"ad series did not meet tol={AD_SERIES_TOL} within {AD_SERIES_MAX_TERMS} terms",
         last_term=size,
     )

@@ -2,7 +2,8 @@
 
 A record is one measured check: which suite and case produced it, the
 identifiers of the identities it exercises, the serialized inputs, the
-measured value against its bound and tolerance, and the pass flag.
+measured value against its bound, and the pass flag.  The ``tolerance``
+column of both renderings repeats the bound.
 Rendering is byte-deterministic for a fixed configuration and seed:
 records are sorted by (suite, case), floats are written with 17
 significant digits, and wall-clock seconds are zeroed unless timings are
@@ -30,7 +31,6 @@ class CheckRecord:
     inputs: dict = field(default_factory=dict)
     measured: float = math.nan
     bound: float = math.nan
-    tolerance: float = math.nan
     passed: bool = True
     seconds: float = 0.0
 
@@ -59,42 +59,33 @@ def _clean_inputs(inputs: dict) -> dict:
     return out
 
 
-def to_json(records, timings: bool = False) -> str:
-    rows = []
+def _rows(records, timings: bool):
+    """One dict per record, sorted, keyed by ``CSV_HEADER`` plus ``inputs``."""
     for r in sort_records(records):
-        rows.append(
-            {
-                "suite": r.suite,
-                "case": r.case,
-                "anchor": r.anchor_string(),
-                "inputs": _clean_inputs(r.inputs),
-                "measured": _fmt(r.measured),
-                "bound": _fmt(r.bound),
-                "tolerance": _fmt(r.tolerance),
-                "pass": bool(r.passed),
-                "seconds": _fmt(r.seconds if timings else 0.0),
-            }
-        )
-    return json.dumps(rows, indent=2) + "\n"
+        yield {
+            "suite": r.suite,
+            "case": r.case,
+            "anchor": r.anchor_string(),
+            "inputs": _clean_inputs(r.inputs),
+            "measured": _fmt(r.measured),
+            "bound": _fmt(r.bound),
+            "tolerance": _fmt(r.bound),
+            "pass": bool(r.passed),
+            "seconds": _fmt(r.seconds if timings else 0.0),
+        }
+
+
+def to_json(records, timings: bool = False) -> str:
+    return json.dumps(list(_rows(records, timings)), indent=2) + "\n"
 
 
 def to_csv(records, timings: bool = False) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_HEADER)
-    for r in sort_records(records):
-        writer.writerow(
-            [
-                r.suite,
-                r.case,
-                r.anchor_string(),
-                _fmt(r.measured),
-                _fmt(r.bound),
-                _fmt(r.tolerance),
-                "true" if r.passed else "false",
-                _fmt(r.seconds if timings else 0.0),
-            ]
-        )
+    for row in _rows(records, timings):
+        row["pass"] = "true" if row["pass"] else "false"
+        writer.writerow(row[key] for key in CSV_HEADER)
     return buf.getvalue()
 
 

@@ -28,25 +28,23 @@ a block are one stacked product over its rows.
 
 Guard bands
 -----------
-A truncated generator is faithful to its untruncated counterpart only on
-the leading ``interior_bound`` basis modes, and every application can
-populate one extra mode band.  A check at scale depth n therefore demands
-its test vector be supported in the first ``interior_bound - d * n`` modes
-(d = number of generators).  Building a chain to depth ``n_max`` requires
-at least one usable interior mode at that depth.
+A truncated generator on N modes is tridiagonal: it is faithful to its
+untruncated counterpart only on the leading ``interior_bound = N - 1``
+basis modes, and every application can populate one extra mode band.  A
+check at scale depth n therefore demands its test vector be supported in
+the first ``interior_bound - d * n`` modes (d = number of generators).
+Building a chain to depth ``n_max`` requires at least one usable interior
+mode at that depth.  A block family is exact at every truncation
+(``band_growth = 0``) and has no guard band.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import UsageError
-
-HERMITICITY_TOL = 1e-12
-EIGENVALUE_FLOOR = -1e-12
-MONOTONE_SLACK = 1e-12
 
 
 def support_bound(phi):
@@ -136,12 +134,9 @@ class DiagonalGram:
 
 
 class _GuardBand:
-    """Guard-band bookkeeping of a family with ``labels``, ``interior_bound``
-    and ``band_growth``; the base of every family a scale chain is built on."""
-
-    @property
-    def d(self) -> int:
-        return len(self.labels)
+    """Guard-band bookkeeping of a family with ``d`` generators,
+    ``interior_bound`` and ``band_growth``; the base of every family a scale
+    chain is built on."""
 
     def max_safe_depth(self) -> int:
         """Largest scale depth that leaves at least one interior mode."""
@@ -165,39 +160,37 @@ class _GuardBand:
 
 @dataclass(frozen=True)
 class GeneratorFamily(_GuardBand):
-    """Ordered truncated generators acting on a common N-dimensional space.
+    """Ordered truncated tridiagonal generators, square and of one size N.
 
-    ``band_growth`` is the number of extra basis modes one generator
-    application can populate: 1 for the tridiagonal Hermite matrices,
-    0 for block-diagonal operators that are exact at every truncation.
-    ``gram_form`` is the structure the family's Gram forms keep:
-    ``DenseGram`` unless the family declares more (``DiagonalGram``).
+    Everything else is read from them: ``dim`` N, ``d`` generators, the
+    ``interior_bound`` N - 1 and ``band_growth`` 1 of a tridiagonal
+    truncation.  ``gram_form`` is the structure the family's Gram forms
+    keep: ``DenseGram`` unless the family declares more (``DiagonalGram``).
     """
 
-    dim: int
     gens: tuple
-    labels: tuple
-    interior_bound: int
-    band_growth: int = 1
     gram_form: type = DenseGram
+    band_growth = 1
 
     def __post_init__(self):
         gens = tuple(np.asarray(g, dtype=complex) for g in self.gens)
-        for lab, g in zip(self.labels, gens):
-            if g.shape != (self.dim, self.dim):
-                raise UsageError(
-                    f"generator {lab} has shape {g.shape}, expected ({self.dim}, {self.dim})"
-                )
-        if len(gens) != len(self.labels):
-            raise UsageError("labels and generators must pair up")
-        if not (0 < self.interior_bound <= self.dim):
-            raise UsageError(
-                f"interior_bound must lie in 1..{self.dim}, got {self.interior_bound}"
-            )
-        if self.band_growth < 0:
-            raise UsageError("band_growth must be >= 0")
+        N = len(gens[0]) if gens else 0
+        if not N or any(g.shape != (N, N) for g in gens):
+            shapes = [g.shape for g in gens]
+            raise UsageError(f"generators must be square and of one size, got shapes {shapes}")
         object.__setattr__(self, "gens", gens)
-        object.__setattr__(self, "labels", tuple(self.labels))
+
+    @property
+    def dim(self) -> int:
+        return len(self.gens[0])
+
+    @property
+    def d(self) -> int:
+        return len(self.gens)
+
+    @property
+    def interior_bound(self) -> int:
+        return self.dim - 1
 
     @property
     def coupling(self) -> np.ndarray:
@@ -218,10 +211,7 @@ def recombined_family(family: GeneratorFamily, O: np.ndarray) -> GeneratorFamily
     gens = tuple(
         sum(O[i, j] * family.gens[j] for j in range(d)) for i in range(d)
     )
-    labels = tuple(f"mix{i}" for i in range(d))
-    return GeneratorFamily(
-        family.dim, gens, labels, family.interior_bound, family.band_growth
-    )
+    return GeneratorFamily(gens)
 
 
 @dataclass(frozen=True)
@@ -291,11 +281,11 @@ class MonotonicityResult:
     lhs: float          # ||phi||_n
     rhs: float          # ||phi||_{n+1}
     generator_lhs: tuple  # ||X_i phi||_n per generator
-    passed: bool
 
 
 def monotonicity_check(chain: ScaleChain, phi, n: int) -> MonotonicityResult:
-    """Verify ||phi||_n <= ||phi||_{n+1} and ||X_i phi||_n <= ||phi||_{n+1}.
+    """Measure ||phi||_n, ||phi||_{n+1} and ||X_i phi||_n, the two sides of
+    ||phi||_n <= ||phi||_{n+1} and ||X_i phi||_n <= ||phi||_{n+1}.
 
     An (N, K) block gives K column values in every field.
     """
@@ -304,10 +294,8 @@ def monotonicity_check(chain: ScaleChain, phi, n: int) -> MonotonicityResult:
     phi = np.asarray(phi, dtype=complex)
     lo = scale_norm(chain, phi, n)
     hi = scale_norm(chain, phi, n + 1)
-    slack = MONOTONE_SLACK * np.maximum(1.0, hi)
     gen_norms = tuple(scale_norm(chain, X @ phi, n) for X in chain.family.gens)
-    ok = np.logical_and.reduce([lo <= hi + slack, *(gn <= hi + slack for gn in gen_norms)])
-    return MonotonicityResult(lo, hi, gen_norms, ok if phi.ndim == 2 else bool(ok))
+    return MonotonicityResult(lo, hi, gen_norms)
 
 
 @dataclass(frozen=True)

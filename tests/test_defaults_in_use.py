@@ -6,7 +6,9 @@ sources with ``ast`` and names each such parameter.  A parameter counts as
 set when a call to a function of the same name (directly, as an attribute,
 or through ``functools.partial``) passes it by keyword, by position, or by
 ``*``/``**`` unpacking, or when a call through a local name, such as an
-evaluator held in a variable, passes a keyword of that name.
+evaluator held in a variable, passes a keyword of that name.  A caller that
+forwards its own ``**`` parameter sets only the keywords some call passes
+to that caller.
 """
 
 import ast
@@ -19,8 +21,6 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "scalerep"
 ALLOWED = {
     ("hilleyosida", "resolvent_laplace", "nodes_per_panel"):
         "bench/layertrace.py reads it to count quadrature nodes",
-    ("liecore", "ad_series", "tol"): "not yet folded into a constant; tests reach its guard",
-    ("liecore", "ad_series", "max_terms"): "not yet folded into a constant; tests reach its guard",
     ("cli", "main", "argv"): "the console script calls main() with no arguments",
 }
 
@@ -59,27 +59,44 @@ def _module_names(tree):
 
 
 def _calls(tree):
-    """(callee name, positional args, keywords, through a local name) of every call."""
+    """(callee name, positional args, keywords, through a local name, caller, the
+    caller's ``**`` parameter) of every call; the caller is the innermost function
+    around the call."""
     known = _module_names(tree)
+    enclosing = {}
+    for f in ast.walk(tree):  # outer functions first, so inner ones claim their own calls
+        if isinstance(f, ast.FunctionDef):
+            enclosing.update((node, f) for node in ast.walk(f))
     for call in ast.walk(tree):
         if not isinstance(call, ast.Call):
             continue
+        caller = enclosing.get(call)
+        kwarg = caller.args.kwarg if caller else None
+        where = (caller.name if caller else None, kwarg.arg if kwarg else None)
         func, args = call.func, call.args
         if isinstance(func, ast.Name) and func.id == "partial" and args:
             func, args = args[0], args[1:]
         if isinstance(func, ast.Name):
-            yield func.id, args, call.keywords, func.id not in known
+            yield (func.id, args, call.keywords, func.id not in known, *where)
         elif isinstance(func, ast.Attribute):
-            yield func.attr, args, call.keywords, False
+            yield (func.attr, args, call.keywords, False, *where)
 
 
-def _is_set(function, parameter, index, calls):
-    for name, args, keywords, local in calls:
+def _is_set(function, parameter, index, calls, seen=()):
+    for name, args, keywords, local, caller, forwarded in calls:
         if any(k.arg == parameter for k in keywords) and (local or name == function):
             return True
         if name != function:
             continue
-        if any(k.arg is None for k in keywords) or any(isinstance(a, ast.Starred) for a in args):
+        for k in keywords:
+            if k.arg is not None:
+                continue
+            if not (isinstance(k.value, ast.Name) and k.value.id == forwarded):
+                return True
+            # the caller's own **: it holds only the keywords its callers pass
+            if caller not in seen and _is_set(caller, parameter, None, calls, seen + (caller,)):
+                return True
+        if any(isinstance(a, ast.Starred) for a in args):
             return True
         if index is not None and len(args) > index:
             return True

@@ -37,8 +37,8 @@ from scalerep.suites import (
 
 def sample_records():
     return [
-        CheckRecord("b-suite", "case-2", ("e1.1",), {"n": 1}, 0.5, 1.0, 1.0, True, 0.123),
-        CheckRecord("a-suite", "case-1", ("2.4", "2.5"), {}, 2.0, 1.0, 1.0, False, 0.5),
+        CheckRecord("b-suite", "case-2", ("e1.1",), {"n": 1}, 0.5, 1.0, True, 0.123),
+        CheckRecord("a-suite", "case-1", ("2.4", "2.5"), {}, 2.0, 1.0, False, 0.5),
     ]
 
 
@@ -48,6 +48,7 @@ def test_csv_shape_and_sorting():
     assert rows[0] == ["suite", "case", "anchor", "measured", "bound", "tolerance", "pass", "seconds"]
     assert rows[1][0] == "a-suite" and rows[2][0] == "b-suite"
     assert rows[1][2] == "2.4;2.5"
+    assert rows[1][4] == rows[1][5] == "1"   # the tolerance column repeats the bound
     assert rows[1][6] == "false" and rows[2][6] == "true"
     assert rows[1][7] == "0"          # timings zeroed by default
     assert "\r" not in text
@@ -80,7 +81,7 @@ def test_render_rejects_unknown_format():
 
 
 def test_float_rendering_17_digits():
-    rec = CheckRecord("s", "c", ("a",), {}, 1 / 3, 1.0, 1.0, True, 0.0)
+    rec = CheckRecord("s", "c", ("a",), {}, 1 / 3, 1.0, True, 0.0)
     text = to_csv([rec])
     assert "0.33333333333333331" in text
 
@@ -460,12 +461,22 @@ def no_case_runs(monkeypatch):
         # the Hermite chain at 8 modes has room for depth 3 only
         (["--suite", "scale-core", "--trunc", "8", "--nmax", "4"], None, "at most 3"),
         (["--suite", "hille-yosida", "--trunc", "9", "--nmax", "4"], None, "at most 3"),
+        # NaN fails every ordering test, and json.load reads NaN and Infinity
+        (["--suite", "hille-yosida", "--lambda=1,nan"], None, "must be finite"),
+        (["--suite", "hille-yosida", "--lambda=nan,2"], None, "must be finite"),
+        (["--suite", "hille-yosida", "--lambda=2,inf"], None, "must be finite"),
+        (["--suite", "hille-yosida", "--lambda=-inf,2"], None, "must be finite"),
+        (["--suite", "hille-yosida"], {"lambda": [1, float("nan")]}, "must be finite"),
+        (["--suite", "hille-yosida"], {"lambda": [2, float("inf")]}, "must be finite"),
+        (["--suite", "hille-yosida"], {"lambda": [float("-inf"), 2]}, "must be finite"),
     ],
     ids=["lambda-decreasing", "lambda-negative", "chart-box-key", "t-grid-key",
          "integrator-trunc-8", "integrator-trunc-12", "trunc-string", "seed-string",
          "lambda-string", "tol-string", "n-max-float", "timings-string", "seed-bool",
          "lambda-one-value", "lambda-one-value-all", "nmax-past-guard-band-8",
-         "nmax-past-guard-band-9"],
+         "nmax-past-guard-band-9", "lambda-nan-last", "lambda-nan-first", "lambda-inf",
+         "lambda-minus-inf", "config-lambda-nan", "config-lambda-inf",
+         "config-lambda-minus-inf"],
 )
 def test_cli_refuses_before_any_case_runs(tmp_path, capsys, no_case_runs, argv, config, message):
     if config is not None:
@@ -766,12 +777,12 @@ def test_holds_and_raises_record_a_flag_against_zero():
     rec.holds("false-flag", False)
     rec.raises("fires", UsageError, lambda: suites.SuiteConfig(n_max=0).validate(), note="n")
     rec.raises("silent", UsageError, lambda: None)
-    flags = [(r.case.split("/")[1], r.measured, r.bound, r.tolerance, r.passed) for r in rec.records]
+    flags = [(r.case.split("/")[1], r.measured, r.bound, r.passed) for r in rec.records]
     assert flags == [
-        ("true-flag", 0.0, 0.0, 0.0, True),
-        ("false-flag", 1.0, 0.0, 0.0, False),
-        ("fires", 0.0, 0.0, 0.0, True),
-        ("silent", 1.0, 0.0, 0.0, False),
+        ("true-flag", 0.0, 0.0, True),
+        ("false-flag", 1.0, 0.0, False),
+        ("fires", 0.0, 0.0, True),
+        ("silent", 1.0, 0.0, False),
     ]
     assert [r.inputs for r in rec.records] == [{"M": 3}, {}, {"note": "n"}, {}]
 
