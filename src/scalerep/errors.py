@@ -28,10 +28,9 @@ class AccuracyError(RuntimeError):
 class ConvergenceError(RuntimeError):
     """An iteration hit its hard cap before meeting its tolerance."""
 
-    def __init__(self, message: str, last_term: float, trace=None):
+    def __init__(self, message: str, last_term: float):
         super().__init__(message)
         self.last_term = float(last_term)
-        self.trace = list(trace) if trace is not None else []
 
 
 class SingularOperatorError(RuntimeError):

@@ -18,6 +18,9 @@ cached ``subgroups`` for X1 and X2 (``UnitaryGroup``) and the scalar phase
 for X3; no group element is ever assembled as a matrix.
 
 Cross-validation of the two routes is one of the package's main checks.
+The growth of the action along the scale is measured by ``scale.bound_check``
+with the factor of the bound being tested; the conjugation law and the
+difference-quotient probe on ``DIFF_T_GRID`` are measured here.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ from .hermite import derivative_matrix, displace, position_matrix
 from .integrator import integrate_chart
 from .liecore import GroupElement, column_coords, group_inverse, require_column_times
 from .scale import (
-    BoundCheck,
     DiagonalGram,
     GeneratorFamily,
     ScaleChain,
@@ -43,6 +45,7 @@ from .scale import (
 
 UNITARITY_DEFECT_TOL = 1e-6
 SUPPORT_RTOL = 1e-8
+DIFF_T_GRID = tuple(1e-2 * 0.5**k for k in range(11))  # 1e-2 halved down to ~1e-5
 
 
 def effective_support(phi):
@@ -262,7 +265,6 @@ def measured_conjugation_offset(
 
 @dataclass(frozen=True)
 class ProbeResult:
-    t_values: tuple
     residuals: tuple
     ratios: tuple
     converged: bool
@@ -274,26 +276,21 @@ def differentiability_probe(
     x_coeffs,
     phi,
     n: int,
-    t_grid,
 ) -> ProbeResult:
-    """Residuals of the difference quotient (T(exp(t x)) - I)/t phi -> X phi.
+    """Residuals of the difference quotient (T(exp(t x)) - I)/t phi -> X phi on ``DIFF_T_GRID``.
 
-    The grid must be decreasing; first-order convergence means consecutive
-    residuals shrink roughly like the step ratio.
+    First-order convergence means consecutive residuals shrink roughly like
+    the step ratio, 2 on the halving grid.
     """
     phi = np.asarray(phi, dtype=complex)
-    t_grid = [float(t) for t in t_grid]
-    if any(t <= 0 for t in t_grid) or any(
-        b >= a for a, b in zip(t_grid, t_grid[1:])
-    ):
-        raise UsageError("t_grid must be positive and strictly decreasing")
     chain.family.require_interior(support_bound(phi), n + 1, what="differentiability probe")
     X = fam.generator(x_coeffs)
     ref = X @ phi
-    # every step acts on phi at once: one block of len(t_grid) columns
-    steps = liecore.chart_exp(x_coeffs, np.array(t_grid))
-    images = fam.action_analytic(steps, np.repeat(phi[:, None], len(t_grid), axis=1))
-    diffs = (images - phi[:, None]) / np.array(t_grid) - ref[:, None]
+    # every step acts on phi at once: one block of len(DIFF_T_GRID) columns
+    t = np.array(DIFF_T_GRID)
+    steps = liecore.chart_exp(x_coeffs, t)
+    images = fam.action_analytic(steps, np.repeat(phi[:, None], len(t), axis=1))
+    diffs = (images - phi[:, None]) / t - ref[:, None]
     residuals = scale_norm(chain, diffs, n).tolist()
     ratios = tuple(
         residuals[k] / residuals[k + 1] if residuals[k + 1] > 0 else np.inf
@@ -302,24 +299,4 @@ def differentiability_probe(
     converged = all(
         residuals[k + 1] <= residuals[k] * 1.1 for k in range(len(residuals) - 1)
     )
-    return ProbeResult(tuple(t_grid), tuple(residuals), ratios, converged)
-
-
-def norm_bound_sharp_check(
-    fam: HermiteHeisenberg,
-    chain: ScaleChain,
-    g: GroupElement,
-    phi,
-    n: int,
-) -> BoundCheck:
-    """Measure ||T(g) phi||_n against (1 + xi1^2 + xi2^2)^{n/2} ||phi||_n.
-
-    Block form: an (N, K) block with a block of K group elements gives
-    K-long ``lhs`` and ``bound``.
-    """
-    phi = np.asarray(phi, dtype=complex)
-    chain.family.require_interior(int(np.max(support_bound(phi))), n, what="sharp growth bound")
-    lhs = scale_norm(chain, fam.action_analytic(g, phi), n)
-    factor = (1.0 + g.xi1**2 + g.xi2**2) ** (n / 2.0)
-    bound = factor * scale_norm(chain, phi, n)
-    return BoundCheck(lhs, bound)
+    return ProbeResult(tuple(residuals), ratios, converged)

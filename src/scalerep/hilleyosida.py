@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import AccuracyError, ConvergenceError, SingularOperatorError, UsageError
 from .hermite import golub_welsch_rule
-from .scale import BoundCheck, ScaleChain, scale_norm, scale_operator_norm
+from .scale import ScaleChain, scale_norm, scale_operator_norm
 
 DEFAULT_LAMBDAS = (10.0, 20.0, 50.0, 100.0)
 LAPLACE_TOL = 1e-8          # tail bound of the Laplace quadrature
@@ -36,7 +36,6 @@ class TypeEstimate:
 
     n: int
     omega_n: float
-    t_grid: tuple
     sample_size: int
 
 
@@ -63,7 +62,7 @@ def estimate_type(apply, chain: ScaleChain, n: int, t_grid, block) -> TypeEstima
         # returns its input reproduces the sample norms (type exactly 0)
         sup = np.max(scale_norm(chain, apply(t, block), n)[live] / norms[live])
         omega = np.minimum(omega, np.log(sup) / abs(t))
-    return TypeEstimate(n, float(omega), tuple(t_grid), block.shape[1])
+    return TypeEstimate(n, float(omega), block.shape[1])
 
 
 def resolvent_matrix(X: np.ndarray, lam: complex) -> np.ndarray:
@@ -254,7 +253,6 @@ def yosida_reconstruct(
             raise ConvergenceError(
                 f"first series weight e^-{peak:g} underflows at lambda={lam:g}",
                 last_term=coeff,
-                trace=trace,
             )
         j_max = int(peak + 20.0 * np.sqrt(peak)) + 40
         v = phi.copy()
@@ -272,7 +270,6 @@ def yosida_reconstruct(
             raise ConvergenceError(
                 f"series cap j_max={j_max} hit at lambda={lam:g}",
                 last_term=float(np.linalg.norm(term)),
-                trace=trace,
             )
         final = total
         used.append(j)
@@ -282,8 +279,6 @@ def yosida_reconstruct(
 
 @dataclass(frozen=True)
 class EquicontinuityReport:
-    n: int
-    lam: float
     rows: tuple           # (p, worst_ratio, bound)
 
 
@@ -320,35 +315,20 @@ def equicontinuity_bound_check(
     rows = tuple(
         (p, float(worst[p - 1]), (abs(lam) - n) ** (-p)) for p in range(1, p_max + 1)
     )
-    return EquicontinuityReport(n, float(abs(lam)), rows)
+    return EquicontinuityReport(rows)
 
 
 def e118_constants(lam: complex, n: int) -> list:
-    """Recursion c_0 = 1/|lam|^2, c_i = 1 + prod_{j<i} c_j up to level n."""
+    """Recursion c_0 = 1/|lam|^2, c_i = 1 + prod_{j<i} c_j up to level n.
+
+    sqrt(prod_i c_i) is the printed c of ||R(lam) phi||_n <= c ||phi||_n (e1.18).
+    """
     cs = [1.0 / abs(lam) ** 2]
     prod = cs[0]
     for _ in range(n):
         cs.append(1.0 + prod)
         prod *= cs[-1]
     return cs
-
-
-def e118_bound_check(apply_resolvent, lam: complex, phi, chain: ScaleChain, n: int):
-    """Measure ||R(lam) phi||_n against the printed constant recursion.
-
-    The recursion yields bounds that are loose or tight depending on |lam|
-    and no validity range is stated, so callers should treat the ratio
-    as a recorded measurement rather than a hard assertion.
-    """
-    lam = complex(lam)
-    if lam.real == 0:
-        raise UsageError("bound needs Re(lambda) != 0")
-    phi = np.asarray(phi, dtype=complex)
-    cs = e118_constants(lam, n)
-    factor = float(np.sqrt(np.prod(cs)))
-    lhs = scale_norm(chain, apply_resolvent(lam, phi), n)
-    bound = factor * scale_norm(chain, phi, n)
-    return BoundCheck(lhs, bound)
 
 
 def estimate_beta(
@@ -385,8 +365,6 @@ def estimate_beta(
 class GlobalConditionsVerdict:
     """Outcome of the two reconstruction conditions over the measured ladder."""
 
-    omegas: tuple
-    betas: tuple
     omega_sup: float
     uniform_equicontinuity: bool   # beta ladder admits a finite sup (not increasing)
 
@@ -407,9 +385,4 @@ def global_conditions_report(type_estimates, betas) -> GlobalConditionsVerdict:
     betas = tuple(float(b) for b in betas)
     omega_sup = np.max(np.abs(omegas))
     increasing = all(b - a > BETA_RESOLUTION for a, b in zip(betas, betas[1:]))
-    return GlobalConditionsVerdict(
-        omegas=omegas,
-        betas=betas,
-        omega_sup=float(omega_sup),
-        uniform_equicontinuity=not increasing,
-    )
+    return GlobalConditionsVerdict(float(omega_sup), not increasing)

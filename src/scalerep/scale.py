@@ -36,6 +36,11 @@ the first ``interior_bound - d * n`` modes (d = number of generators).
 Building a chain to depth ``n_max`` requires at least one usable interior
 mode at that depth.  A block family is exact at every truncation
 (``band_growth = 0``) and has no guard band.
+
+Continuity estimates
+--------------------
+Every continuity estimate on the scale is one inequality, ||A phi||_n <=
+c ||phi||_n, measured by ``bound_check`` with the caller's A and stated c.
 """
 
 from __future__ import annotations
@@ -311,29 +316,19 @@ class BoundCheck:
         return float(ratio) if ratio.ndim == 0 else ratio
 
 
-def group_bound_check(
-    chain: ScaleChain,
-    apply,
-    omega: float,
-    f_matrix: np.ndarray,
-    n: int,
-    phi,
-) -> BoundCheck:
-    """Measure ||Tg phi||_n against omega (1 + sum |f_ij|)^n ||phi||_n.
+def bound_check(chain: ScaleChain, apply, phi, n: int, factor) -> BoundCheck:
+    """Measure ||A phi||_n against c ||phi||_n, the continuity estimate of A on the scale.
 
-    ``apply(phi)`` returns Tg phi, the action of the group element being
-    tested; ``omega`` is the caller's ambient-space continuity constant
-    (1 for unitary actions); ``f_matrix`` is the conjugation-law matrix of
-    that element.  Block form: an (N, K) block, an ``apply`` acting on it
-    column by column and a (K, d, d) stack of matrices give K-long
-    ``lhs`` and ``bound``.
+    ``apply(phi)`` returns A phi and ``factor`` is the constant c the paper
+    states for A.  The guard band is checked first: phi must be supported
+    where n applications of the generators stay faithful.  Block form: an
+    (N, K) block, an ``apply`` acting on it column by column and one factor
+    or K of them give K-long ``lhs`` and ``bound``.
     """
     phi = np.asarray(phi, dtype=complex)
-    chain.family.require_interior(int(np.max(support_bound(phi))), n, what="group bound")
+    chain.family.require_interior(int(np.max(support_bound(phi))), n, what="bound check")
     lhs = scale_norm(chain, apply(phi), n)
-    factor = (1.0 + np.sum(np.abs(f_matrix), axis=(-2, -1))) ** n
-    bound = float(omega) * factor * scale_norm(chain, phi, n)
-    return BoundCheck(lhs, bound)
+    return BoundCheck(lhs, factor * scale_norm(chain, phi, n))
 
 
 def scale_operator_norm(chain: ScaleChain, A: np.ndarray, n: int) -> float:

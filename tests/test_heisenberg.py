@@ -1,5 +1,6 @@
 import gc
 import weakref
+from functools import partial
 
 import numpy as np
 import pytest
@@ -8,19 +9,19 @@ import scipy.linalg
 from scalerep import heisenberg
 from scalerep.errors import AccuracyError, UsageError
 from scalerep.heisenberg import (
+    DIFF_T_GRID,
     UnitaryGroup,
     conjugation_residual,
     differentiability_probe,
     effective_support,
     hermite_generators,
     measured_conjugation_offset,
-    norm_bound_sharp_check,
     support_bound,
 )
 from scalerep.hermite import gauss_hermite, hermite_functions
 from scalerep.integrator import integrate_chart
 from scalerep.liecore import GroupElement, chart_exp, second_kind_coords, x3_sign_factor
-from scalerep.scale import scale_norm
+from scalerep.scale import bound_check, scale_norm
 
 from conftest import h0
 
@@ -28,6 +29,12 @@ from conftest import h0
 def eigen_matrix(U, t):
     """Dense exp(-i t H) rebuilt from the group's own eigenpairs (the oracle)."""
     return (U.V * np.exp(-1j * t * U.w)) @ U.V.conj().T
+
+
+def sharp_check(fam, chain, g, phi, n):
+    """The sharp growth bound (e1.9): ||T(g) phi||_n <= (1 + xi1^2 + xi2^2)^{n/2} ||phi||_n."""
+    factor = (1 + g.xi1**2 + g.xi2**2) ** (n / 2)
+    return bound_check(chain, partial(fam.action_analytic, g), phi, n, factor)
 
 
 def factored_matrix(fam, g):
@@ -183,35 +190,36 @@ def test_conjugation_margin_enforced(fam, chain):
 
 
 def test_differentiability_probe_rates(fam, chain, rng):
-    grid = tuple(1e-2 * 0.5**k for k in range(8))
     phi = random_interior(rng, 64, 10)
     for x in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
-        probe = differentiability_probe(fam, chain, x, phi, 1, grid)
+        probe = differentiability_probe(fam, chain, x, phi, 1)
         assert probe.converged
         assert all(1.7 <= r <= 2.3 for r in probe.ratios)
     # scalar direction: the residual is |(exp(-it)-1)/t + i| ~ t/2 exactly
-    probe = differentiability_probe(fam, chain, (0, 0, 1), phi, 0, (1e-3,))
-    expect = abs((np.exp(-1e-3j) - 1) / 1e-3 + 1j) * scale_norm(chain, phi, 0)
-    assert probe.residuals[0] == pytest.approx(expect, rel=1e-6)
+    probe = differentiability_probe(fam, chain, (0, 0, 1), phi, 0)
+    t = np.array(DIFF_T_GRID)
+    expect = np.abs((np.exp(-1j * t) - 1) / t + 1j) * scale_norm(chain, phi, 0)
+    assert probe.residuals == pytest.approx(tuple(expect), rel=1e-6)
 
 
 def test_differentiability_probe_validation(fam, chain):
-    phi = h0()
+    phi = np.zeros(64, dtype=complex)
+    phi[61] = 1.0   # a level-1 probe needs support in the first 59 modes
     with pytest.raises(UsageError):
-        differentiability_probe(fam, chain, (1, 0, 0), phi, 1, (1e-3, 1e-2))
-    with pytest.raises(UsageError):
-        differentiability_probe(fam, chain, (1, 0, 0), phi, 1, (0.0, -1.0))
+        differentiability_probe(fam, chain, (1, 0, 0), phi, 1)
+    with pytest.raises(UsageError, match="3 coefficients"):
+        differentiability_probe(fam, chain, (1, 0), h0(), 1)
 
 
 def test_sharp_bound_h0_instance(fam, chain):
-    res = norm_bound_sharp_check(fam, chain, GroupElement(1, 1, 0), h0(), 1)
+    res = sharp_check(fam, chain, GroupElement(1, 1, 0), h0(), 1)
     assert res.bound == pytest.approx(np.sqrt(3) * np.sqrt(2), abs=1e-9)
     assert res.lhs <= res.bound * (1 + 1e-6)
 
 
 def test_sharp_bound_phase_equality(fam, chain, rng):
     phi = random_interior(rng, 64, 12)
-    res = norm_bound_sharp_check(fam, chain, GroupElement(0, 0, 0.7), phi, 2)
+    res = sharp_check(fam, chain, GroupElement(0, 0, 0.7), phi, 2)
     assert abs(res.lhs - res.bound) < 1e-9
 
 
@@ -219,7 +227,7 @@ def test_sharp_bound_margin_enforced(fam, chain):
     phi = np.zeros(64, dtype=complex)
     phi[61] = 1.0
     with pytest.raises(UsageError):
-        norm_bound_sharp_check(fam, chain, GroupElement(0.1, 0, 0), phi, 2)
+        sharp_check(fam, chain, GroupElement(0.1, 0, 0), phi, 2)
 
 
 def test_action_homomorphism_factored(fam, rng):
@@ -461,7 +469,7 @@ def test_a_block_element_of_the_wrong_length_is_refused(fam, chain, rng, check):
         "action_analytic": lambda g, v: fam.action_analytic(g, v),
         "action_factored": lambda g, v: fam.action_factored(g, v),
         "conjugation": lambda g, v: conjugation_residual(fam, chain, g, 1, v, 1),
-        "sharp": lambda g, v: norm_bound_sharp_check(fam, chain, g, v, 2).ratio,
+        "sharp": lambda g, v: sharp_check(fam, chain, g, v, 2).ratio,
     }[check]
     block = np.stack([random_interior(rng, 64, 8) for _ in range(3)], axis=1)
     gs = GroupElement(*rng.uniform(-1, 1, (3, 3)))
@@ -476,10 +484,10 @@ def test_a_block_element_of_the_wrong_length_is_refused(fam, chain, rng, check):
 def test_block_bound_checks_match_the_vector_checks(fam, chain, rng):
     gs = [GroupElement(*rng.uniform(-1, 1, 3)) for _ in range(4)]
     block = np.stack([random_interior(rng, 64, 8) for _ in range(4)], axis=1)
-    sharp = norm_bound_sharp_check(fam, chain, GroupElement.stack(gs), block, 2)
+    sharp = sharp_check(fam, chain, GroupElement.stack(gs), block, 2)
     conj = conjugation_residual(fam, chain, GroupElement.stack(gs), [1, 2, 3, 2], block, 1)
     for j, g in enumerate(gs):
-        one = norm_bound_sharp_check(fam, chain, g, block[:, j], 2)
+        one = sharp_check(fam, chain, g, block[:, j], 2)
         assert sharp.ratio[j] == pytest.approx(one.ratio, rel=1e-12)
         assert sharp.bound[j] == pytest.approx(one.bound, rel=1e-14)
         alone = conjugation_residual(fam, chain, g, [1, 2, 3, 2][j], block[:, j], 1)

@@ -10,7 +10,6 @@ from scalerep.heisenberg import UnitaryGroup, hermite_generators
 from scalerep.hermite import gauss_hermite
 from scalerep.hilleyosida import (
     YosidaSeriesSpec,
-    e118_bound_check,
     e118_constants,
     equicontinuity_bound_check,
     estimate_beta,
@@ -22,7 +21,7 @@ from scalerep.hilleyosida import (
     yosida_reconstruct,
 )
 from scalerep.sampling import interior_vector
-from scalerep.scale import build_scale_chain, scale_norm
+from scalerep.scale import bound_check, build_scale_chain, scale_norm
 
 from conftest import h0
 
@@ -337,11 +336,16 @@ def test_e118_bound_level0(fam, chain):
     def apply_resolvent(lam, v):
         return resolvent_matrix(fam.x2, lam) @ v
 
-    res = e118_bound_check(apply_resolvent, 3.0, h0(), chain, 0)
+    def check(lam):
+        # the printed constant of (e1.18): sqrt of the product of the recursion
+        factor = np.sqrt(np.prod(e118_constants(lam, 0)))
+        return bound_check(chain, lambda v: apply_resolvent(lam, v), h0(), 0, factor)
+
+    res = check(3.0)
     assert res.bound == pytest.approx(scale_norm(chain, h0(), 0) / 3.0)
     assert res.lhs <= res.bound * (1 + 1e-6)
-    with pytest.raises(UsageError):
-        e118_bound_check(apply_resolvent, 2j, h0(), chain, 0)
+    with pytest.raises(SingularOperatorError):
+        check(2j)
 
 
 def resolvent_applier(X, seen=None):

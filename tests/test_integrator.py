@@ -115,7 +115,7 @@ def test_every_kernel_takes_the_model_families_directly(fam, chain, blocks, bloc
         N = model.gens[0].shape[0]
         phi, F = interior(rng, N, modes), interior(rng, N, N)
         checks = evaluator_invariants(model, np.array([phi, F]).T)
-        assert [c.label for c in checks] == ["X1", "X2", "X3"]
+        assert len(checks) == 3   # one per generator
         scale = np.max(np.abs(model.gens[2])) ** 2  # 1 for Hermite, M^2 for blocks
         assert homomorphism_residual(model, g, h, phi, ch, 1) < 1e-9 * scale
         assert int_identity_residual(model, 1, 2, 0.7, phi, ch, 1) < 1e-6 * scale
@@ -126,8 +126,8 @@ def test_every_kernel_takes_the_model_families_directly(fam, chain, blocks, bloc
     # the checks that need an algebra element or the conjugation law are Hermite's
     phi = interior(rng, 64, 12)
     assert translated_derivative_residual(fam, (0, 1, 0), 0.2, g, phi, chain, 1) < 1e-4
-    (row,) = derivative_identity_check(fam, (1, 1, 0), 0.3, phi, chain, 1, h_grid=(1e-3,))
-    assert row.residual_left < 1e-3
+    (residual,) = derivative_identity_check(fam, (1, 1, 0), 0.3, phi, chain, 1, h_grid=(1e-3,))
+    assert residual < 1e-3
     assert conjugation_series_vs_automorphism(fam, 1, 0.6, phi, chain, 1) < 1e-8
     with pytest.raises(UsageError, match="3 coefficients"):
         derivative_identity_check(fam, (1, 1), 0.3, phi, chain, 1)
@@ -263,14 +263,16 @@ def test_int_identity_index_guard(fam, chain):
 
 def test_derivative_identity_second_order(fam, chain, rng):
     phi = interior(rng, 64, 12)
-    rows = derivative_identity_check(
+    residuals = derivative_identity_check(
         fam, (1.0, 1.0, 0.0), 0.3, phi, chain, 1, h_grid=(1e-2, 5e-3, 2.5e-3)
     )
-    for k in range(len(rows) - 1):
-        ratio = rows[k].residual_left / rows[k + 1].residual_left
+    for k in range(len(residuals) - 1):
+        ratio = residuals[k] / residuals[k + 1]
         assert 3.4 <= ratio <= 4.6
-    for row in rows:
-        assert abs(row.residual_left - row.residual_right) < 1e-6
+    # the derivative's other form: U X phi agrees with X U phi
+    X = fam.generator((1.0, 1.0, 0.0))
+    U = partial(integrate_chart, fam, chart_exp((1.0, 1.0, 0.0), 0.3))
+    assert scale_norm(chain, X @ U(phi) - U(X @ phi), 1) < 1e-6
 
 
 def test_translated_derivative(fam, chain, rng):
@@ -348,7 +350,7 @@ def test_extension_probe_verdicts():
     for N in (32, 64, 128):
         fam = hermite_generators(N)
         hermite_ladder.append((N, np.linalg.norm(fam.evaluators[0](t, np.eye(N)), 2)))
-    verdict = extension_probe(hermite_ladder, t, label="X1")
+    verdict = extension_probe(hermite_ladder)
     assert verdict.verdict == "extends"
     assert all(abs(v - 1.0) < 1e-8 for v in verdict.norms)
 
@@ -356,11 +358,11 @@ def test_extension_probe_verdicts():
     for M in (10, 50, 100):
         bl = blockrep.block_generators(M)
         block_ladder.append((3 * M, blockrep.exp_operator_norm(bl, 1, t)))
-    verdict = extension_probe(block_ladder, t, label="X1")
+    verdict = extension_probe(block_ladder)
     assert verdict.verdict == "does not extend"
     assert verdict.norms[-1] >= 100
 
     with pytest.raises(UsageError):
-        extension_probe(block_ladder[:2], t)
+        extension_probe(block_ladder[:2])
     with pytest.raises(UsageError):
-        extension_probe([(10, 1.0), (10, 1.0), (11, 1.0)], t)
+        extension_probe([(10, 1.0), (10, 1.0), (11, 1.0)])

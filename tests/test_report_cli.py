@@ -579,9 +579,14 @@ def test_accepted_configurations_end_in_a_complete_report(
     tmp_path_factory, data, suite, n_max, seed, x3_sign
 ):
     # the sibling of the refusal property for the other flags: every draw
-    # validate accepts exits 0 or 1 with every case of its suite in the report
+    # validate accepts exits 0 or 1 with every case of its suite in the report;
+    # a tolerance is only a bound, so any float (NaN, infinities, negatives) is accepted
     trunc = data.draw(st.integers(*TRUNC_RANGES[suite]), label="trunc")
-    cfg = SuiteConfig(suite=suite, trunc=trunc, n_max=n_max, seed=seed, x3_sign=x3_sign)
+    tol = data.draw(
+        st.dictionaries(st.sampled_from(sorted(suites.TOL_DEFAULTS)), st.floats(), max_size=3),
+        label="tol",
+    )
+    cfg = SuiteConfig(suite=suite, trunc=trunc, n_max=n_max, seed=seed, x3_sign=x3_sign, tol=tol)
     try:
         cfg.validate()
     except UsageError:
@@ -589,6 +594,7 @@ def test_accepted_configurations_end_in_a_complete_report(
     out = tmp_path_factory.mktemp("run") / "report.json"
     argv = ["run", "--suite", suite, "--trunc", str(trunc), "--nmax", str(n_max),
             "--seed", str(seed), "--x3-sign", x3_sign, "--out", str(out)]
+    argv += [arg for key, value in tol.items() for arg in ("--tol", f"{key}={value!r}")]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sys, "stderr", io.StringIO())
         assert main(argv) in (0, 1)

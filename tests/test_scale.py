@@ -10,8 +10,8 @@ from scalerep.liecore import GroupElement
 from scalerep.scale import (
     DiagonalGram,
     GeneratorFamily,
+    bound_check,
     build_scale_chain,
-    group_bound_check,
     monotonicity_check,
     recombined_family,
     scale_norm,
@@ -155,7 +155,8 @@ def test_recombination_validation(chain):
 
 
 def test_group_bound_identity_element(chain):
-    res = group_bound_check(chain, lambda v: v, 1.0, np.eye(3), 2, h0())
+    # generic factor (1 + sum_ij |f_ij|)^n at f = I
+    res = bound_check(chain, lambda v: v, h0(), 2, (1 + np.sum(np.abs(np.eye(3)))) ** 2)
     assert res.lhs <= res.bound * (1 + 1e-6)
     assert res.bound == pytest.approx((1 + 3.0) ** 2 * scale_norm(chain, h0(), 2))
 
@@ -164,7 +165,7 @@ def test_group_bound_margin_enforced(chain):
     phi = np.zeros(64, dtype=complex)
     phi[62] = 1.0
     with pytest.raises(UsageError):
-        group_bound_check(chain, lambda v: v, 1.0, np.eye(3), 2, phi)
+        bound_check(chain, lambda v: v, phi, 2, (1 + np.sum(np.abs(np.eye(3)))) ** 2)
 
 
 def test_scale_operator_norm_identity(chain):
