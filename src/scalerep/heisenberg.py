@@ -26,7 +26,7 @@ difference-quotient probe on ``DIFF_T_GRID`` are measured here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -105,6 +105,12 @@ class UnitaryGroup:
         return self.V @ (phases * (self.V.conj().T @ np.asarray(v, dtype=complex)))
 
 
+@lru_cache(maxsize=8)
+def _position_group(N: int) -> UnitaryGroup:
+    """The group of ``position_matrix(N)``, shared by every family of N modes."""
+    return UnitaryGroup.of(position_matrix(N))
+
+
 class HermiteHeisenberg:
     """Truncated generators and group action on N Hermite modes."""
 
@@ -175,15 +181,23 @@ class HermiteHeisenberg:
         return out.reshape(phi.shape)
 
     @cached_property
+    def frame(self) -> np.ndarray:
+        """Diagonal of P^* = diag(1, -i, -1, i, ...), read-only: X1 = P^* X2 P,
+        so X1 is X2 in its real Fourier frame."""
+        p = np.array([1, -1j, -1, 1j])[np.arange(self.N) % 4]
+        p.setflags(write=False)
+        return p
+
+    @cached_property
     def subgroups(self) -> tuple:
         """exp(t X1) and exp(t X2) as groups of the Hermitian i*X1 and x.
 
         X1 = -i (i X1) and X2 = -i x, so exp(t X_k) = exp(-i t H_k).  Both
-        come from one real ``eigh`` of x: with P = diag(1, i, -1, -i, ...),
-        i X1 = P^* x P, so its group is (w_x, P^* V_x).
+        come from one real ``eigh`` of x, taken once per N per process: since
+        i X1 = P^* x P (``frame``), the group of i X1 is (w_x, P^* V_x).
         """
-        x = UnitaryGroup.of(position_matrix(self.N))
-        V1 = np.array([1, -1j, -1, 1j])[np.arange(self.N) % 4, None] * x.V
+        x = _position_group(self.N)
+        V1 = self.frame[:, None] * x.V
         V1.setflags(write=False)
         return UnitaryGroup(x.w, V1), x
 

@@ -39,83 +39,93 @@ class TypeEstimate:
     sample_size: int
 
 
-def estimate_type(apply, chain: ScaleChain, n: int, t_grid, block) -> TypeEstimate:
+def estimate_type(apply, chain: ScaleChain, n, t_grid, block):
     """Grid infimum of (1/|t|) log sup ||T(t) phi||_n / ||phi||_n.
 
     The sample vectors phi are the columns of the (N, k) ``block``;
     ``apply(t, v)`` returns T(t) v and is called once per t on the whole
-    block.  The infimum over a finite grid is an upper bound for the true
-    type; a grid reaching large |t| is needed to resolve type zero to small
-    tolerance.  A NaN ratio makes omega NaN.
+    block.  ``n`` is one level or a sequence of levels, which gives one
+    estimate per level from those same applications.  The infimum over a
+    finite grid is an upper bound for the true type; a grid reaching large
+    |t| is needed to resolve type zero to small tolerance.  A NaN ratio
+    makes omega NaN.
     """
     t_grid = [float(t) for t in t_grid]
     if not t_grid or any(t == 0 for t in t_grid):
         raise UsageError("t_grid must be nonempty and exclude 0")
     block = np.asarray(block, dtype=complex)
-    norms = scale_norm(chain, block, n)
-    if np.ndim(norms) != 1 or np.max(norms, initial=0.0) <= 1e-30:
+    levels = np.atleast_1d(n).tolist()
+    norms = [scale_norm(chain, block, level) for level in levels]
+    if np.ndim(norms[0]) != 1 or np.max(norms[0], initial=0.0) <= 1e-30:
         raise UsageError(f"need an (N, k) block with a sample of nonzero norm, got {block.shape}")
-    live = norms > 0
-    omega = np.inf
+    omega = [np.inf] * len(levels)
     for t in t_grid:
-        # block norms equal the column norms bit for bit, so an apply that
-        # returns its input reproduces the sample norms (type exactly 0)
-        sup = np.max(scale_norm(chain, apply(t, block), n)[live] / norms[live])
-        omega = np.minimum(omega, np.log(sup) / abs(t))
-    return TypeEstimate(n, float(omega), block.shape[1])
+        image = apply(t, block)
+        for i, (level, base) in enumerate(zip(levels, norms)):
+            # block norms equal the column norms bit for bit, so an apply that
+            # returns its input reproduces the sample norms (type exactly 0)
+            live = base > 0
+            sup = np.max(scale_norm(chain, image, level)[live] / base[live])
+            omega[i] = np.minimum(omega[i], np.log(sup) / abs(t))
+    out = [TypeEstimate(level, float(w), block.shape[1]) for level, w in zip(levels, omega)]
+    return out if np.ndim(n) else out[0]
 
 
-def resolvent_matrix(X: np.ndarray, lam: complex) -> np.ndarray:
+def resolvent_matrix(X: np.ndarray, lam) -> np.ndarray:
     """(lam I - X)^{-1} for a skew-Hermitian tridiagonal X, by elimination without pivoting.
 
-    The pivots of lam I - X are d_0 = lam - X[0, 0] and
-    d_k = lam - X[k, k] + |X[k, k-1]|^2 / d_{k-1}.  The diagonal of X is
-    imaginary and Re(1/d) has the sign of Re d, so by induction
-    Re d_k >= Re lam when Re lam > 0 (and <= when Re lam < 0): every pivot
-    has |d_k| >= |Re lam|, so in exact arithmetic the elimination cannot
-    break down off the imaginary axis.  In floating point a |Re lam|
-    near the underflow threshold can still overflow a multiplier; an
-    elimination that leaves the floating-point range raises
-    ``SingularOperatorError``.  All columns of I are eliminated at once, in
-    O(N^2); no row is ever swapped, as partial pivoting would not swap one
-    either.
+    The pivots are d_0 = lam - X[0, 0], d_k = lam - X[k, k] + |X[k, k-1]|^2 / d_{k-1}.
+    X's diagonal is imaginary and Re(1/d) has the sign of Re d, so every
+    pivot has |d_k| >= |Re lam|: off the imaginary axis the elimination
+    cannot break down in exact arithmetic (nor would partial pivoting swap
+    a row).  One that leaves the floating-point range, as at a subnormal
+    Re lam, raises ``SingularOperatorError`` naming its lam.  It runs in
+    float64 for a real X and lam (X1: X2 in its real frame) and scales rows
+    by the pivot's reciprocal, as complex division does for a real pivot,
+    so X2 at real lam gives ``zgesv``'s result bit for bit and X1 the same
+    entries.  A 1-D ``lam`` gives the (L, N, N) stack from one elimination
+    across it, each resolvent bit-identical to its own call.
     """
-    X = np.asarray(X, dtype=complex)
-    lam = complex(lam)
-    if lam.real == 0:
+    given = np.atleast_1d(lam)
+    stack = given.astype(np.result_type(X, given, float))
+    for bad in given[stack.real == 0][:1]:
         raise SingularOperatorError(
-            f"lam={lam} lies on the imaginary axis, where no pivot bound holds",
+            f"lam={bad} lies on the imaginary axis, where no pivot bound holds",
             condition_estimate=np.inf,
         )
     band = [np.diagonal(X, k) for k in (-1, 0, 1)]
     if (
-        np.count_nonzero(X) != sum(map(np.count_nonzero, band))
+        given.ndim > 1
+        or np.count_nonzero(X) != sum(map(np.count_nonzero, band))
         or np.any(band[1].real)
         or not np.array_equal(band[2], -band[0].conj())
     ):
-        raise UsageError("X must be skew-Hermitian and tridiagonal")
-    sub, diag, sup = -band[0], lam - band[1], -band[2]
-    N = len(diag)
-    pivots = np.empty(N, dtype=complex)
-    pivots[0] = diag[0]
-    R = np.eye(N, dtype=complex)
-    try:
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
-            for k in range(1, N):
-                mult = sub[k - 1] / pivots[k - 1]
-                pivots[k] = diag[k] - mult * sup[k - 1]
-                R[k, :k] -= mult * R[k - 1, :k]
-            R[N - 1] /= pivots[N - 1]
-            for k in range(N - 2, -1, -1):
-                row = R[k]
-                row -= sup[k] * R[k + 1]
-                row /= pivots[k]
-    except FloatingPointError as exc:
+        raise UsageError("X must be skew-Hermitian and tridiagonal, and lam a scalar or 1-D")
+    sub, sup = -band[0], -band[2]
+    diag = stack[:, None] - band[1][:, None, None]
+    N, L = len(diag), len(stack)
+    pivots, recips = diag.copy(), np.empty_like(diag)
+    # R[k] holds row k of every resolvent: the row operations act on (L, N) slabs
+    R = np.zeros((N, L, N), dtype=stack.dtype)
+    R[np.arange(N), :, np.arange(N)] = 1.0
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for k in range(1, N):
+            recips[k - 1] = 1.0 / pivots[k - 1]
+            mult = recips[k - 1] * sub[k - 1]
+            pivots[k] -= mult * sup[k - 1]
+            np.multiply(-mult, R[k - 1, :, :k], out=R[k, :, :k])  # 0 - mult R[k - 1]
+        recips[-1] = 1.0 / pivots[-1]
+        for k in range(N - 1, -1, -1):
+            if k < N - 1:
+                R[k] -= sup[k] * R[k + 1]
+            R[k] *= recips[k]
+        finite = np.isfinite(pivots * recips).all(axis=(0, 2)) & np.isfinite(R).all(axis=(0, 2))
+    if not finite.all():
         raise SingularOperatorError(
-            f"elimination at lam={lam} left the floating-point range ({exc})",
+            f"elimination at lam={given[np.argmin(finite)]} left the floating-point range",
             condition_estimate=np.inf,
-        ) from None
-    return R
+        )
+    return R[:, 0] if np.ndim(lam) == 0 else R.transpose(1, 0, 2)
 
 
 @dataclass(frozen=True)
@@ -347,9 +357,10 @@ def estimate_beta(
     The norms read only the leading k columns of R^p, k the largest mode
     count, so ``apply_resolvent(lam, B)`` carries them as one (N, k) block:
     B_1 = R I[:, :k], B_p = R B_{p-1}, measured at every level before the
-    next power.  No power is formed as an N x N matrix.
+    next power.  No power is formed as an N x N matrix.  I[:, :k] is real,
+    so a real resolvent (X2's in its real frame) keeps every block real.
     """
-    eye = np.eye(chain.family.dim, max(levels.values()), dtype=complex)
+    eye = np.eye(chain.family.dim, max(levels.values()))
     best = dict.fromkeys(levels, -np.inf)
     for lam in lambdas:
         block = eye

@@ -20,11 +20,12 @@ every level in that structure alone:
   w_{n+1}(k) = w_n(k) + sum_i sum_j |X_i[j, k]|^2 w_n(j),
   with the coupling sum_i |X_i|^2 taken from the family in its own
   structure (a dense matrix, or a stack of diagonal blocks);
-* ``DenseGram`` holds the full matrix, for families that declare no
-  structure (orthogonal recombinations, test families).
+* ``BandedGram`` holds the 4n + 1 diagonals of G_n, whose bandwidth is 2n
+  as every generator is tridiagonal, for families that declare no more
+  (orthogonal recombinations, test families): a step costs O(N n).
 
-A scale norm then costs O(N) rather than a dense product, and the norms of
-a block are one stacked product over its rows.
+A scale norm then costs O(N n) at most, and the norms of a block are one
+stacked product over its rows.
 
 Guard bands
 -----------
@@ -66,36 +67,60 @@ def support_bound(phi):
 
 
 @dataclass(frozen=True)
-class DenseGram:
-    """A Gram form held as its full N x N matrix."""
+class BandedGram:
+    """A Gram form held as ``bands[i, b + d]`` = G[i, i + d], |d| <= b = 2n, zero past the edges."""
 
-    matrix: np.ndarray
+    bands: np.ndarray
 
     @staticmethod
-    def identity(family) -> "DenseGram":
-        return DenseGram(np.eye(family.dim, dtype=complex))
+    def identity(family) -> "BandedGram":
+        return BandedGram(np.ones((family.dim, 1), dtype=complex))
 
-    def step(self, family) -> "DenseGram":
-        G = self.matrix
-        nxt = G.copy()
-        for X in family.gens:
-            nxt = nxt + X.conj().T @ G @ X
-        return DenseGram(0.5 * (nxt + nxt.conj().T))
+    @property
+    def width(self) -> int:
+        return self.bands.shape[1] // 2
+
+    def step(self, family) -> "BandedGram":
+        # X^* G X as H = G X, then X^* H, for every generator at once, with
+        # col[u, j] = X[j + u - 1, j]: H[i, i + e] = sum_u G[i, i + e + u - 1]
+        # col[u, i + e], X^* H[i, i + d] = sum_u conj(col[u, i]) H[i + u - 1, i + d]
+        N, W = self.bands.shape
+        b = W // 2 + 2  # the new half-bandwidth
+        G = np.zeros((N, W + 6), dtype=complex)
+        G[:, 3:-3] = self.bands
+        col = np.zeros((family.d, 3, N + 2 * b), dtype=complex)
+        for g, X in enumerate(family.gens):
+            for u in range(3):
+                col[g, u, b + max(0, 1 - u) : b + N - max(0, u - 1)] = np.diagonal(X, 1 - u)
+        window = np.lib.stride_tricks
+        H = np.zeros((family.d, N + 2, W + 6), dtype=complex)
+        terms = window.sliding_window_view(G, W + 4, 1).swapaxes(0, 1)
+        np.sum(terms * window.sliding_window_view(col, W + 4, 2), 1, out=H[:, 1:-1, 1:-1])
+        s0, s1, s2 = H.strides  # shifted[g, u, i, k] = H[g, u + i, 2 - u + k]
+        shifted = window.as_strided(H[:, 0, 2:], (family.d, 3, N, W + 4), (s0, s1 - s2, s1, s2))
+        return BandedGram(G[:, 1:-1] + (col[:, :, b : b + N, None].conj() * shifted).sum((0, 1)))
 
     def quadratic(self, rows) -> np.ndarray:
-        """phi^* G phi for each of the (K, N) rows."""
-        return np.array([np.vdot(phi, self.matrix @ phi).real for phi in rows])
+        """phi^* G phi for each of the (K, N) rows, as ``DiagonalGram.quadratic`` with G phi."""
+        padded = np.pad(rows, ((0, 0), (self.width, self.width)))  # [k, i + b + d] = phi_k[i + d]
+        image = self.bands * np.lib.stride_tricks.sliding_window_view(padded, len(self.bands.T), 1)
+        return (rows.conj()[:, None, :] @ image.sum(-1)[:, :, None]).real[:, 0, 0]
 
-    def increment_floor(self, prev: "DenseGram") -> float:
-        """Smallest eigenvalue of this form minus ``prev``."""
-        diff = self.matrix - prev.matrix
-        return float(np.min(np.linalg.eigvalsh(0.5 * (diff + diff.conj().T))))
+    def dense(self) -> np.ndarray:
+        rows, offsets = np.nonzero(self.bands)
+        G = np.zeros((len(self.bands),) * 2, dtype=complex)
+        G[rows, rows + offsets - self.width] = self.bands[rows, offsets]
+        return G
+
+    def increment_floor(self, prev: "BandedGram") -> float:
+        return float(np.min(np.linalg.eigvalsh(self.dense() - prev.dense())))
 
     def hermiticity_residual(self) -> float:
-        return float(np.max(np.abs(self.matrix - self.matrix.conj().T)))
+        G = self.dense()
+        return float(np.max(np.abs(G - G.conj().T)))
 
     def identity_residual(self) -> float:
-        return float(np.max(np.abs(self.matrix - np.eye(len(self.matrix)))))
+        return float(np.max(np.abs(self.bands - (np.arange(self.bands.shape[1]) == self.width))))
 
 
 @dataclass(frozen=True)
@@ -170,11 +195,12 @@ class GeneratorFamily(_GuardBand):
     Everything else is read from them: ``dim`` N, ``d`` generators, the
     ``interior_bound`` N - 1 and ``band_growth`` 1 of a tridiagonal
     truncation.  ``gram_form`` is the structure the family's Gram forms
-    keep: ``DenseGram`` unless the family declares more (``DiagonalGram``).
+    keep: ``BandedGram`` unless the family declares more (``DiagonalGram``).
+    A generator with an entry off its three diagonals is refused.
     """
 
     gens: tuple
-    gram_form: type = DenseGram
+    gram_form: type = BandedGram
     band_growth = 1
 
     def __post_init__(self):
@@ -183,6 +209,9 @@ class GeneratorFamily(_GuardBand):
         if not N or any(g.shape != (N, N) for g in gens):
             shapes = [g.shape for g in gens]
             raise UsageError(f"generators must be square and of one size, got shapes {shapes}")
+        for g in gens:
+            if np.count_nonzero(g) != sum(np.count_nonzero(np.diagonal(g, k)) for k in (-1, 0, 1)):
+                raise UsageError("generators must be tridiagonal")
         object.__setattr__(self, "gens", gens)
 
     @property
@@ -206,7 +235,7 @@ class GeneratorFamily(_GuardBand):
 def recombined_family(family: GeneratorFamily, O: np.ndarray) -> GeneratorFamily:
     """Family with generators replaced by the recombination sum_j O[i, j] X_j.
 
-    The result declares no Gram structure, so its chain is dense: an
+    The result declares no Gram structure, so its chain is banded: an
     independent route to the same forms for orthogonal O.
     """
     O = np.asarray(O, dtype=float)
@@ -340,12 +369,12 @@ def scale_operator_norm(chain: ScaleChain, A: np.ndarray, n: int) -> float:
     operator or only its leading (N, k) columns, 0 < k <= N: the supremum
     then runs over inputs supported in those k modes (the output is still
     measured in full), which keeps the estimate honest where truncation
-    contaminates the band edge.
+    contaminates the band edge.  A real A is measured in real arithmetic.
     """
     G = chain.gram(n)
     if not isinstance(G, DiagonalGram):
         raise UsageError("scale_operator_norm needs a chain of diagonal Gram forms")
-    A = np.asarray(A, dtype=complex)
+    A = np.asarray(A)
     N = chain.family.dim
     if A.ndim != 2 or A.shape[0] != N or not 0 < A.shape[1] <= N:
         raise UsageError(f"operator has shape {A.shape}, expected (N, k) with N = {N}, 0 < k <= N")

@@ -51,6 +51,7 @@ DEFAULT_M = 50
 TYPE_T_GRID = (1.0, 10.0, 100.0, 1e3, 1e4, 1e5, 1e6, 1e7)
 BLOCK_LADDER = (10, 50, 100)
 HERMITE_LADDER = (32, 64, 128)
+STACK_ENTRIES = 2**18  # most entries of one stack of X2 resolvents
 # Fewest modes heisenberg-hermite runs to the end at.  Below it hh-03 loses
 # mass past the truncation (N <= 28) or hh-07/hh-08 draw vectors past the
 # action's N/2 support limit (N = 53 dies at 37 of seeds 0-39); 54 completes
@@ -148,11 +149,13 @@ class SuiteConfig:
             )
         if self.fmt not in ("json", "csv"):
             raise UsageError("format must be json or csv")
-        for key in self.tol:
+        for key, value in self.tol.items():
             if key not in TOL_DEFAULTS:
                 raise UsageError(
                     f"unknown tolerance key {key!r}; known: {sorted(TOL_DEFAULTS)}"
                 )
+            if not 0 <= value < inf:
+                raise UsageError(f"tolerance {key}={value!r} must be finite and >= 0")
         floor, where = 8, ""
         for name, least in (
             ("integrator", INTEGRATOR_MIN_TRUNC),
@@ -193,11 +196,12 @@ def _has_type(value, kind) -> bool:
 
 
 class SuiteContext:
-    """Lazily built shared objects (families, chains) for one configuration."""
+    """Lazily built shared objects (families, chains) for one configuration;
+    the X2 resolvents it keeps belong to the running case, one at a time."""
 
     def __init__(self, cfg: SuiteConfig):
         self.cfg = cfg
-        self._last_x2_resolvent = (None, None)
+        self.plan_resolvents(())
 
     @property
     def N(self) -> int:
@@ -244,6 +248,7 @@ class SuiteContext:
     def h0_resolvents(self) -> dict:
         """lam -> (Laplace result, (lam - X2)^{-1} h0) at lam = 1, 2, 4, for hy-05 and hy-07."""
         laplace = partial(hilleyosida.resolvent_laplace, self.x2_subgroup, phi=self.h0)
+        self.plan_resolvents((1.0, 2.0, 4.0))
         return {
             lam: (laplace(lam), self.apply_x2_resolvent(lam, self.h0)) for lam in (1.0, 2.0, 4.0)
         }
@@ -253,29 +258,36 @@ class SuiteContext:
         """Type of the X2 subgroup at levels 0..min(n_max, 3) on the 20
         "type-samples" vectors, for hy-01 and hy-13."""
         phis = _phis_for_type(self.cfg, self)
-        return [
-            hilleyosida.estimate_type(self.x2_subgroup.apply, self.chain, n, TYPE_T_GRID, phis)
-            for n in range(0, min(self.cfg.n_max, 3) + 1)
-        ]
+        levels = range(0, min(self.cfg.n_max, 3) + 1)
+        apply = self.x2_subgroup.apply
+        return hilleyosida.estimate_type(apply, self.chain, levels, TYPE_T_GRID, phis)
+
+    def plan_resolvents(self, lams):
+        """Name the running case's lambdas in order of use; ``x2_resolvent`` eliminates
+        them in stacks of at most ``STACK_ENTRIES`` (2 MiB: 10 lambdas at N = 160,
+        64 at N = 64, one from N = 512).  A new plan, as at a case's end, drops the stack."""
+        self._plan, self._stack = tuple(lams), {}
 
     def x2_resolvent(self, lam) -> np.ndarray:
-        """Resolvent matrix (lam - X2)^{-1} by tridiagonal elimination, read-only.
-
-        The context keeps the last one it built, keyed by lam: each case
-        uses a resolvent in one run of calls (hy-10's series terms, hy-11's
-        powers) before it moves to the next lambda.  Keeping every one
-        would save 9 of hille-yosida's 50 solves but hold 41 N x N matrices
-        (15 MiB more peak memory at N = 160).
-        """
-        if self._last_x2_resolvent[0] != lam:
-            R = hilleyosida.resolvent_matrix(self.hermite.x2, lam)
+        """(lam - X2)^{-1} in X2's real frame, P^* R P = (lam - X1)^{-1}, read-only: the
+        same entry moduli and level-n norms.  A lam outside the stack eliminates the
+        plan's next stack from lam on, or lam alone if the plan does not name it."""
+        if lam not in self._stack:
+            todo = self._plan[self._plan.index(lam) :] if lam in self._plan else (lam,)
+            lams = tuple(dict.fromkeys(todo))[: max(1, STACK_ENTRIES // self.N**2)]
+            one = len(lams) == 1
+            R = hilleyosida.resolvent_matrix(self.hermite.x1.real, lams[0] if one else lams)
             R.setflags(write=False)
-            self._last_x2_resolvent = (lam, R)
-        return self._last_x2_resolvent[1]
+            self._stack = dict(zip(lams, [R] if one else R))
+        return self._stack[lam]
 
     def apply_x2_resolvent(self, lam, v) -> np.ndarray:
-        """R(lam) v for X2, on one vector or a block of them."""
-        return self.x2_resolvent(lam) @ v
+        """R(lam) v for X2 on a vector or block as P (R_X1 (P^* v)): one real
+        product on the interleaved (N, 2K) float view of P^* v."""
+        p = self.hermite.frame.reshape((-1,) + (1,) * (np.ndim(v) - 1))
+        w = np.ascontiguousarray(p * v, dtype=complex)
+        out = self.x2_resolvent(lam) @ w.view(float).reshape(self.N, -1)
+        return p.conj() * out.view(complex).reshape(w.shape)
 
     def action_modes(self, depth: int) -> int:
         """Support budget for action-based checks at scale depth ``depth``.
@@ -655,10 +667,10 @@ def _sc_group_bound(cfg, ctx, rec):
 
 
 def _sc_basis_invariance(cfg, ctx, rec):
-    def entry_gap(dense, diagonal):
+    def entry_gap(banded, diagonal):
         # largest entry of G_alt - diag(w), relative to the Gram entry scale
-        diff = dense.matrix.copy()
-        np.fill_diagonal(diff, diff.diagonal() - diagonal.weights)
+        diff = banded.bands.copy()
+        diff[:, banded.width] -= diagonal.weights
         return float(np.max(np.abs(diff))) / max(1.0, diagonal.max_entry())
 
     def gap():
@@ -1052,18 +1064,20 @@ def _hy_triple_agreement(cfg, ctx, rec):
 
 
 def _hy_resolvent_identity(cfg, ctx, rec):
-    def residual():
-        lam = float(rec.rng.uniform(1.5, 6.0))
-        mu = float(rec.rng.uniform(1.5, 6.0))
+    pairs = [tuple(float(rec.rng.uniform(1.5, 6.0)) for _ in "lm") for _ in range(10)]
+    ctx.plan_resolvents([lam for pair in pairs for lam in pair])
+
+    def residual(lam, mu):
         Rl, Rm = ctx.x2_resolvent(lam), ctx.x2_resolvent(mu)
         return float(np.max(np.abs(Rl - Rm - (mu - lam) * (Rl @ Rm))))
 
-    rec.worst("sampled-pairs", (residual() for _ in range(10)), 1e-9)
+    rec.worst("sampled-pairs", (residual(*pair) for pair in pairs), 1e-9)
 
 
 def _hy_lambda_limit(cfg, ctx, rec):
     phi = interior_vector(rec.rng, ctx.N, ctx.N // 2)
     errs = []
+    ctx.plan_resolvents((10.0, 100.0, 1000.0))
     for lam in (10.0, 100.0, 1000.0):
         out = lam * ctx.apply_x2_resolvent(lam, phi)
         errs.append(float(np.linalg.norm(out - phi)))
@@ -1083,6 +1097,7 @@ def _hy_yosida(cfg, ctx, rec):
     n = 1
     reference = ctx.x2_subgroup.apply(t, h0)
     spec = hilleyosida.YosidaSeriesSpec(lambda_sequence=cfg.lambda_sequence)
+    ctx.plan_resolvents(spec.lambda_sequence + tuple(-lam for lam in spec.lambda_sequence))
     apply_resolvent = ctx.apply_x2_resolvent
     result = hilleyosida.yosida_reconstruct(
         apply_resolvent, spec, t, h0, ctx.chain, n, reference
@@ -1124,6 +1139,7 @@ def _hy_yosida(cfg, ctx, rec):
 def _hy_equicontinuity(cfg, ctx, rec):
     slack = cfg.tolerance("equicontinuity_slack")
     apply_resolvent = ctx.apply_x2_resolvent
+    ctx.plan_resolvents(n + 2.0 for n in range(0, min(cfg.n_max, 3) + 1))
     for n in range(0, min(cfg.n_max, 3) + 1):
         lam = n + 2.0
         phis = interior_vector(rec.rng, ctx.N, ctx.action_modes(max(n, 1)), 100)
@@ -1153,6 +1169,7 @@ def _e118_check(ctx, lam, phi, n):
 
 
 def _hy_e118(cfg, ctx, rec):
+    ctx.plan_resolvents((1.0, 2.0, 4.0, 3.0))
     for lam in (1.0, 2.0, 4.0):
         for n in (0, 1, 2):
             phi = interior_vector(rec.rng, ctx.N, ctx.action_modes(max(n, 1)))
@@ -1177,7 +1194,10 @@ def _hy_global_conditions(cfg, ctx, rec):
     # grid placement
     top = float(n_top)
     lam_grid = (top + 1.5, top + 2.0, top + 3.0, top + 5.0, top + 8.0, top + 12.0, top + 20.0)
-    betas = hilleyosida.estimate_beta(ctx.apply_x2_resolvent, ctx.chain, levels, lam_grid, p_max=5)
+    ctx.plan_resolvents(lam_grid)
+    # measured in X2's real frame, where the level-n operator norms are the same
+    frame = lambda lam, B: ctx.x2_resolvent(lam) @ B
+    betas = hilleyosida.estimate_beta(frame, ctx.chain, levels, lam_grid, p_max=5)
     verdict = hilleyosida.global_conditions_report(ctx.x2_type_estimates, betas)
     rec.check(
         "bounded-type-holds",
@@ -1882,6 +1902,7 @@ def run_suite(cfg: SuiteConfig):
                 case.fn(cfg, ctx, rec)
             except tuple(NUMERICAL_ERRORS) as exc:
                 rec.failed_by(exc)
+            ctx.plan_resolvents(())
             elapsed = time.perf_counter() - started
             # the case's wall time goes on its first record only (the others
             # keep 0), so the column sums to the suite time

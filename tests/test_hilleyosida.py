@@ -433,26 +433,32 @@ def test_global_conditions_build_each_resolvent_once(monkeypatch):
     # hy-13 measures every level on one resolvent per lambda, applied to
     # (N, k) blocks; the phase family needs no resolvent matrix at all
     x2_calls, calls = [], []
-    apply_x2 = suites.SuiteContext.apply_x2_resolvent
+    estimate = hilleyosida.estimate_beta
     build = hilleyosida.resolvent_matrix
 
-    def count_x2(ctx, lam, B):
-        x2_calls.append((lam, B.shape))
-        return apply_x2(ctx, lam, B)
+    def count_x2(apply_resolvent, *args, **kwargs):
+        def counted(lam, B):
+            x2_calls.append((lam, B.shape))
+            return apply_resolvent(lam, B)
+
+        return estimate(counted, *args, **kwargs)
 
     def count(X, lam):
         calls.append(lam)
         return build(X, lam)
 
-    monkeypatch.setattr(suites.SuiteContext, "apply_x2_resolvent", count_x2)
+    monkeypatch.setattr(hilleyosida, "estimate_beta", count_x2)
     monkeypatch.setattr(hilleyosida, "resolvent_matrix", count)
     [hy13] = [c for c in suites.SUITES["hille-yosida"] if c.case_id.startswith("hy-13")]
     monkeypatch.setitem(suites.SUITES, "hille-yosida", (hy13,))
     records, _ = suites.run_suite(suites.SuiteConfig(suite="hille-yosida"))
     assert len(records) == 3
-    assert len(calls) == len(set(calls)) == 7   # the x2 lambda grid
-    # five powers per lambda, each an (N, k) block with k = N/4 interior modes
-    assert x2_calls == [(lam, (64, 16)) for lam in calls for _ in range(5)]
+    [grid] = calls   # one elimination for the stack of the x2 lambda grid
+    assert len(grid) == len(set(grid)) == 7
+    # five powers per lambda, each an (N, k) block with k = N/4 interior modes;
+    # the phase family's three lambdas follow, with no resolvent matrix
+    assert x2_calls[:35] == [(lam, (64, 16)) for lam in grid for _ in range(5)]
+    assert len(x2_calls) == 35 + 3 * 3
 
 
 @pytest.mark.parametrize("N", [8, 64, 160])
@@ -504,3 +510,91 @@ def test_suite_context_keeps_a_read_only_x2_resolvent(monkeypatch):
     ctx.x2_resolvent(4.0)
     ctx.x2_resolvent(3.0)
     assert calls == [3.0, 4.0, 3.0]   # one kept: the last lambda
+
+
+@pytest.mark.parametrize("N", [8, 64, 160])
+@pytest.mark.parametrize("lam", [1.0, -2.0, 23.0])
+def test_x1_resolvent_is_the_x2_resolvent_in_its_real_frame(N, lam):
+    # X2 = P X1 P^* with P = diag(i^k), so P^* R_X2 P is real and equals R_X1 entry for entry
+    fam = hermite_generators(N)
+    frame = fam.frame[:, None] * resolvent_matrix(fam.x2, lam) * fam.frame.conj()
+    R1 = resolvent_matrix(fam.x1.real, lam)
+    assert R1.dtype == np.float64
+    assert not frame.imag.any()
+    assert np.array_equal(R1, frame.real)
+
+
+@pytest.mark.parametrize("N", [8, 64])
+def test_a_lambda_stack_is_the_per_lambda_resolvents_bit_for_bit(N):
+    fam = hermite_generators(N)
+    lams = (0.5, 1.0, -2.0, 4.5, 23.0, 1000.0, -3.0)
+    for X in (fam.x1.real, fam.x2, fam.x1 + 0.25j * np.diag(np.arange(N))):
+        stack = resolvent_matrix(X, lams)
+        assert stack.shape == (len(lams), N, N)
+        for lam, R in zip(lams, stack):
+            assert np.array_equal(R, resolvent_matrix(X, lam))
+
+
+def test_an_overflowing_lambda_in_a_stack_is_named():
+    x2 = hermite_generators(16).x2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularOperatorError, match="lam=1e-310 left the floating") as err:
+            resolvent_matrix(x2, [3.0, 1e-310, 2.0])
+    assert err.value.condition_estimate == np.inf
+    with pytest.raises(SingularOperatorError, match="imaginary axis"):
+        resolvent_matrix(x2, [3.0, 2.0j])
+
+
+def test_the_context_eliminates_a_planned_case_as_bounded_stacks(monkeypatch):
+    ctx = suites.SuiteContext(suites.SuiteConfig(suite="hille-yosida", trunc=160))
+    calls = []
+    build = hilleyosida.resolvent_matrix
+    monkeypatch.setattr(
+        hilleyosida, "resolvent_matrix", lambda X, lam: calls.append(lam) or build(X, lam)
+    )
+    lams = [1.5 + k for k in range(12)]
+    ctx.plan_resolvents(lams)
+    for lam in lams:
+        R = ctx.x2_resolvent(lam)
+        assert np.array_equal(R, build(ctx.hermite.x1.real, lam))
+    # at most 2^18 entries a stack: 10 lambdas at N = 160
+    assert calls == [tuple(lams[:10]), tuple(lams[10:])]
+    v = np.random.default_rng(3).standard_normal((160, 3)) + 0j
+    expect = build(ctx.hermite.x2, 4.5) @ v
+    assert np.allclose(ctx.apply_x2_resolvent(4.5, v), expect, rtol=0, atol=1e-14)
+    ctx.plan_resolvents(())   # the end of a case drops the stack
+    assert ctx._stack == {}
+
+
+def test_the_x2_type_ladder_applies_the_subgroup_once_per_t(monkeypatch):
+    ctx = suites.SuiteContext(suites.SuiteConfig(suite="hille-yosida"))
+    apply, seen = UnitaryGroup.apply, []
+
+    def counted(group, t, v, adjoint=False):
+        seen.append(t)
+        return apply(group, t, v, adjoint)
+
+    monkeypatch.setattr(UnitaryGroup, "apply", counted)
+    estimates = ctx.x2_type_estimates
+    assert seen == list(suites.TYPE_T_GRID)   # 8 applications for the 4 levels, not 32
+    monkeypatch.undo()
+    phis = suites._phis_for_type(ctx.cfg, ctx)
+    for est in estimates:   # bit-identical to one call per level
+        alone = estimate_type(ctx.x2_subgroup.apply, ctx.chain, est.n, suites.TYPE_T_GRID, phis)
+        assert alone == est
+
+
+def test_one_eigh_of_the_position_matrix_per_size(monkeypatch):
+    from scalerep import heisenberg
+
+    heisenberg._position_group.cache_clear()
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(len(a)) or eigh(a))
+    for N in (24, 24, 25, 24):
+        hermite_generators(N).subgroups
+    assert calls == [24, 25]
+    w, V = heisenberg._position_group(24).w, heisenberg._position_group(24).V
+    assert not (w.flags.writeable or V.flags.writeable)
+    heisenberg._position_group.cache_clear()

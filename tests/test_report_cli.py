@@ -469,6 +469,11 @@ def no_case_runs(monkeypatch):
         (["--suite", "hille-yosida"], {"lambda": [1, float("nan")]}, "must be finite"),
         (["--suite", "hille-yosida"], {"lambda": [2, float("inf")]}, "must be finite"),
         (["--suite", "hille-yosida"], {"lambda": [float("-inf"), 2]}, "must be finite"),
+        # a NaN, infinite or negative tolerance would turn its gates off or fail them all
+        (["--suite", "lie-core", "--tol", "algebraic=nan"], None, "must be finite and >= 0"),
+        (["--suite", "lie-core", "--tol", "algebraic=inf"], None, "must be finite and >= 0"),
+        (["--suite", "lie-core", "--tol", "algebraic=-1"], None, "must be finite and >= 0"),
+        (["--suite", "lie-core"], {"tol": {"algebraic": float("inf")}}, "must be finite and >= 0"),
     ],
     ids=["lambda-decreasing", "lambda-negative", "chart-box-key", "t-grid-key",
          "integrator-trunc-8", "integrator-trunc-12", "trunc-string", "seed-string",
@@ -476,7 +481,7 @@ def no_case_runs(monkeypatch):
          "lambda-one-value", "lambda-one-value-all", "nmax-past-guard-band-8",
          "nmax-past-guard-band-9", "lambda-nan-last", "lambda-nan-first", "lambda-inf",
          "lambda-minus-inf", "config-lambda-nan", "config-lambda-inf",
-         "config-lambda-minus-inf"],
+         "config-lambda-minus-inf", "tol-nan", "tol-inf", "tol-negative", "config-tol-inf"],
 )
 def test_cli_refuses_before_any_case_runs(tmp_path, capsys, no_case_runs, argv, config, message):
     if config is not None:
@@ -580,7 +585,7 @@ def test_accepted_configurations_end_in_a_complete_report(
 ):
     # the sibling of the refusal property for the other flags: every draw
     # validate accepts exits 0 or 1 with every case of its suite in the report;
-    # a tolerance is only a bound, so any float (NaN, infinities, negatives) is accepted
+    # a drawn tolerance that is NaN, infinite or negative is refused in one line
     trunc = data.draw(st.integers(*TRUNC_RANGES[suite]), label="trunc")
     tol = data.draw(
         st.dictionaries(st.sampled_from(sorted(suites.TOL_DEFAULTS)), st.floats(), max_size=3),
@@ -588,16 +593,26 @@ def test_accepted_configurations_end_in_a_complete_report(
     )
     cfg = SuiteConfig(suite=suite, trunc=trunc, n_max=n_max, seed=seed, x3_sign=x3_sign, tol=tol)
     try:
-        cfg.validate()
+        dataclasses.replace(cfg, tol={}).validate()
     except UsageError:
         assume(False)
+    try:
+        cfg.validate()
+        refused = False
+    except UsageError:
+        refused = True
     out = tmp_path_factory.mktemp("run") / "report.json"
     argv = ["run", "--suite", suite, "--trunc", str(trunc), "--nmax", str(n_max),
             "--seed", str(seed), "--x3-sign", x3_sign, "--out", str(out)]
     argv += [arg for key, value in tol.items() for arg in ("--tol", f"{key}={value!r}")]
+    err = io.StringIO()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sys, "stderr", io.StringIO())
-        assert main(argv) in (0, 1)
+        mp.setattr(sys, "stderr", err)
+        code = main(argv)
+    if refused:
+        assert code == 2 and len(err.getvalue().splitlines()) == 1 and not out.exists()
+        return
+    assert code in (0, 1)
     names = SUITE_NAMES if suite == "all" else (suite,)
     assert _report_cases(out) == {c.case_id for name in names for c in suites.SUITES[name]}
 

@@ -57,7 +57,7 @@ def test_zero_family_grams_stay_identity():
     fam = GeneratorFamily((np.zeros((8, 8)),) * 2)
     chain = build_scale_chain(fam, 3)
     for G in chain.grams:
-        assert np.array_equal(G.matrix, np.eye(8))
+        assert np.array_equal(G.dense(), np.eye(8))
 
 
 def test_level_zero_is_euclidean(chain, rng):
@@ -146,7 +146,7 @@ def test_basis_invariance_orthogonal(chain):
     alt = build_scale_chain(recombined_family(chain.family, O), 3)
     for a, b in zip(alt.grams, chain.grams):
         scale = max(1.0, float(np.max(np.abs(b.weights))))
-        assert np.max(np.abs(a.matrix - np.diag(b.weights))) / scale < 1e-12
+        assert np.max(np.abs(a.dense() - np.diag(b.weights))) / scale < 1e-12
 
 
 def test_recombination_validation(chain):
@@ -309,3 +309,46 @@ def test_block_monotonicity_gives_the_column_checks(chain, rng):
             # matrix product, which BLAS may round differently from X @ column
             assert (res.lhs[j], res.rhs[j]) == (col.lhs, col.rhs)
             assert np.allclose([g[j] for g in res.generator_lhs], col.generator_lhs, rtol=1e-14)
+
+
+@pytest.mark.parametrize("N", (5, 8, 13, 16))
+def test_banded_chain_matches_the_dense_recursion(N):
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(N)
+    base = hermite_generators(N).scale_family
+    for theta in rng.uniform(0, 2 * np.pi, 3):
+        c, s = np.cos(theta), np.sin(theta)
+        for O in (np.array([[c, -s], [s, c]]), np.array([[c, -s], [-s, -c]])):
+            family = recombined_family(base, O)
+            chain = build_scale_chain(family, family.max_safe_depth())
+            for n, (form, G) in enumerate(zip(chain.grams, dense_chain(family.gens, chain.n_max))):
+                assert form.bands.shape == (N, 4 * n + 1)
+                dense = form.dense()
+                assert np.max(np.abs(dense - G)) <= 4 * eps * max(1.0, np.max(np.abs(G)))
+                outside = np.abs(np.subtract.outer(np.arange(N), np.arange(N))) > 2 * n
+                assert not dense[outside].any()
+                assert np.array_equal(form.bands[:, 2 * n].real, np.diag(dense).real)
+
+
+def test_a_generator_off_its_three_diagonals_is_refused():
+    wide = np.zeros((6, 6))
+    wide[0, 2] = 1.0
+    with pytest.raises(UsageError, match="tridiagonal"):
+        GeneratorFamily((np.zeros((6, 6)), wide))
+    GeneratorFamily((np.diag(np.ones(5), 1) + np.diag(np.ones(6)), np.zeros((6, 6))))
+
+
+def test_scale_norms_are_invariant_under_the_fourier_frame(chain, fam, rng):
+    # P = diag(i^k) only moves real and imaginary parts.  A real block (what the
+    # frame's beta ladder measures) keeps every bit; a complex one keeps its
+    # norms to 1 ulp, as the dot's fused products pair the two parts unevenly
+    real = rng.standard_normal((64, 9))
+    block = real + 1j * rng.standard_normal((64, 9))
+    eps = np.finfo(float).eps
+    for n in range(chain.n_max + 1):
+        for v in (real, real[:, 0]):
+            framed = (fam.frame * v.T).T
+            assert np.array_equal(scale_norm(chain, framed, n), scale_norm(chain, v, n))
+        norms = scale_norm(chain, block, n)
+        framed = scale_norm(chain, fam.frame[:, None] * block, n)
+        assert np.all(np.abs(framed - norms) <= eps * norms)
