@@ -92,12 +92,12 @@ class BandedGram:
         for g, X in enumerate(family.gens):
             for u in range(3):
                 col[g, u, b + max(0, 1 - u) : b + N - max(0, u - 1)] = np.diagonal(X, 1 - u)
-        window = np.lib.stride_tricks
+        tricks = np.lib.stride_tricks
         H = np.zeros((family.d, N + 2, W + 6), dtype=complex)
-        terms = window.sliding_window_view(G, W + 4, 1).swapaxes(0, 1)
-        np.sum(terms * window.sliding_window_view(col, W + 4, 2), 1, out=H[:, 1:-1, 1:-1])
+        terms = tricks.sliding_window_view(G, W + 4, 1).swapaxes(0, 1)
+        np.sum(terms * tricks.sliding_window_view(col, W + 4, 2), 1, out=H[:, 1:-1, 1:-1])
         s0, s1, s2 = H.strides  # shifted[g, u, i, k] = H[g, u + i, 2 - u + k]
-        shifted = window.as_strided(H[:, 0, 2:], (family.d, 3, N, W + 4), (s0, s1 - s2, s1, s2))
+        shifted = tricks.as_strided(H[:, 0, 2:], (family.d, 3, N, W + 4), (s0, s1 - s2, s1, s2))
         return BandedGram(G[:, 1:-1] + (col[:, :, b : b + N, None].conj() * shifted).sum((0, 1)))
 
     def quadratic(self, rows) -> np.ndarray:

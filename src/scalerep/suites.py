@@ -1064,8 +1064,9 @@ def _hy_triple_agreement(cfg, ctx, rec):
 
 
 def _hy_resolvent_identity(cfg, ctx, rec):
-    pairs = [tuple(float(rec.rng.uniform(1.5, 6.0)) for _ in "lm") for _ in range(10)]
-    ctx.plan_resolvents([lam for pair in pairs for lam in pair])
+    lams = rec.rng.uniform(1.5, 6.0, 20).tolist()   # (lam, mu) pairs, in the stream's order
+    ctx.plan_resolvents(lams)
+    pairs = zip(lams[::2], lams[1::2])
 
     def residual(lam, mu):
         Rl, Rm = ctx.x2_resolvent(lam), ctx.x2_resolvent(mu)

@@ -561,10 +561,11 @@ def test_the_context_eliminates_a_planned_case_as_bounded_stacks(monkeypatch):
     # at most 2^18 entries a stack: 10 lambdas at N = 160
     assert calls == [tuple(lams[:10]), tuple(lams[10:])]
     v = np.random.default_rng(3).standard_normal((160, 3)) + 0j
-    expect = build(ctx.hermite.x2, 4.5) @ v
-    assert np.allclose(ctx.apply_x2_resolvent(4.5, v), expect, rtol=0, atol=1e-14)
+    expect = build(ctx.hermite.x2, lams[-1]) @ v
+    assert np.allclose(ctx.apply_x2_resolvent(lams[-1], v), expect, rtol=0, atol=1e-14)
     ctx.plan_resolvents(())   # the end of a case drops the stack
-    assert ctx._stack == {}
+    ctx.x2_resolvent(lams[-1])
+    assert calls[2:] == [lams[-1]]
 
 
 def test_the_x2_type_ladder_applies_the_subgroup_once_per_t(monkeypatch):
