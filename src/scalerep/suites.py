@@ -273,6 +273,7 @@ class SuiteContext:
         same entry moduli and level-n norms.  A lam outside the stack eliminates the
         plan's next stack from lam on, or lam alone if the plan does not name it."""
         if lam not in self._stack:
+            self._stack = {}  # freed before the next stack is built
             todo = self._plan[self._plan.index(lam) :] if lam in self._plan else (lam,)
             lams = tuple(dict.fromkeys(todo))[: max(1, STACK_ENTRIES // self.N**2)]
             one = len(lams) == 1
@@ -1069,8 +1070,13 @@ def _hy_resolvent_identity(cfg, ctx, rec):
     pairs = zip(lams[::2], lams[1::2])
 
     def residual(lam, mu):
+        # Rl - Rm - (mu - lam) Rl Rm, in one temporary beside the stack
         Rl, Rm = ctx.x2_resolvent(lam), ctx.x2_resolvent(mu)
-        return float(np.max(np.abs(Rl - Rm - (mu - lam) * (Rl @ Rm))))
+        gap = Rl @ Rm
+        gap *= lam - mu
+        gap += Rl
+        gap -= Rm
+        return float(np.max(np.abs(gap, out=gap)))
 
     rec.worst("sampled-pairs", (residual(*pair) for pair in pairs), 1e-9)
 
