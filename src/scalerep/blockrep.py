@@ -20,7 +20,8 @@ measurable footprint of their unboundedness.
 Every quantity checked here is a per-block 3x3 computation (the
 homomorphism residual one per slot): the model is stored as (M, 3, 3)
 stacks of diagonal blocks, the kernels are batched over them and cost O(M),
-not dense 3M x 3M products.  Dense matrices are assembled only on demand.
+not dense 3M x 3M products.  The one dense matrix left is ``rep_operator``'s
+T(g), for the check that compares whole operators.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import numpy as np
 
 from .errors import UsageError
 from .liecore import GroupElement, group_multiply, require_column_times
-from .scale import DiagonalGram, ScaleChain, _GuardBand, scale_norm
+from .scale import DiagonalGram, ScaleChain, _GuardBand, read_only, scale_norm
 
 CHI1 = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
 CHI2 = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
@@ -49,15 +50,6 @@ def chi_matrix(coeffs) -> np.ndarray:
     return a * CHI1 + b * CHI2 + c * CHI3
 
 
-def _assemble(stack: np.ndarray) -> np.ndarray:
-    """Block-diagonal 3M x 3M matrix whose diagonal blocks are the (M, 3, 3) stack."""
-    M = stack.shape[0]
-    out = np.zeros((M, 3, M, 3), dtype=stack.dtype)
-    n = np.arange(M)
-    out[n, :, n, :] = stack
-    return out.reshape(3 * M, 3 * M)
-
-
 def _operator_norm(stack: np.ndarray) -> float:
     """2-norm of the block-diagonal operator: the largest blockwise 2-norm."""
     return float(np.max(np.linalg.norm(stack, 2, axis=(1, 2))))
@@ -67,17 +59,15 @@ def _operator_norm(stack: np.ndarray) -> float:
 class BlockGeneratorFamily(_GuardBand):
     """The three 3M x 3M block-diagonal generators at block count M.
 
-    The model is stored as ``stacks``: for each generator the (M, 3, 3)
-    stack of its diagonal blocks w_i(n) CHI_i, with weights (n, n, n^2).
-    The dense matrices ``x1``, ``x2``, ``x3`` are assembled from them on
-    first use and cached; only the integrator and test oracles need them.
-    The one-parameter groups are ``evaluators``, applied blockwise.
+    The model is stored as ``stacks``: for each generator the read-only
+    (M, 3, 3) stack of its diagonal blocks w_i(n) CHI_i, with weights
+    (n, n, n^2), and nothing else.  ``apply_generator`` applies an algebra element and
+    the one-parameter groups are ``evaluators``, both blockwise.
 
     As a scale family it is exact at every truncation: applications spread
     no support and consume no guard band.  Its Gram forms are diagonal,
     since each generator has one nonzero entry per block, and the chain
-    takes its coupling from the stacks, so the dense matrices stay
-    unassembled.
+    takes its coupling from the stacks.
     """
 
     M: int
@@ -94,28 +84,20 @@ class BlockGeneratorFamily(_GuardBand):
     @cached_property
     def stacks(self) -> tuple:
         n = np.arange(1, self.M + 1, dtype=float)
-        return tuple(w[:, None, None] * chi for w, chi in zip((n, n, n * n), CHIS))
+        return tuple(read_only(w[:, None, None] * chi) for w, chi in zip((n, n, n * n), CHIS))
 
     @property
     def coupling(self) -> np.ndarray:
         """sum_i |X_i|^2, entrywise, as the (M, 3, 3) stack of its diagonal blocks."""
         return sum(S * S for S in self.stacks)
 
-    @cached_property
-    def x1(self) -> np.ndarray:
-        return _assemble(self.stacks[0])
-
-    @cached_property
-    def x2(self) -> np.ndarray:
-        return _assemble(self.stacks[1])
-
-    @cached_property
-    def x3(self) -> np.ndarray:
-        return _assemble(self.stacks[2])
-
-    @property
-    def gens(self) -> tuple:
-        return (self.x1, self.x2, self.x3)
+    def apply_generator(self, x_coeffs, v, adjoint: bool = False) -> np.ndarray:
+        """(sum_i x_i X_i) v, or its adjoint, for a vector or (3M, K) block: one stacked product."""
+        if np.shape(x_coeffs) != (3,):
+            raise UsageError("algebra vector must have 3 coefficients")
+        stack = sum(c * S for c, S in zip(x_coeffs, self.stacks))
+        stack = np.swapaxes(stack, -1, -2).conj() if adjoint else stack
+        return np.reshape(stack @ np.reshape(v, (self.M, 3, -1)), np.shape(v))
 
     @cached_property
     def evaluators(self) -> tuple:
@@ -156,8 +138,11 @@ def block_generators(M: int) -> BlockGeneratorFamily:
 
 
 def rep_operator(g: GroupElement, fam: BlockGeneratorFamily) -> np.ndarray:
-    """Affine representation I + xi1 X1 + xi2 X2 + xi3 X3, as a dense matrix."""
-    return _assemble(fam.rep_stack(g))
+    """Affine representation I + xi1 X1 + xi2 X2 + xi3 X3, as a dense 3M x 3M matrix."""
+    stack, n = fam.rep_stack(g), np.arange(fam.M)
+    out = np.zeros((fam.M, 3, fam.M, 3), dtype=stack.dtype)
+    out[n, :, n, :] = stack
+    return out.reshape(fam.dim, fam.dim)
 
 
 def rep_apply(g: GroupElement, fam: BlockGeneratorFamily, phi) -> np.ndarray:

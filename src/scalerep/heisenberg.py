@@ -1,9 +1,9 @@
 """The nilpotent group acting on L^2(R), truncated to a Hermite basis.
 
-Generators are the exact tridiagonal matrices of d/dx and -ix; the central
-generator is a multiple of the identity whose sign follows the package-wide
-``x3_sign`` convention (see ``liecore``).  The group action is available by
-two independent routes:
+Generators d/dx, -ix and the central multiple of the identity, whose sign
+follows the package-wide ``x3_sign`` convention (see ``liecore``), are the
+(3, N) rows of ``scale``'s row form, applied in O(N) by ``apply_generator``.
+The group action is available by two independent routes:
 
 * ``HermiteHeisenberg.action_analytic`` applies the phase/modulation/
   translation formula as the displacement operator it equals, through
@@ -26,21 +26,24 @@ difference-quotient probe on ``DIFF_T_GRID`` are measured here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
 from . import liecore
 from .errors import AccuracyError, UsageError
-from .hermite import derivative_matrix, displace, position_matrix
+from .hermite import displace, position_matrix, position_rows
 from .integrator import integrate_chart
 from .liecore import GroupElement, column_coords, group_inverse, require_column_times
 from .scale import (
     DiagonalGram,
     GeneratorFamily,
     ScaleChain,
+    read_only,
     scale_norm,
     support_bound,
+    tridiagonal_adjoint,
+    tridiagonal_apply,
 )
 
 UNITARITY_DEFECT_TOL = 1e-6
@@ -79,10 +82,7 @@ class UnitaryGroup:
 
     @staticmethod
     def of(H) -> "UnitaryGroup":
-        w, V = np.linalg.eigh(H)
-        w.setflags(write=False)
-        V.setflags(write=False)
-        return UnitaryGroup(w, V)
+        return UnitaryGroup(*map(read_only, np.linalg.eigh(H)))
 
     def apply(self, t, v, adjoint: bool = False) -> np.ndarray:
         """exp(-i t H) v without forming the matrix.
@@ -112,17 +112,17 @@ def _position_group(N: int) -> UnitaryGroup:
 
 
 class HermiteHeisenberg:
-    """Truncated generators and group action on N Hermite modes."""
+    """Truncated generators, the (3, N) rows ``x1``, ``x2``, ``x3``, and group action on N modes."""
 
     def __init__(self, N: int, x3_sign: str = "consistent"):
         if N < 4:
             raise UsageError("need at least 4 modes")
         self.N = int(N)
         self.x3_sign = x3_sign
-        self.x1 = derivative_matrix(N).astype(complex)
-        self.x2 = (-1j) * position_matrix(N).astype(complex)
-        self.x3 = liecore.x3_sign_factor(x3_sign) * np.eye(N, dtype=complex)
-        self.gens = (self.x1, self.x2, self.x3)
+        x, s = position_rows(self.N), liecore.x3_sign_factor(x3_sign)
+        self.x1 = read_only((np.array([-1.0, 0.0, 1.0])[:, None] * x).astype(complex))  # d/dx
+        self.x2 = read_only(-1j * x)
+        self.x3 = read_only(s * np.outer([0, 1, 0], np.ones(self.N, dtype=complex)))
 
     @property
     def scale_family(self) -> GeneratorFamily:
@@ -134,12 +134,12 @@ class HermiteHeisenberg:
         """
         return GeneratorFamily((self.x1, self.x2), DiagonalGram)
 
-    def generator(self, x_coeffs) -> np.ndarray:
-        """Matrix of the algebra element with the given basis coefficients."""
+    def apply_generator(self, x_coeffs, v, adjoint: bool = False) -> np.ndarray:
+        """(sum_i x_i X_i) v, or its adjoint applied to v, for a vector or an (N, K) block."""
         if np.shape(x_coeffs) != (3,):
             raise UsageError("algebra vector must have 3 coefficients")
-        a, b, c = (complex(v) for v in x_coeffs)
-        return a * self.x1 + b * self.x2 + c * self.x3
+        X = sum(complex(c) * R for c, R in zip(x_coeffs, (self.x1, self.x2, self.x3)))
+        return tridiagonal_apply(tridiagonal_adjoint(X) if adjoint else X, v)
 
     def automorphism(self, g: GroupElement) -> np.ndarray:
         return liecore.automorphism_matrix(g, self.x3_sign)
@@ -184,9 +184,7 @@ class HermiteHeisenberg:
     def frame(self) -> np.ndarray:
         """Diagonal of P^* = diag(1, -i, -1, i, ...), read-only: X1 = P^* X2 P,
         so X1 is X2 in its real Fourier frame."""
-        p = np.array([1, -1j, -1, 1j])[np.arange(self.N) % 4]
-        p.setflags(write=False)
-        return p
+        return read_only(np.array([1, -1j, -1, 1j])[np.arange(self.N) % 4])
 
     @cached_property
     def subgroups(self) -> tuple:
@@ -197,9 +195,7 @@ class HermiteHeisenberg:
         i X1 = P^* x P (``frame``), the group of i X1 is (w_x, P^* V_x).
         """
         x = _position_group(self.N)
-        V1 = self.frame[:, None] * x.V
-        V1.setflags(write=False)
-        return UnitaryGroup(x.w, V1), x
+        return UnitaryGroup(x.w, read_only(self.frame[:, None] * x.V)), x
 
     @cached_property
     def evaluators(self) -> tuple:
@@ -254,10 +250,10 @@ def conjugation_residual(
     ginv = group_inverse(g)
     inner = fam.action_analytic(ginv, block)
     for j in (1, 2, 3):
-        inner[:, idx == j] = fam.gens[j - 1] @ inner[:, idx == j]
+        inner[:, idx == j] = fam.apply_generator(np.eye(3)[j - 1], inner[:, idx == j])
     lhs = fam.action_analytic(g, inner)
     f = np.broadcast_to(fam.automorphism(ginv), (K, 3, 3))[np.arange(K), idx - 1]
-    rhs = sum(f[:, j] * (fam.gens[j] @ block) for j in range(3))
+    rhs = sum(f[:, j] * fam.apply_generator(np.eye(3)[j], block) for j in range(3))
     residuals = scale_norm(chain, lhs - rhs, n)
     return residuals if phi.ndim == 2 else residuals[0]
 
@@ -271,8 +267,9 @@ def measured_conjugation_offset(
     """
     phi = np.asarray(phi, dtype=complex)
     ginv = group_inverse(g)
-    lhs = fam.action_analytic(g, fam.gens[i - 1] @ fam.action_analytic(ginv, phi))
-    diff = lhs - fam.gens[i - 1] @ phi
+    X = partial(fam.apply_generator, np.eye(3)[i - 1])
+    lhs = fam.action_analytic(g, X(fam.action_analytic(ginv, phi)))
+    diff = lhs - X(phi)
     denom = float(np.vdot(phi, phi).real)
     return complex(np.vdot(phi, diff) / denom)
 
@@ -298,8 +295,7 @@ def differentiability_probe(
     """
     phi = np.asarray(phi, dtype=complex)
     chain.family.require_interior(support_bound(phi), n + 1, what="differentiability probe")
-    X = fam.generator(x_coeffs)
-    ref = X @ phi
+    ref = fam.apply_generator(x_coeffs, phi)
     # every step acts on phi at once: one block of len(DIFF_T_GRID) columns
     t = np.array(DIFF_T_GRID)
     steps = liecore.chart_exp(x_coeffs, t)

@@ -16,6 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import UsageError
+from .scale import read_only
 
 # exp(x^2) overflows once nodes pass ~sqrt(709); cap well below that
 MAX_NODES = 320
@@ -33,10 +34,7 @@ def gauss_hermite(node_count: int):
     if node_count > MAX_NODES:
         raise UsageError(f"node_count {node_count} exceeds {MAX_NODES}")
     x, w = np.polynomial.hermite.hermgauss(node_count)
-    w_plain = np.exp(np.log(w) + x * x)
-    x.setflags(write=False)
-    w_plain.setflags(write=False)
-    return x, w_plain
+    return read_only(x), read_only(np.exp(np.log(w) + x * x))
 
 
 def hermite_functions(xs, n_modes: int) -> np.ndarray:
@@ -113,27 +111,17 @@ def golub_welsch_rule(N: int):
     if N < 1:
         raise UsageError("need at least one mode")
     w, V = np.linalg.eigh(position_matrix(2 * N))
-    V = np.ascontiguousarray(V[:N])
-    w.setflags(write=False)
-    V.setflags(write=False)
-    return w, V
+    return read_only(w), read_only(np.ascontiguousarray(V[:N]))
+
+
+def position_rows(N: int) -> np.ndarray:
+    """(3, N) rows of x in the h_k basis: x h_k = sqrt(k/2) h_{k-1} + sqrt((k+1)/2) h_{k+1}."""
+    off = np.sqrt(np.arange(1, N) / 2.0)
+    rows = np.zeros((3, N))
+    rows[0, 1:], rows[2, :-1] = off, off
+    return read_only(rows)
 
 
 def position_matrix(N: int) -> np.ndarray:
-    """Tridiagonal matrix of multiplication by x in the h_k basis."""
-    k = np.arange(1, N)
-    off = np.sqrt(k / 2.0)
-    X = np.zeros((N, N))
-    X[k, k - 1] = off
-    X[k - 1, k] = off
-    return X
-
-
-def derivative_matrix(N: int) -> np.ndarray:
-    """Antisymmetric tridiagonal matrix of d/dx in the h_k basis."""
-    k = np.arange(1, N)
-    off = np.sqrt(k / 2.0)
-    D = np.zeros((N, N))
-    D[k - 1, k] = off     # lowering part of d/dx
-    D[k, k - 1] = -off
-    return D
+    """The same operator as a dense N x N matrix, for the eigendecompositions."""
+    return sum(np.diag(position_rows(N)[2, :-1], k) for k in (-1, 1))

@@ -72,7 +72,8 @@ def estimate_type(apply, chain: ScaleChain, n, t_grid, block):
 
 
 def resolvent_matrix(X: np.ndarray, lam) -> np.ndarray:
-    """(lam I - X)^{-1} for a skew-Hermitian tridiagonal X, by elimination without pivoting.
+    """(lam I - X)^{-1} for a skew-Hermitian tridiagonal X, given as its (3, N)
+    rows (``scale`` row form), by elimination without pivoting.
 
     The pivots are d_0 = lam - X[0, 0], d_k = lam - X[k, k] + |X[k, k-1]|^2 / d_{k-1}.
     X's diagonal is imaginary and Re(1/d) has the sign of Re d, so every
@@ -86,23 +87,19 @@ def resolvent_matrix(X: np.ndarray, lam) -> np.ndarray:
     entries.  A 1-D ``lam`` gives the (L, N, N) stack from one elimination
     across it, each resolvent bit-identical to its own call.
     """
-    given = np.atleast_1d(lam)
+    X, given = np.asarray(X), np.atleast_1d(lam)
     stack = given.astype(np.result_type(X, given, float))
     for bad in given[stack.real == 0][:1]:
         raise SingularOperatorError(
             f"lam={bad} lies on the imaginary axis, where no pivot bound holds",
             condition_estimate=np.inf,
         )
-    band = [np.diagonal(X, k) for k in (-1, 0, 1)]
-    if (
-        given.ndim > 1
-        or np.count_nonzero(X) != sum(map(np.count_nonzero, band))
-        or np.any(band[1].real)
-        or not np.array_equal(band[2], -band[0].conj())
-    ):
-        raise UsageError("X must be skew-Hermitian and tridiagonal, and lam a scalar or 1-D")
-    sub, sup = -band[0], -band[2]
-    diag = stack[:, None] - band[1][:, None, None]
+    if given.ndim > 1 or np.ndim(X) != 2 or len(X) != 3:
+        raise UsageError("X must be the (3, N) rows of a tridiagonal, and lam a scalar or 1-D")
+    sub, sup = -X[0, 1:], -X[2, :-1]  # the off-diagonals of lam I - X
+    if np.any(X[1].real) or not np.array_equal(sup, -sub.conj()):
+        raise UsageError("X must be skew-Hermitian")
+    diag = stack[:, None] - X[1][:, None, None]
     N, L = len(diag), len(stack)
     pivots, recips = diag.copy(), np.empty_like(diag)
     # R[k] holds row k of every resolvent: the row operations act on (L, N) slabs

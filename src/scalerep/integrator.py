@@ -17,9 +17,10 @@ with c read off the structure constants of the algebra, the dual
 whole thing extends boundedly to the ambient space.
 
 Every kernel takes a model family itself, ``HermiteHeisenberg`` or
-``BlockGeneratorFamily``, and reads its ``gens`` and ``evaluators``; the
-checks that need an algebra element or the conjugation law also read
-``generator`` and ``automorphism``, which only the Hermite model has.
+``BlockGeneratorFamily``, and reads its ``evaluators`` and its
+``apply_generator``, each model applying its generators in its own
+structure; the checks of the conjugation law also read ``automorphism``,
+which only the Hermite model has.
 """
 
 from __future__ import annotations
@@ -46,10 +47,10 @@ def evaluator_invariants(fam, block) -> list:
     block = np.asarray(block, dtype=complex)
     nrm = np.maximum(np.linalg.norm(block, axis=0), 1e-300)
     out = []
-    for E, X in zip(fam.evaluators, fam.gens):
+    for E, x in zip(fam.evaluators, np.eye(3)):
         law = np.linalg.norm(E(s, E(t, block)) - E(s + t, block), axis=0) / nrm
         fd = (E(h, block) - E(-h, block)) / (2 * h)
-        der = np.linalg.norm(fd - X @ block, axis=0) / nrm
+        der = np.linalg.norm(fd - fam.apply_generator(x, block), axis=0) / nrm
         out.append(EvaluatorCheck(float(np.max(law)), float(np.max(der))))
     return out
 
@@ -97,11 +98,6 @@ def conjugation_coefficients(i: int, j: int, t: float) -> np.ndarray:
     return np.eye(3)[j - 1] + t * c[i - 1, j - 1]
 
 
-def _combine(fam, coeffs, phi) -> np.ndarray:
-    """sum_k coeffs[k] X_k phi."""
-    return sum(c * (X @ phi) for c, X in zip(coeffs, fam.gens))
-
-
 def int_identity_residual(
     fam,
     i: int,
@@ -117,16 +113,15 @@ def int_identity_residual(
     is sum_k c_k X_k phi with c from ``conjugation_coefficients``, the
     exact algebra-level series, so no matrix series is summed.
     """
-    d = len(fam.gens)
-    if not (1 <= i <= d and 1 <= j <= d):
-        raise UsageError(f"generator indices must lie in 1..{d}")
+    if not (1 <= i <= 3 and 1 <= j <= 3):
+        raise UsageError("generator indices must lie in 1..3")
     phi = np.asarray(phi, dtype=complex)
     chain.family.require_interior(
         support_bound(phi), n + 2, what="conjugation series check"
     )
     E = fam.evaluators[i - 1]
-    lhs = E(t, fam.gens[j - 1] @ E(-t, phi))
-    rhs = _combine(fam, conjugation_coefficients(i, j, t), phi)
+    lhs = E(t, fam.apply_generator(np.eye(3)[j - 1], E(-t, phi)))
+    rhs = fam.apply_generator(conjugation_coefficients(i, j, t), phi)
     return scale_norm(chain, lhs - rhs, n)
 
 
@@ -146,8 +141,7 @@ def derivative_identity_check(
     on the other side; that form agrees with this one, a separate check.
     """
     phi = np.asarray(phi, dtype=complex)
-    X = fam.generator(x_coeffs)
-    left = X @ integrate_chart(fam, liecore.chart_exp(x_coeffs, t), phi)
+    left = fam.apply_generator(x_coeffs, integrate_chart(fam, liecore.chart_exp(x_coeffs, t), phi))
     residuals = []
     for h in h_grid:
         Up = integrate_chart(fam, liecore.chart_exp(x_coeffs, t + h), phi)
@@ -167,12 +161,11 @@ def translated_derivative_residual(
 ) -> float:
     """Residual of d/dt T(exp(t x) g) phi = X T(exp(t x) g) phi."""
     h = 1e-3  # central-difference step
-    X = fam.generator(x_coeffs)
     mid = group_multiply(liecore.chart_exp(x_coeffs, t), g)
     up = group_multiply(liecore.chart_exp(x_coeffs, t + h), g)
     dn = group_multiply(liecore.chart_exp(x_coeffs, t - h), g)
     fd = (integrate_chart(fam, up, phi) - integrate_chart(fam, dn, phi)) / (2 * h)
-    return scale_norm(chain, fd - X @ integrate_chart(fam, mid, phi), n)
+    return scale_norm(chain, fd - fam.apply_generator(x_coeffs, integrate_chart(fam, mid, phi)), n)
 
 
 def interpolation_constancy_residual(
@@ -217,8 +210,8 @@ def conjugation_series_vs_automorphism(
     f = fam.automorphism(liecore.group_inverse(g))
     worst = 0.0
     for j in range(1, 4):
-        series = _combine(fam, conjugation_coefficients(i, j, t), phi)
-        rhs = _combine(fam, f[j - 1], phi)
+        series = fam.apply_generator(conjugation_coefficients(i, j, t), phi)
+        rhs = fam.apply_generator(f[j - 1], phi)
         worst = max(worst, scale_norm(chain, series - rhs, n))
     return worst
 
@@ -241,7 +234,7 @@ def pairing_residual(fam, g: GroupElement, phi, F) -> float | np.ndarray:
 
 
 def dual_generator_residual(fam, i: int, F) -> float:
-    """Finite-difference generator of t -> V(exp(t x_i)) against -dual(X_i).
+    """Finite-difference generator of t -> V(exp(t x_i)) against -dual(X_i), applied as X_i^*.
 
     V(t) applied to a functional is dual(E(-t)), the adjoint of E at -t;
     the derivative at 0 is minus the dual of the generator.
@@ -250,7 +243,7 @@ def dual_generator_residual(fam, i: int, F) -> float:
     F = np.asarray(F, dtype=complex)
     E = fam.evaluators[i - 1]
     fd = (E(-h, F, adjoint=True) - E(h, F, adjoint=True)) / (2 * h)
-    target = -dual_operator(fam.gens[i - 1]) @ F
+    target = -fam.apply_generator(np.eye(3)[i - 1], F, adjoint=True)
     return float(np.linalg.norm(fd - target)) / max(float(np.linalg.norm(F)), 1e-300)
 
 

@@ -197,6 +197,8 @@ def chart_exp(x, t: float = 1.0) -> GroupElement:
     (..., 3) block of vectors, with ``t`` one value or one per vector,
     gives a block of elements.
     """
+    if np.shape(x)[-1:] != (3,):
+        raise UsageError("algebra vector must have 3 coefficients")
     a, b, c = np.moveaxis(np.asarray(x, dtype=float), -1, 0)
     return GroupElement(t * a, t * b, t * c + 0.5 * t * t * a * b)
 

@@ -27,6 +27,11 @@ every level in that structure alone:
 A scale norm then costs O(N n) at most, and the norms of a block are one
 stacked product over its rows.
 
+Row form
+--------
+A tridiagonal X is held as the read-only (3, N) rows X[i, i-1], X[i, i],
+X[i, i+1], zero past the edges (Golub & Van Loan, 4th ed., 1.2).
+
 Guard bands
 -----------
 A truncated generator on N modes is tridiagonal: it is faithful to its
@@ -51,6 +56,36 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UsageError
+
+
+def read_only(a: np.ndarray) -> np.ndarray:
+    """``a``, marked read-only: an array its callers share."""
+    a.setflags(write=False)
+    return a
+
+
+def tridiagonal_apply(X, v) -> np.ndarray:
+    """X v for the (3, N) rows of a tridiagonal X, on a vector or an (N, K) block."""
+    X = X.reshape(X.shape + (1,) * (np.ndim(v) - 1))
+    out = X[1] * v
+    out[1:] += X[0, 1:] * v[:-1]
+    out[:-1] += X[2, :-1] * v[1:]
+    return out
+
+
+def tridiagonal_adjoint(X) -> np.ndarray:
+    """Rows of X^*: X^*[i, i - 1] = conj(X[i - 1, i]) and X^*[i, i + 1] = conj(X[i + 1, i])."""
+    return np.stack([np.pad(X[2, :-1], (1, 0)), X[1], np.pad(X[0, 1:], (0, 1))]).conj()
+
+
+def tridiagonal_product(A, B) -> np.ndarray:
+    """Five diagonals of A B: out[d + 2, i] = sum_{a + b = d} A[i, i + a] B[i + a, i + d]."""
+    N, B = A.shape[1], np.pad(B, ((0, 0), (1, 1)))  # B[:, k] is now B[:, k + 1]
+    out = np.zeros((5, N), dtype=np.result_type(A, B))
+    for a in (-1, 0, 1):
+        for b in (-1, 0, 1):
+            out[a + b + 2] += A[a + 1] * B[b + 1, 1 + a : N + 1 + a]
+    return out
 
 
 def support_bound(phi):
@@ -89,9 +124,8 @@ class BandedGram:
         G = np.zeros((N, W + 6), dtype=complex)
         G[:, 3:-3] = self.bands
         col = np.zeros((family.d, 3, N + 2 * b), dtype=complex)
-        for g, X in enumerate(family.gens):
-            for u in range(3):
-                col[g, u, b + max(0, 1 - u) : b + N - max(0, u - 1)] = np.diagonal(X, 1 - u)
+        for u in range(3):  # col[u, j] = X[j + u - 1, j]: row 2 - u shifted, zero past the edges
+            col[:, u, b + 1 - u : b + N + 1 - u] = np.array(family.gens)[:, 2 - u]
         tricks = np.lib.stride_tricks
         H = np.zeros((family.d, N + 2, W + 6), dtype=complex)
         terms = tricks.sliding_window_view(G, W + 4, 1).swapaxes(0, 1)
@@ -190,13 +224,13 @@ class _GuardBand:
 
 @dataclass(frozen=True)
 class GeneratorFamily(_GuardBand):
-    """Ordered truncated tridiagonal generators, square and of one size N.
+    """Ordered truncated tridiagonal generators, as (3, N) rows of one size N.
 
     Everything else is read from them: ``dim`` N, ``d`` generators, the
     ``interior_bound`` N - 1 and ``band_growth`` 1 of a tridiagonal
     truncation.  ``gram_form`` is the structure the family's Gram forms
     keep: ``BandedGram`` unless the family declares more (``DiagonalGram``).
-    A generator with an entry off its three diagonals is refused.
+    Rows of another shape or past an edge are refused; read-only copies kept.
     """
 
     gens: tuple
@@ -204,19 +238,18 @@ class GeneratorFamily(_GuardBand):
     band_growth = 1
 
     def __post_init__(self):
-        gens = tuple(np.asarray(g, dtype=complex) for g in self.gens)
-        N = len(gens[0]) if gens else 0
-        if not N or any(g.shape != (N, N) for g in gens):
+        gens = tuple(read_only(np.array(g, dtype=complex)) for g in self.gens)
+        N = gens[0].shape[-1] if gens else 0
+        if not N or any(g.shape != (3, N) for g in gens):
             shapes = [g.shape for g in gens]
-            raise UsageError(f"generators must be square and of one size, got shapes {shapes}")
-        for g in gens:
-            if np.count_nonzero(g) != sum(np.count_nonzero(np.diagonal(g, k)) for k in (-1, 0, 1)):
-                raise UsageError("generators must be tridiagonal")
+            raise UsageError(f"generators must be (3, N) rows of one size N, got {shapes}")
+        if any(g[0, 0] or g[2, -1] for g in gens):
+            raise UsageError("generator rows must be zero past the edges")
         object.__setattr__(self, "gens", gens)
 
     @property
     def dim(self) -> int:
-        return len(self.gens[0])
+        return self.gens[0].shape[1]
 
     @property
     def d(self) -> int:
@@ -228,8 +261,9 @@ class GeneratorFamily(_GuardBand):
 
     @property
     def coupling(self) -> np.ndarray:
-        """sum_i |X_i|^2, entrywise: the coupling of a diagonal Gram recursion."""
-        return sum(np.abs(X) ** 2 for X in self.gens)
+        """sum_i |X_i|^2, entrywise, as the N x N matrix ``DiagonalGram.step`` takes."""
+        w = sum(np.abs(X) ** 2 for X in self.gens)  # its rows
+        return sum(np.diag(w[u, max(0, 1 - u) : self.dim - max(0, u - 1)], u - 1) for u in range(3))
 
 
 def recombined_family(family: GeneratorFamily, O: np.ndarray) -> GeneratorFamily:
@@ -328,7 +362,7 @@ def monotonicity_check(chain: ScaleChain, phi, n: int) -> MonotonicityResult:
     phi = np.asarray(phi, dtype=complex)
     lo = scale_norm(chain, phi, n)
     hi = scale_norm(chain, phi, n + 1)
-    gen_norms = tuple(scale_norm(chain, X @ phi, n) for X in chain.family.gens)
+    gen_norms = tuple(scale_norm(chain, tridiagonal_apply(X, phi), n) for X in chain.family.gens)
     return MonotonicityResult(lo, hi, gen_norms)
 
 

@@ -18,6 +18,8 @@ from scalerep.sampling import case_rng, group_element, interior_vector
 from scalerep.scale import bound_check, build_scale_chain, scale_norm
 from scalerep.suites import SuiteConfig, missing_anchors, run_suite
 
+from conftest import dense
+
 SEED = 42
 N = 64
 M = 50
@@ -45,7 +47,7 @@ def blocks():
 
 @pytest.fixture(scope="module")
 def x2_subgroup(fam):
-    x = (1j * fam.x2).real
+    x = (1j * dense(fam.x2)).real
     w, V = np.linalg.eigh(x)
     Vh = V.conj().T
     return lambda t, v: ((V * np.exp(-1j * t * w)) @ Vh) @ v
@@ -53,7 +55,7 @@ def x2_subgroup(fam):
 
 @pytest.fixture(scope="module")
 def x2_group(fam):
-    return UnitaryGroup.of((1j * fam.x2).real)
+    return UnitaryGroup.of((1j * dense(fam.x2)).real)
 
 
 def test_criterion_01_algebraic_exactness(blocks):

@@ -233,6 +233,21 @@ def test_cli_entry_point_runs():
     assert "nilpotent-l2" in proc.stdout
 
 
+@pytest.mark.parametrize(
+    "suite", ("lie-core", "scale-core", "heisenberg-hermite", "hille-yosida", "nilpotent-l2")
+)
+def test_a_report_does_not_depend_on_the_blas_thread_count(suite, monkeypatch):
+    # integrator is left out: its in-14 rows take the 2-norm (an SVD) of
+    # exp(t X_i) applied to I, whose last bits differ between 1 and 2
+    # OpenBLAS threads, until in-14 measures those norms without the SVD
+    reports = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+        proc = run_cli_child("run", "--suite", suite)
+        reports.append((proc.returncode, proc.stdout))
+    assert reports[0][1].startswith("[") and reports[0] == reports[1]
+
+
 def test_scaled_block_run_writes_a_full_report(tmp_path):
     # the scaled nilpotent-l2 run at 400 blocks (a 1200-dim model)
     out = tmp_path / "nl400.json"
@@ -346,7 +361,7 @@ def test_hermite_suites_never_assemble_a_group_matrix(monkeypatch):
 
     assert not any(callable(U) for U in HermiteHeisenberg(8).subgroups)
     monkeypatch.setattr(HermiteHeisenberg, "one_parameter", refuse)
-    monkeypatch.setattr(blockrep, "_assemble", refuse)
+    monkeypatch.setattr(blockrep, "rep_operator", refuse)
     monkeypatch.setattr(HermiteHeisenberg, "action_factored", counted)
     made = {}
     for name in guarded:

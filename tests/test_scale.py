@@ -1,11 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
 
-from scalerep.blockrep import h1_operator_norm, rep_operator
+from scalerep.blockrep import block_generators, h1_operator_norm, rep_operator
 from scalerep.errors import UsageError
 from scalerep.heisenberg import hermite_generators
-from scalerep.hermite import gauss_hermite
+from scalerep.hermite import gauss_hermite, position_rows
 from scalerep.liecore import GroupElement
 from scalerep.scale import (
     DiagonalGram,
@@ -16,9 +18,13 @@ from scalerep.scale import (
     recombined_family,
     scale_norm,
     scale_operator_norm,
+    tridiagonal_adjoint,
+    tridiagonal_apply,
+    tridiagonal_product,
 )
+from scalerep.suites import SuiteConfig
 
-from conftest import dense_chain, h0
+from conftest import dense, dense_chain, dense_gens, h0
 
 
 def quadrature_h0_norms():
@@ -54,7 +60,7 @@ def test_h0_norms_match_quadrature_oracle(chain):
 
 
 def test_zero_family_grams_stay_identity():
-    fam = GeneratorFamily((np.zeros((8, 8)),) * 2)
+    fam = GeneratorFamily((np.zeros((3, 8)),) * 2)
     chain = build_scale_chain(fam, 3)
     for G in chain.grams:
         assert np.array_equal(G.dense(), np.eye(8))
@@ -124,7 +130,7 @@ def test_monotonicity_random_vectors(chain, rng):
 
 def test_monotonicity_h0_instance(chain, fam):
     # ||X2 h0||_0 = 1/sqrt(2) <= ||h0||_1 = sqrt(2)
-    lhs = scale_norm(chain, fam.x2 @ h0(), 0)
+    lhs = scale_norm(chain, fam.apply_generator((0, 1, 0), h0()), 0)
     assert lhs == pytest.approx(2 ** -0.5, abs=1e-12)
     assert lhs <= scale_norm(chain, h0(), 1)
     with pytest.raises(UsageError):
@@ -193,10 +199,10 @@ def test_norm_homogeneity_and_triangle(chain, rng):
 
 def test_family_validation():
     with pytest.raises(UsageError):
-        GeneratorFamily((np.zeros((4, 4)), np.zeros((3, 3))))
+        GeneratorFamily((np.zeros((3, 4)), np.zeros((3, 3))))
     with pytest.raises(UsageError):
         GeneratorFamily((np.zeros((4, 3)),))
-    fam = GeneratorFamily((np.zeros((4, 4)),) * 2)
+    fam = GeneratorFamily((np.zeros((3, 4)),) * 2)
     assert (fam.dim, fam.d, fam.interior_bound, fam.band_growth) == (4, 2, 3, 1)
 
 
@@ -213,7 +219,7 @@ def test_diagonal_chain_matches_the_dense_recursion(N):
     family = hermite_generators(N).scale_family
     n_max = min(3, family.max_safe_depth())
     chain = build_scale_chain(family, n_max)
-    oracle = dense_chain(family.gens, n_max)
+    oracle = dense_chain(dense_gens(family), n_max)
     for n, (G, form) in enumerate(zip(oracle, chain.grams)):
         assert isinstance(form, DiagonalGram) and form.weights.shape == (N,)
         # the off-diagonal terms of X1 and X2 cancel exactly, not to rounding
@@ -283,7 +289,7 @@ def test_scale_operator_norm_rejects_a_block_it_cannot_read(chain):
 
 
 def test_scale_operator_norm_needs_a_diagonal_chain(block_chain):
-    fam = GeneratorFamily((np.zeros((8, 8)),) * 2)
+    fam = GeneratorFamily((np.zeros((3, 8)),) * 2)
     with pytest.raises(UsageError):
         scale_operator_norm(build_scale_chain(fam, 1), np.eye(8), 1)
     # the block model's chain is diagonal: its level-1 norm of T(g) is the blockwise one
@@ -321,7 +327,8 @@ def test_banded_chain_matches_the_dense_recursion(N):
         for O in (np.array([[c, -s], [s, c]]), np.array([[c, -s], [-s, -c]])):
             family = recombined_family(base, O)
             chain = build_scale_chain(family, family.max_safe_depth())
-            for n, (form, G) in enumerate(zip(chain.grams, dense_chain(family.gens, chain.n_max))):
+            oracle = dense_chain(dense_gens(family), chain.n_max)
+            for n, (form, G) in enumerate(zip(chain.grams, oracle)):
                 assert form.bands.shape == (N, 4 * n + 1)
                 dense = form.dense()
                 assert np.max(np.abs(dense - G)) <= 4 * eps * max(1.0, np.max(np.abs(G)))
@@ -330,12 +337,101 @@ def test_banded_chain_matches_the_dense_recursion(N):
                 assert np.array_equal(form.bands[:, 2 * n].real, np.diag(dense).real)
 
 
-def test_a_generator_off_its_three_diagonals_is_refused():
-    wide = np.zeros((6, 6))
-    wide[0, 2] = 1.0
-    with pytest.raises(UsageError, match="tridiagonal"):
-        GeneratorFamily((np.zeros((6, 6)), wide))
-    GeneratorFamily((np.diag(np.ones(5), 1) + np.diag(np.ones(6)), np.zeros((6, 6))))
+def test_rows_of_a_wrong_shape_or_past_an_edge_are_refused():
+    rows = np.ones((3, 6))
+    rows[0, 0] = rows[2, -1] = 0.0
+    GeneratorFamily((rows, np.zeros((3, 6))))
+    for bad in (
+        (np.zeros((6, 6)), rows),          # a dense matrix
+        (np.zeros((3, 6, 1)), rows),       # rows of the wrong shape
+        (np.zeros((3, 5)), rows),          # rows of mixed N
+    ):
+        with pytest.raises(UsageError, match="rows of one size N"):
+            GeneratorFamily(bad)
+    for edge in ((0, 0), (2, -1)):       # X[0, -1] and X[N - 1, N]
+        past = rows.copy()
+        past[edge] = 1.0
+        with pytest.raises(UsageError, match="zero past the edges"):
+            GeneratorFamily((np.zeros((3, 6)), past))
+
+
+def random_rows(rng, N, complex_):
+    """Random tridiagonal rows, zero past the edges."""
+    X = rng.standard_normal((3, N)) + (1j * rng.standard_normal((3, N)) if complex_ else 0)
+    X[0, 0] = X[2, -1] = 0
+    return X
+
+
+@pytest.mark.parametrize("N", (4, 13, 64))
+@pytest.mark.parametrize("complex_", (False, True))
+def test_the_row_kernels_are_the_dense_products(N, complex_):
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(N + complex_)
+    A, B = random_rows(rng, N, complex_), random_rows(rng, N, complex_)
+    DA, DB = dense(A), dense(B)
+    v = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+    for x in (v, v.real, rng.standard_normal((N, 5)) + 1j * rng.standard_normal((N, 5))):
+        expect = DA @ x   # the edge rows 0 and N - 1 included
+        out = tridiagonal_apply(A, x)
+        assert out.shape == x.shape
+        assert np.max(np.abs(out - expect)) <= 4 * eps * np.max(np.abs(DA)) * np.max(np.abs(x))
+    adjoint = tridiagonal_adjoint(A)
+    assert np.array_equal(dense(adjoint), DA.conj().T)
+    assert adjoint[0, 0] == adjoint[2, -1] == 0
+    product, expect = tridiagonal_product(A, B), DA @ DB
+    assert product.shape == (5, N)
+    scale = 8 * eps * np.max(np.abs(DA)) * np.max(np.abs(DB))
+    offsets = np.subtract.outer(np.arange(N), np.arange(N))
+    assert not expect[np.abs(offsets) > 2].any()
+    for d in range(-2, 3):
+        live = product[d + 2, max(0, -d) : N - max(0, d)]
+        assert np.max(np.abs(live - np.diagonal(expect, d))) <= scale
+        assert not np.delete(product[d + 2], np.arange(max(0, -d), N - max(0, d))).any()
+
+
+@pytest.mark.parametrize("M", (1, 5, 50))
+def test_the_block_model_applies_each_generator_as_its_dense_product(M):
+    fam = block_generators(M)
+    rng = np.random.default_rng(M)
+    v = rng.standard_normal(fam.dim) + 1j * rng.standard_normal(fam.dim)
+    block = rng.standard_normal((fam.dim, 4)) + 1j * rng.standard_normal((fam.dim, 4))
+    for x, S in zip(np.eye(3), fam.stacks):
+        D = dense(S)
+        for w in (v, v.real, block):
+            assert np.array_equal(fam.apply_generator(x, w), D @ w)
+            assert np.array_equal(fam.apply_generator(x, w, adjoint=True), D.T @ w)
+    x = np.array([0.3, -1.2, 0.7])
+    combined = sum(c * dense(S) for c, S in zip(x, fam.stacks))
+    assert np.allclose(fam.apply_generator(x, block), combined @ block, rtol=1e-15, atol=0)
+    with pytest.raises(UsageError, match="3 coefficients"):
+        fam.apply_generator((1, 0), v)
+
+
+def test_generator_rows_are_read_only():
+    fam = hermite_generators(16)
+    recombined = recombined_family(fam.scale_family, np.eye(2))
+    shared = (*fam.scale_family.gens, *recombined.gens, *block_generators(3).stacks)
+    for X in (fam.x1, fam.x2, fam.x3, position_rows(16), *shared):
+        with pytest.raises(ValueError, match="read-only"):
+            X[1, 0] = 1.0
+
+
+def test_a_family_at_2048_modes_holds_no_dense_generator():
+    # three complex 2048 x 2048 generators would take 192 MiB; their rows take 288 KiB
+    base = hermite_generators(2048).scale_family
+    O = np.array([[0.6, -0.8], [0.8, 0.6]])
+    for build in (
+        lambda: SuiteConfig(suite="scale-core", trunc=2048).validate(),
+        lambda: hermite_generators(2048),
+        lambda: recombined_family(base, O),
+    ):
+        tracemalloc.start()
+        try:
+            build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
 
 def test_scale_norms_are_invariant_under_the_fourier_frame(chain, fam, rng):
