@@ -14,8 +14,10 @@ The group action is available by two independent routes:
 Each one-parameter group has one applier, ``evaluators[i - 1]``:
 (t, v) -> exp(t X_i) v for one vector or an (N, K) block (its adjoint with
 ``adjoint=True``), with one time or one per block column, through the
-cached ``subgroups`` for X1 and X2 (``UnitaryGroup``) and the scalar phase
-for X3; no group element is ever assembled as a matrix.
+cached ``subgroups`` for X1 and X2 (``UnitaryGroup``: both hold the one
+real eigenbasis of x that ``hermite``'s ladder rule builds, X1's in its
+Fourier frame) and the scalar phase for X3; no group element is ever
+assembled as a matrix, nor a complex copy of that basis.
 
 Cross-validation of the two routes is one of the package's main checks.
 The growth of the action along the scale is measured by ``scale.bound_check``
@@ -32,7 +34,7 @@ import numpy as np
 
 from . import liecore
 from .errors import AccuracyError, UsageError
-from .hermite import displace, position_matrix, position_rows
+from .hermite import _ladder_rule, displace, ladder_squares, position_rows
 from .integrator import integrate_chart
 from .liecore import GroupElement, column_coords, group_inverse, require_column_times
 from .scale import (
@@ -40,6 +42,7 @@ from .scale import (
     GeneratorFamily,
     ScaleChain,
     read_only,
+    real_product,
     scale_norm,
     support_bound,
     tridiagonal_adjoint,
@@ -49,6 +52,7 @@ from .scale import (
 UNITARITY_DEFECT_TOL = 1e-6
 SUPPORT_RTOL = 1e-8
 DIFF_T_GRID = tuple(1e-2 * 0.5**k for k in range(11))  # 1e-2 halved down to ~1e-5
+PHASE_ENTRIES = 2**14  # entries of one node chunk of ``UnitaryGroup.integrate``'s phases
 
 
 def effective_support(phi):
@@ -69,46 +73,58 @@ def effective_support(phi):
 
 @dataclass(frozen=True, eq=False)
 class UnitaryGroup:
-    """The one-parameter group t -> exp(-i t H) of a Hermitian matrix H.
+    """The one-parameter group t -> exp(-i t H) of H = F V diag(w) V^T F^*.
 
-    Holds one eigendecomposition H = V diag(w) V^H; both arrays are
+    Holds a real orthogonal eigenbasis V, its eigenvalues w and, for H in a
+    unitary diagonal frame F, the diagonal ``frame`` (None for F = I), all
     read-only, since every caller shares them.  ``apply`` evaluates
-    exp(-i t H) v as V (e^{-i t w} * (V^H v)) in O(N^2 k) for v of shape
-    (N,) or (N, k), and is exactly unitary up to rounding for any t.
+    exp(-i t H) v as F V (e^{-i t w} * (V^T F^* v)) in O(N^2 k) for v of
+    shape (N,) or (N, k), each product by V a ``real_product``, and is
+    exactly unitary up to rounding for any t.
     """
 
     w: np.ndarray
     V: np.ndarray
+    frame: np.ndarray = None
 
-    @staticmethod
-    def of(H) -> "UnitaryGroup":
-        return UnitaryGroup(*map(read_only, np.linalg.eigh(H)))
+    def _spectral(self, v, phases) -> np.ndarray:
+        """F V (phases * (V^T F^* v)), phases of shape (N,) or (N, K)."""
+        v = np.asarray(v, dtype=complex)
+        f = None if self.frame is None else self.frame.reshape((-1,) + (1,) * (v.ndim - 1))
+        coeffs = real_product(self.V.T, v if f is None else f.conj() * v)
+        out = real_product(self.V, (phases[:, None] if phases.ndim < v.ndim else phases) * coeffs)
+        return out if f is None else f * out
 
     def apply(self, t, v, adjoint: bool = False) -> np.ndarray:
         """exp(-i t H) v without forming the matrix.
 
         ``v`` is one vector or an (N, K) block; a (K,) array ``t`` gives
         column k its own time t[k] through the phase matrix e^{-i w (x) t}.
-        ``adjoint`` applies exp(-i t H)^* instead, as V (conj(e^{-i t w}) *
-        (V^H v)).  A time array needs a block with one column per time.
+        ``adjoint`` applies exp(-i t H)^* instead, with the conjugate phases.
+        A time array needs a block with one column per time.
         """
-        v = np.asarray(v, dtype=complex)
         require_column_times(t, v)
         phase = np.exp(-1j * np.multiply.outer(self.w, t))
-        phase = phase.conj() if adjoint else phase
-        coeffs = self.V.conj().T @ v
-        return self.V @ (phase[:, None] * coeffs if phase.ndim < v.ndim else phase * coeffs)
+        return self._spectral(v, phase.conj() if adjoint else phase)
 
     def integrate(self, ts, weights, v) -> np.ndarray:
-        """sum_q weights[q] exp(-i ts[q] H) v as V ((sum_q weights[q] e^{-i ts[q] w}) * (V^H v))."""
-        phases = np.exp(-1j * np.outer(self.w, ts)) @ np.asarray(weights, dtype=complex)
-        return self.V @ (phases * (self.V.conj().T @ np.asarray(v, dtype=complex)))
+        """sum_q weights[q] exp(-i ts[q] H) v as F V ((sum_q weights[q] e^{-i ts[q] w}) * (V^T F^* v)).
+
+        The phase sums are taken over chunks of at most ``PHASE_ENTRIES`` / N nodes.
+        """
+        ts, weights = np.asarray(ts), np.asarray(weights, dtype=complex)
+        phases = np.zeros(len(self.w), dtype=complex)
+        step = max(1, PHASE_ENTRIES // len(self.w))
+        for q in range(0, len(ts), step):
+            phases += np.exp(-1j * np.outer(self.w, ts[q : q + step])) @ weights[q : q + step]
+        return self._spectral(v, phases)
 
 
 @lru_cache(maxsize=8)
 def _position_group(N: int) -> UnitaryGroup:
-    """The group of ``position_matrix(N)``, shared by every family of N modes."""
-    return UnitaryGroup.of(position_matrix(N))
+    """The group of x on N modes, from the ladder rule: shared by every family of N modes."""
+    w, _, V = _ladder_rule(N, N)
+    return UnitaryGroup(w, V)
 
 
 class HermiteHeisenberg:
@@ -131,8 +147,11 @@ class HermiteHeisenberg:
         Its Gram forms are diagonal: with X1 = (a - a^+)/sqrt(2) and
         X2 = -i (a + a^+)/sqrt(2), X1^* D X1 + X2^* D X2 = a D a^+ + a^+ D a
         for diagonal D, the a D a and a^+ D a^+ terms cancelling exactly.
+        Its coupling |X1|^2 + |X2|^2 is exact: the off-diagonals 2 (k/2) = k.
         """
-        return GeneratorFamily((self.x1, self.x2), DiagonalGram)
+        coupling = np.zeros((3, self.N))
+        coupling[0, 1:] = coupling[2, :-1] = 2 * ladder_squares(self.N)
+        return GeneratorFamily((self.x1, self.x2), DiagonalGram, read_only(coupling))
 
     def apply_generator(self, x_coeffs, v, adjoint: bool = False) -> np.ndarray:
         """(sum_i x_i X_i) v, or its adjoint applied to v, for a vector or an (N, K) block."""
@@ -191,11 +210,12 @@ class HermiteHeisenberg:
         """exp(t X1) and exp(t X2) as groups of the Hermitian i*X1 and x.
 
         X1 = -i (i X1) and X2 = -i x, so exp(t X_k) = exp(-i t H_k).  Both
-        come from one real ``eigh`` of x, taken once per N per process: since
-        i X1 = P^* x P (``frame``), the group of i X1 is (w_x, P^* V_x).
+        hold the one real eigenbasis of x, the ladder rule's, built once per N
+        per process: since i X1 = P^* x P (``frame``), the group of i X1 is
+        (w_x, V_x) in the frame P^*.
         """
         x = _position_group(self.N)
-        return UnitaryGroup(x.w, read_only(self.frame[:, None] * x.V)), x
+        return UnitaryGroup(x.w, x.V, self.frame), x
 
     @cached_property
     def evaluators(self) -> tuple:

@@ -17,12 +17,13 @@ return measurements; each case row compares them with its bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import AccuracyError, ConvergenceError, SingularOperatorError, UsageError
 from .hermite import golub_welsch_rule
-from .scale import ScaleChain, scale_norm, scale_operator_norm
+from .scale import ScaleChain, read_only, real_product, scale_norm, scale_operator_norm
 
 DEFAULT_LAMBDAS = (10.0, 20.0, 50.0, 100.0)
 LAPLACE_TOL = 1e-8          # tail bound of the Laplace quadrature
@@ -125,6 +126,21 @@ def resolvent_matrix(X: np.ndarray, lam) -> np.ndarray:
     return R[:, 0] if np.ndim(lam) == 0 else R.transpose(1, 0, 2)
 
 
+@lru_cache(maxsize=4)
+def _gauss_legendre(n: int):
+    """Nodes and weights 2 / ((1 - x^2) P_n'(x)^2) of the n-point Gauss-Legendre
+    rule on [-1, 1], read-only: ten Newton steps on P_n, by its recurrence,
+    from cos(pi (4k - 1) / (4n + 2)), which meet its roots to rounding."""
+    x = np.cos(np.pi * (4 * np.arange(n, 0, -1) - 1) / (4 * n + 2))
+    for _ in range(10):
+        prev, cur = np.ones(n), x
+        for k in range(2, n + 1):
+            prev, cur = cur, ((2 * k - 1) * x * cur - (k - 1) * prev) / k
+        slope = n * (prev - x * cur) / (1 - x * x)
+        x = x - cur / slope
+    return read_only(x), read_only(2 / ((1 - x * x) * slope * slope))
+
+
 @dataclass(frozen=True)
 class LaplaceResult:
     vector: np.ndarray
@@ -147,9 +163,10 @@ def resolvent_laplace(
     the group is never formed as a matrix.  Positive Re(lam) integrates
     over t >= 0; negative Re(lam) uses the mirrored branch over t <= 0.
     Composite Gauss-Legendre panels of width 0.5 on [0, t_max], with
-    e^{-|Re lam| t_max} = 0.1 * ``LAPLACE_TOL``; a tail bound
-    ||phi|| * e^{-|Re lam| t_max} / |Re lam| of a contraction group above
-    ``LAPLACE_TOL`` raises ``AccuracyError``.
+    e^{-|Re lam| t_max} / min(1, |Re lam|) = 0.1 * ``LAPLACE_TOL``, so the
+    relative tail bound e^{-|Re lam| t_max} / |Re lam| stays below it; a
+    tail bound ||phi|| * e^{-|Re lam| t_max} / |Re lam| of a contraction
+    group above ``LAPLACE_TOL`` raises ``AccuracyError``.
     """
     phi = np.asarray(phi, dtype=complex)
     lam = complex(lam)
@@ -157,11 +174,11 @@ def resolvent_laplace(
     if a == 0:
         raise UsageError("resolvent_laplace needs Re(lambda) != 0")
     nrm = float(np.linalg.norm(phi))
-    target = 0.1 * LAPLACE_TOL * max(nrm, 1e-300)
+    target = 0.1 * LAPLACE_TOL * max(nrm, 1e-300) * min(a, 1.0)
     t_max = float(np.log(max(nrm, 1e-300) / target) / a)
     sign = 1.0 if lam.real > 0 else -1.0
     panels = max(1, int(np.ceil(t_max / 0.5)))
-    xg, wg = np.polynomial.legendre.leggauss(nodes_per_panel)
+    xg, wg = _gauss_legendre(nodes_per_panel)
     edges = np.linspace(0.0, t_max, panels + 1)
     half = 0.5 * (edges[1:] - edges[:-1])[:, None]
     mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
@@ -189,7 +206,7 @@ def resolvent_closed_form_x2(lam: complex, phi, N: int) -> np.ndarray:
     if lam.real == 0:
         raise UsageError("closed-form resolvent needs Re(lambda) != 0")
     w, V = golub_welsch_rule(N)
-    return V @ ((V.T @ phi) / (lam + 1j * w))
+    return real_product(V, real_product(V.T, phi) / (lam + 1j * w))
 
 
 @dataclass(frozen=True)

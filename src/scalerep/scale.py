@@ -19,7 +19,7 @@ every level in that structure alone:
   generators has one nonzero entry per block):
   w_{n+1}(k) = w_n(k) + sum_i sum_j |X_i[j, k]|^2 w_n(j),
   with the coupling sum_i |X_i|^2 taken from the family in its own
-  structure (a dense matrix, or a stack of diagonal blocks);
+  structure (tridiagonal rows, or a stack of diagonal blocks);
 * ``BandedGram`` holds the 4n + 1 diagonals of G_n, whose bandwidth is 2n
   as every generator is tridiagonal, for families that declare no more
   (orthogonal recombinations, test families): a step costs O(N n).
@@ -71,6 +71,14 @@ def tridiagonal_apply(X, v) -> np.ndarray:
     out[1:] += X[0, 1:] * v[:-1]
     out[:-1] += X[2, :-1] * v[1:]
     return out
+
+
+def real_product(A, v) -> np.ndarray:
+    """A v for a real A and a complex vector or (N, K) block: one real product
+    on the interleaved (N, 2K) float view of v, never a complex copy of A."""
+    v = np.ascontiguousarray(v, dtype=complex)
+    out = A @ v.view(float).reshape(len(v), -1)
+    return out.view(complex).reshape((len(A),) + v.shape[1:])
 
 
 def tridiagonal_adjoint(X) -> np.ndarray:
@@ -170,9 +178,11 @@ class DiagonalGram:
     def step(self, family) -> "DiagonalGram":
         # diag(X^* diag(w) X)[k] = sum_j |X[j, k]|^2 w(j); the family
         # declares that the off-diagonal terms cancel over its generators.
-        # Its coupling is an (N, N) matrix or an (M, b, b) stack of diagonal
-        # blocks, each block acting on its own b weights.
+        # Its coupling is the (3, N) rows of a tridiagonal or an (M, b, b)
+        # stack of diagonal blocks, each block acting on its own b weights.
         C = family.coupling
+        if C.ndim == 2:
+            return DiagonalGram(self.weights + tridiagonal_apply(tridiagonal_adjoint(C), self.weights))
         w = self.weights.reshape(C.shape[:-1])[..., None]
         return DiagonalGram(self.weights + (np.swapaxes(C, -1, -2) @ w).reshape(-1))
 
@@ -229,12 +239,15 @@ class GeneratorFamily(_GuardBand):
     Everything else is read from them: ``dim`` N, ``d`` generators, the
     ``interior_bound`` N - 1 and ``band_growth`` 1 of a tridiagonal
     truncation.  ``gram_form`` is the structure the family's Gram forms
-    keep: ``BandedGram`` unless the family declares more (``DiagonalGram``).
-    Rows of another shape or past an edge are refused; read-only copies kept.
+    keep: ``BandedGram`` unless the family declares more (``DiagonalGram``,
+    with the (3, N) rows of its ``coupling`` sum_i |X_i|^2, entrywise, which
+    ``DiagonalGram.step`` reads).  Rows of another shape or past an edge are
+    refused; read-only copies kept.
     """
 
     gens: tuple
     gram_form: type = BandedGram
+    coupling: np.ndarray = None
     band_growth = 1
 
     def __post_init__(self):
@@ -245,6 +258,8 @@ class GeneratorFamily(_GuardBand):
             raise UsageError(f"generators must be (3, N) rows of one size N, got {shapes}")
         if any(g[0, 0] or g[2, -1] for g in gens):
             raise UsageError("generator rows must be zero past the edges")
+        if self.gram_form is DiagonalGram and np.shape(self.coupling) != (3, N):
+            raise UsageError("a diagonal family declares its coupling as (3, N) rows")
         object.__setattr__(self, "gens", gens)
 
     @property
@@ -258,12 +273,6 @@ class GeneratorFamily(_GuardBand):
     @property
     def interior_bound(self) -> int:
         return self.dim - 1
-
-    @property
-    def coupling(self) -> np.ndarray:
-        """sum_i |X_i|^2, entrywise, as the N x N matrix ``DiagonalGram.step`` takes."""
-        w = sum(np.abs(X) ** 2 for X in self.gens)  # its rows
-        return sum(np.diag(w[u, max(0, 1 - u) : self.dim - max(0, u - 1)], u - 1) for u in range(3))
 
 
 def recombined_family(family: GeneratorFamily, O: np.ndarray) -> GeneratorFamily:

@@ -42,6 +42,7 @@ from .scale import (
     bound_check,
     build_scale_chain,
     monotonicity_check,
+    real_product,
     recombined_family,
     scale_norm,
     tridiagonal_adjoint,
@@ -285,12 +286,10 @@ class SuiteContext:
         return self._stack[lam]
 
     def apply_x2_resolvent(self, lam, v) -> np.ndarray:
-        """R(lam) v for X2 on a vector or block as P (R_X1 (P^* v)): one real
-        product on the interleaved (N, 2K) float view of P^* v."""
+        """R(lam) v for X2 on a vector or block as P (R_X1 (P^* v)): one
+        ``real_product`` with the real R_X1."""
         p = self.hermite.frame.reshape((-1,) + (1,) * (np.ndim(v) - 1))
-        w = np.ascontiguousarray(p * v, dtype=complex)
-        out = self.x2_resolvent(lam) @ w.view(float).reshape(self.N, -1)
-        return p.conj() * out.view(complex).reshape(w.shape)
+        return p.conj() * real_product(self.x2_resolvent(lam), p * v)
 
     def action_modes(self, depth: int) -> int:
         """Support budget for action-based checks at scale depth ``depth``.
@@ -580,18 +579,8 @@ def _sc_h0_oracle(cfg, ctx, rec):
         + sq(h0)
     )
     tol = cfg.tolerance("norm_oracle")
-    rec.check(
-        "level1",
-        abs(scale_norm(ctx.chain, ctx.h0, 1) ** 2 - norm1_sq),
-        tol,
-        oracle=norm1_sq,
-    )
-    rec.check(
-        "level2",
-        abs(scale_norm(ctx.chain, ctx.h0, 2) ** 2 - norm2_sq),
-        tol,
-        oracle=norm2_sq,
-    )
+    for n, oracle in ((1, norm1_sq), (2, norm2_sq)):
+        rec.check(f"level{n}", abs(scale_norm(ctx.chain, ctx.h0, n) ** 2 - oracle), tol, oracle=oracle)
     rec.check("level1-value", abs(norm1_sq - 2.0), tol)
     rec.check("level2-value", abs(norm2_sq - 6.0), tol)
 
@@ -1049,24 +1038,12 @@ def _hy_triple_agreement(cfg, ctx, rec):
     h0 = ctx.h0
     tol = cfg.tolerance("resolvent_agreement")
     for lam, (result, matrix) in ctx.h0_resolvents.items():
-        laplace = result.vector
-        closed = hilleyosida.resolvent_closed_form_x2(lam, h0, ctx.N)
+        routes = {"laplace": result.vector, "matrix": matrix}
+        routes["closed"] = hilleyosida.resolvent_closed_form_x2(lam, h0, ctx.N)
         for n in (0, 1):
-            rec.check(
-                f"lam{lam:g}-level{n}-laplace-matrix",
-                scale_norm(ctx.chain, laplace - matrix, n),
-                tol,
-            )
-            rec.check(
-                f"lam{lam:g}-level{n}-matrix-closed",
-                scale_norm(ctx.chain, matrix - closed, n),
-                tol,
-            )
-            rec.check(
-                f"lam{lam:g}-level{n}-laplace-closed",
-                scale_norm(ctx.chain, laplace - closed, n),
-                tol,
-            )
+            for a, b in (("laplace", "matrix"), ("matrix", "closed"), ("laplace", "closed")):
+                gap = scale_norm(ctx.chain, routes[a] - routes[b], n)
+                rec.check(f"lam{lam:g}-level{n}-{a}-{b}", gap, tol)
 
 
 def _hy_resolvent_identity(cfg, ctx, rec):

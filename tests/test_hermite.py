@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from scalerep import hermite
-from scalerep.errors import UsageError
+from scalerep.errors import ConvergenceError, UsageError
 from scalerep.heisenberg import hermite_generators
 from scalerep.hermite import (
     MAX_NODES,
@@ -10,7 +10,7 @@ from scalerep.hermite import (
     gauss_hermite,
     golub_welsch_rule,
     hermite_functions,
-    position_matrix,
+    position_rows,
 )
 from scalerep.liecore import GroupElement
 
@@ -24,13 +24,52 @@ def test_basis_orthonormal_by_quadrature():
     assert np.max(np.abs(gram - np.eye(40))) < 1e-12
 
 
-def test_position_matrix_against_quadrature():
+def test_position_rows_against_quadrature():
     xs, ws = gauss_hermite(160)
     H = hermite_functions(xs, 24)
     oracle = (H * ws * xs) @ H.T
-    assert np.max(np.abs(position_matrix(24) - oracle)) < 1e-12
+    assert np.max(np.abs(dense(position_rows(24)) - oracle)) < 1e-12
     # frozen entry <h1, x h0> = 1/sqrt(2)
-    assert position_matrix(4)[1, 0] == pytest.approx(2 ** -0.5, abs=1e-15)
+    assert dense(position_rows(4))[1, 0] == pytest.approx(2 ** -0.5, abs=1e-15)
+
+
+def hermgauss(n):
+    """numpy's Gauss-Hermite rule with plain-dx weights (the oracle)."""
+    xs, ws = np.polynomial.hermite.hermgauss(n)
+    return xs, np.exp(np.log(ws) + xs * xs)
+
+
+def signed_by_largest_entry(V):
+    return V * np.sign(V[np.argmax(np.abs(V), axis=0), np.arange(V.shape[1])])
+
+
+@pytest.mark.parametrize("N", (8, 64, 160, 512, 1024))
+def test_ladder_rule_against_lapack_and_numpy(N):
+    # oracles: LAPACK's eigh of the dense position matrix built here, and
+    # numpy's Gauss-Hermite rule; each bound is a stated multiple of eps N.
+    # At N = 1024, e^{-x^2/2} underflows at the edge nodes (x^2/2 > 745).
+    eps = np.finfo(float).eps
+    x, weights, V = hermite._ladder_rule(N, N)
+    off = np.sqrt(np.arange(1, N) / 2.0)
+    J = np.diag(off, 1) + np.diag(off, -1)
+    w, U = np.linalg.eigh(J)
+    assert x[-1] ** 2 / 2 > 745 if N == 1024 else True
+    assert np.max(np.abs(x - w)) <= 2 * eps * N
+    assert np.max(np.abs(signed_by_largest_entry(V) - signed_by_largest_entry(U))) <= 2 * eps * N
+    assert np.all(V[0] >= 0) and np.all(V[0, N // 4 : -N // 4] > 0)  # h_0 > 0 fixes the signs
+    assert np.max(np.abs(J @ V - V * x)) <= eps * N
+    assert np.max(np.abs(V.T @ V - np.eye(N))) <= eps * N
+    if N <= MAX_NODES:
+        xs, ws = hermgauss(N)
+        assert np.max(np.abs(x - xs)) <= 2 * eps * N
+        # e^{x^2} turns the rounding of x^2 ~ 2N into a relative 2N eps
+        assert np.max(np.abs(weights - ws) / ws) <= 4 * eps * N
+
+
+def test_ladder_rule_raises_when_the_nodes_do_not_converge(monkeypatch):
+    monkeypatch.setattr(hermite, "NODE_ITERATIONS", 1)
+    with pytest.raises(ConvergenceError):
+        hermite._ladder_rule.__wrapped__(64, 64)
 
 
 def test_derivative_matrix_against_finite_differences():
@@ -53,22 +92,22 @@ def test_golub_welsch_rule():
     for arr in (w, V):
         with pytest.raises(ValueError):
             arr[0] = 0.0
-    xs, ws = gauss_hermite(64)
+    xs, ws = hermgauss(64)
     assert V.shape == (32, 64)
     assert np.max(np.abs(w - xs)) < 1e-12
-    # row k holds h_k at the nodes times the root weights, up to one sign per node
+    # row k holds h_k at the nodes times the root weights, signed by h_0 > 0
     H = hermite_functions(xs, 32) * np.sqrt(ws)
-    assert np.max(np.abs(V * np.sign(np.sum(V * H, axis=0)) - H)) < 1e-12
+    assert np.max(np.abs(V - H)) < 1e-12
 
 
 def test_project_roundtrip():
     # the values of a 32-mode series at the 64 nodes project back onto its coefficients
     w, V = golub_welsch_rule(32)
-    xs, ws = gauss_hermite(64)
+    xs, ws = hermgauss(64)
     rng = np.random.default_rng(1)
     coeffs = rng.standard_normal(32) + 1j * rng.standard_normal(32)
     H = hermite_functions(xs, 32)
-    values = np.sign(np.sum(V * H, axis=0)) * (V.T @ coeffs)
+    values = V.T @ coeffs
     assert np.max(np.abs(values - np.sqrt(ws) * (coeffs @ H))) < 1e-12
     assert np.max(np.abs(V @ (V.T @ coeffs) - coeffs)) < 1e-12
 

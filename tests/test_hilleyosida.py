@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.special
 
-from scalerep import hilleyosida, suites
+from scalerep import heisenberg, hermite, hilleyosida, suites
 from scalerep.errors import AccuracyError, ConvergenceError, SingularOperatorError, UsageError
 from scalerep.heisenberg import UnitaryGroup, hermite_generators
 from scalerep.hermite import gauss_hermite
@@ -40,7 +40,7 @@ def x2_evaluator(fam):
 
 @pytest.fixture(scope="module")
 def x2_group(fam):
-    return UnitaryGroup.of((1j * dense(fam.x2)).real)
+    return UnitaryGroup(*np.linalg.eigh((1j * dense(fam.x2)).real))
 
 
 def quadrature_resolvent_norm_sq(lam):
@@ -106,7 +106,7 @@ def test_resolvent_negative_branch(fam, x2_group):
 
 def test_laplace_identity_group_scalar(monkeypatch):
     monkeypatch.setattr(hilleyosida, "LAPLACE_TOL", 1e-10)
-    ident = UnitaryGroup.of(np.zeros((4, 4)))
+    ident = UnitaryGroup(np.zeros(4), np.eye(4))
     phi = np.array([1.0, 2.0, 0.0, -1.0], dtype=complex)
     out = resolvent_laplace(ident, 2.0, phi)
     assert np.max(np.abs(out.vector - phi / 2.0)) < 1e-9
@@ -120,10 +120,27 @@ def test_laplace_tail_control(x2_group, monkeypatch):
     assert res_small.tail_bound <= 1e-6
     with pytest.raises(UsageError):
         resolvent_laplace(x2_group, 1j, h0())
-    # t_max is chosen without the 1/|Re lambda| of the tail bound, so the
-    # guard trips at every |Re lambda| < 0.1
+    # a phi of norm 1e4: its tail bound passes LAPLACE_TOL, and the guard trips
     with pytest.raises(AccuracyError):
-        resolvent_laplace(x2_group, 0.05, h0())
+        resolvent_laplace(x2_group, 0.5, 1e4 * h0())
+
+
+def test_laplace_below_unit_real_part_matches_the_matrix_route(fam, x2_group):
+    # t_max covers the 1/|Re lambda| of the tail bound: at lambda = 0.05 the
+    # tail stays below LAPLACE_TOL, over 949 panels in node chunks
+    for lam in (0.05, -0.05):
+        got = resolvent_laplace(x2_group, lam, h0())
+        assert got.tail_bound < hilleyosida.LAPLACE_TOL and got.panels == 949
+        assert np.linalg.norm(got.vector - resolvent_matrix(fam.x2, lam) @ h0()) < 1e-7
+
+
+def test_gauss_legendre_panels_against_scipy():
+    # oracle: scipy's roots_legendre, whose end weights are off by 9e-14 relative
+    for n in (1, 2, 16, 17, 40):
+        x, w = hilleyosida._gauss_legendre(n)
+        xs, ws = scipy.special.roots_legendre(n)
+        assert np.max(np.abs(x - xs)) <= 4e-16 and np.max(np.abs(w - ws)) <= 1e-14
+        assert abs(np.sum(w) - 2.0) <= 1e-15 and not (x.flags.writeable or w.flags.writeable)
 
 
 def laplace_by_nodes(apply, lam, phi, tol, nodes_per_panel=16):
@@ -131,7 +148,7 @@ def laplace_by_nodes(apply, lam, phi, tol, nodes_per_panel=16):
     lam = complex(lam)
     a = abs(lam.real)
     nrm = float(np.linalg.norm(phi))
-    t_max = float(np.log(nrm / (0.1 * tol * nrm)) / a)
+    t_max = float(np.log(nrm / (0.1 * tol * nrm * min(a, 1.0))) / a)
     sign = 1.0 if lam.real > 0 else -1.0
     panels = max(1, int(np.ceil(t_max / 0.5)))
     xg, wg = scipy.special.roots_legendre(nodes_per_panel)
@@ -586,16 +603,14 @@ def test_the_x2_type_ladder_applies_the_subgroup_once_per_t(monkeypatch):
         assert alone == est
 
 
-def test_one_eigh_of_the_position_matrix_per_size(monkeypatch):
-    from scalerep import heisenberg
-
+def test_one_ladder_rule_per_size(monkeypatch):
     heisenberg._position_group.cache_clear()
-    calls = []
-    eigh = np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(len(a)) or eigh(a))
+    hermite._ladder_rule.cache_clear()
+    monkeypatch.setattr(np.linalg, "eigh", None)   # no call reaches LAPACK
     for N in (24, 24, 25, 24):
         hermite_generators(N).subgroups
-    assert calls == [24, 25]
-    w, V = heisenberg._position_group(24).w, heisenberg._position_group(24).V
-    assert not (w.flags.writeable or V.flags.writeable)
+    assert hermite._ladder_rule.cache_info().misses == 2
+    U = heisenberg._position_group(24)
+    assert U.V is hermite._ladder_rule(24, 24)[2]
+    assert not (U.w.flags.writeable or U.V.flags.writeable)
     heisenberg._position_group.cache_clear()

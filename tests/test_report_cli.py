@@ -227,6 +227,26 @@ def test_hille_yosida_runs_without_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_the_hermite_suites_need_no_eigh_and_no_numpy_polynomial():
+    # every Hermite eigenbasis and quadrature rule comes from the ladder, and
+    # the Laplace panels from their own Gauss-Legendre rule (heisenberg-hermite
+    # refuses a truncation below 54)
+    proc = run_child(
+        "-c",
+        "import sys\n"
+        "import numpy as np\n"
+        "def refuse(*args, **kwargs):\n"
+        "    raise AssertionError('eigh called')\n"
+        "np.linalg.eigh = refuse\n"
+        "from scalerep.suites import SuiteConfig, run_suite\n"
+        "for suite, trunc in (('scale-core', 32), ('heisenberg-hermite', 64), ('hille-yosida', 32)):\n"
+        "    run_suite(SuiteConfig(suite=suite, trunc=trunc))\n"
+        "print('numpy.polynomial' in sys.modules)",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_cli_entry_point_runs():
     proc = run_cli_child("list-suites")
     assert proc.returncode == 0

@@ -204,6 +204,9 @@ def test_family_validation():
         GeneratorFamily((np.zeros((4, 3)),))
     fam = GeneratorFamily((np.zeros((3, 4)),) * 2)
     assert (fam.dim, fam.d, fam.interior_bound, fam.band_growth) == (4, 2, 3, 1)
+    for coupling in (None, np.zeros((4, 4))):   # a diagonal family declares its rows
+        with pytest.raises(UsageError, match="coupling"):
+            GeneratorFamily((np.zeros((3, 4)),), DiagonalGram, coupling)
 
 
 def cholesky_operator_norm(G, A, k):
@@ -240,6 +243,16 @@ def test_diagonal_chain_matches_the_dense_recursion(N):
             oracle_norm = cholesky_operator_norm(G, A, k)
             measured = scale_operator_norm(chain, A[:, :k], n)
             assert measured == pytest.approx(oracle_norm, rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize("N", (64, 640))
+def test_the_hermite_chain_weights_are_the_integer_polynomials(N):
+    # the coupling |X1|^2 + |X2|^2 is held as the exact integers k, so the
+    # interior weights are exact: w_1 = 2m + 2 and w_2 = 4m^2 + 8m + 6
+    chain = build_scale_chain(hermite_generators(N).scale_family, 2)
+    m = np.arange(N)
+    assert np.array_equal(chain.gram(1).weights[:-1], 2 * m[:-1] + 2)
+    assert np.array_equal(chain.gram(2).weights[:-2], 4 * m[:-2] ** 2 + 8 * m[:-2] + 6)
 
 
 @pytest.mark.parametrize("N", (13, 64, 160, 450))
@@ -410,20 +423,22 @@ def test_the_block_model_applies_each_generator_as_its_dense_product(M):
 def test_generator_rows_are_read_only():
     fam = hermite_generators(16)
     recombined = recombined_family(fam.scale_family, np.eye(2))
-    shared = (*fam.scale_family.gens, *recombined.gens, *block_generators(3).stacks)
+    shared = (*fam.scale_family.gens, fam.scale_family.coupling, *recombined.gens, *block_generators(3).stacks)
     for X in (fam.x1, fam.x2, fam.x3, position_rows(16), *shared):
         with pytest.raises(ValueError, match="read-only"):
             X[1, 0] = 1.0
 
 
 def test_a_family_at_2048_modes_holds_no_dense_generator():
-    # three complex 2048 x 2048 generators would take 192 MiB; their rows take 288 KiB
+    # three complex 2048 x 2048 generators would take 192 MiB; their rows take
+    # 288 KiB, and a dense coupling would take 32 MiB per chain step
     base = hermite_generators(2048).scale_family
     O = np.array([[0.6, -0.8], [0.8, 0.6]])
     for build in (
         lambda: SuiteConfig(suite="scale-core", trunc=2048).validate(),
         lambda: hermite_generators(2048),
         lambda: recombined_family(base, O),
+        lambda: build_scale_chain(base, 3),
     ):
         tracemalloc.start()
         try:

@@ -16,7 +16,7 @@ def load_tool():
 
 def test_one_small_run_prints_its_time_memory_exit_and_failing_rows(monkeypatch, capsys):
     tool = load_tool()
-    assert len(tool.RUNS) == 9
+    assert len(tool.RUNS) == 11
     monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
     monkeypatch.setitem(tool.RUNS, "lie-core", ("--suite", "lie-core"))
     assert tool.main([str(ROOT / "src"), "--runs", "1", "--only", "lie-core"]) == 0

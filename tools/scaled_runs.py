@@ -34,9 +34,11 @@ ROOT = Path(__file__).resolve().parents[1]
 RUNS = {
     "hille-yosida-640": ("--suite", "hille-yosida", "--trunc", "640"),
     "hille-yosida-1024": ("--suite", "hille-yosida", "--trunc", "1024"),
+    "hille-yosida-2048": ("--suite", "hille-yosida", "--trunc", "2048"),
     "scale-core-2048": ("--suite", "scale-core", "--trunc", "2048"),
     "heisenberg-hermite-1024": ("--suite", "heisenberg-hermite", "--trunc", "1024"),
     "heisenberg-hermite-2048": ("--suite", "heisenberg-hermite", "--trunc", "2048"),
+    "heisenberg-hermite-4096": ("--suite", "heisenberg-hermite", "--trunc", "4096"),
     "integrator-320": ("--suite", "integrator", "--trunc", "320"),
     "integrator-640": ("--suite", "integrator", "--trunc", "640"),
     "integrator-1280": ("--suite", "integrator", "--trunc", "1280"),
