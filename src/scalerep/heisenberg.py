@@ -28,17 +28,17 @@ difference-quotient probe on ``DIFF_T_GRID`` are measured here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, partial
 
 import numpy as np
 
 from . import liecore
 from .errors import AccuracyError, UsageError
 from .hermite import _ladder_rule, displace, ladder_squares, position_rows
+from .hilleyosida import ResolventStacks
 from .integrator import integrate_chart
 from .liecore import GroupElement, column_coords, group_inverse, require_column_times
 from .scale import (
-    DiagonalGram,
     GeneratorFamily,
     ScaleChain,
     read_only,
@@ -120,13 +120,6 @@ class UnitaryGroup:
         return self._spectral(v, phases)
 
 
-@lru_cache(maxsize=8)
-def _position_group(N: int) -> UnitaryGroup:
-    """The group of x on N modes, from the ladder rule: shared by every family of N modes."""
-    w, _, V = _ladder_rule(N, N)
-    return UnitaryGroup(w, V)
-
-
 class HermiteHeisenberg:
     """Truncated generators, the (3, N) rows ``x1``, ``x2``, ``x3``, and group action on N modes."""
 
@@ -151,7 +144,7 @@ class HermiteHeisenberg:
         """
         coupling = np.zeros((3, self.N))
         coupling[0, 1:] = coupling[2, :-1] = 2 * ladder_squares(self.N)
-        return GeneratorFamily((self.x1, self.x2), DiagonalGram, read_only(coupling))
+        return GeneratorFamily((self.x1, self.x2), read_only(coupling))
 
     def apply_generator(self, x_coeffs, v, adjoint: bool = False) -> np.ndarray:
         """(sum_i x_i X_i) v, or its adjoint applied to v, for a vector or an (N, K) block."""
@@ -214,8 +207,14 @@ class HermiteHeisenberg:
         per process: since i X1 = P^* x P (``frame``), the group of i X1 is
         (w_x, V_x) in the frame P^*.
         """
-        x = _position_group(self.N)
-        return UnitaryGroup(x.w, x.V, self.frame), x
+        w, _, V = _ladder_rule(self.N, self.N)
+        return UnitaryGroup(w, V, self.frame), UnitaryGroup(w, V)
+
+    def x2_resolvents(self, lams) -> ResolventStacks:
+        """(lam - X2)^{-1} at the lambdas ``lams`` names, in order of use, eliminated
+        in X2's real frame: ``apply`` is X2's resolvent, and ``matrix`` the real
+        P^* R P = (lam - X1)^{-1}, with the same entry moduli and level-n norms."""
+        return ResolventStacks(self.x1.real, lams, self.frame)
 
     @cached_property
     def evaluators(self) -> tuple:

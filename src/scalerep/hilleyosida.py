@@ -12,6 +12,10 @@ band edge are contaminated by the cut, so norm estimates restrict their
 input to interior modes, and the reported "beta ladder" is the measured
 footprint of equicontinuity degrading along the scale.  The kernels
 return measurements; each case row compares them with its bound.
+
+A computation that uses matrix resolvents names its lambdas once, in
+order of use, as ``ResolventStacks``: it eliminates them in bounded
+stacks and holds one stack at a time, so no state outlives it.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ DEFAULT_LAMBDAS = (10.0, 20.0, 50.0, 100.0)
 LAPLACE_TOL = 1e-8          # tail bound of the Laplace quadrature
 SERIES_TERM_TOL = 1e-14     # relative size of the last reconstruction term
 BETA_RESOLUTION = 1e-2      # smallest beta step that counts as an increase
+STACK_ENTRIES = 2**18       # most entries of one stack of resolvents
 
 
 @dataclass(frozen=True)
@@ -124,6 +129,38 @@ def resolvent_matrix(X: np.ndarray, lam) -> np.ndarray:
             condition_estimate=np.inf,
         )
     return R[:, 0] if np.ndim(lam) == 0 else R.transpose(1, 0, 2)
+
+
+class ResolventStacks:
+    """The resolvents of Y = F^* X F at the lambdas one computation names, in order of use.
+
+    ``X`` is a skew-Hermitian tridiagonal as (3, N) rows and ``frame`` the
+    diagonal of the unitary F: ``matrix(lam)`` is (lam - X)^{-1}, read-only,
+    and ``apply(lam, v)`` is (lam - Y)^{-1} v = F^* (lam - X)^{-1} F v for a
+    vector or an (N, K) block.  Asking for a lambda outside the stack held
+    frees that stack and eliminates the named lambdas from the asked one on,
+    at most ``STACK_ENTRIES`` entries (2 MiB: 10 lambdas at N = 160, 64 at
+    N = 64, one from N = 512).  A lambda the computation did not name is
+    refused.
+    """
+
+    def __init__(self, X, lams, frame):
+        self.X, self.lams, self.frame = X, tuple(lams), frame
+        self._held = {}
+
+    def matrix(self, lam) -> np.ndarray:
+        if lam not in self._held:
+            if lam not in self.lams:
+                raise UsageError(f"lam={lam} is not among the named lambdas {self.lams}")
+            self._held = {}  # freed before the next stack is built
+            todo = dict.fromkeys(self.lams[self.lams.index(lam) :])
+            lams = tuple(todo)[: max(1, STACK_ENTRIES // self.X.shape[1] ** 2)]
+            self._held = dict(zip(lams, read_only(resolvent_matrix(self.X, lams))))
+        return self._held[lam]
+
+    def apply(self, lam, v) -> np.ndarray:
+        f = self.frame.reshape((-1,) + (1,) * (np.ndim(v) - 1))
+        return f.conj() * real_product(self.matrix(lam), f * v)
 
 
 @lru_cache(maxsize=4)
@@ -228,7 +265,6 @@ class YosidaSeriesSpec:
 
 @dataclass(frozen=True)
 class YosidaResult:
-    vector: np.ndarray
     trace: tuple          # (lambda, distance to reference in ||.||_n)
     terms_used: tuple
 
@@ -253,8 +289,9 @@ def yosida_reconstruct(
 
     The series stops past its peak j = lambda |t| once a term falls below
     ``SERIES_TERM_TOL`` of the sum, about 8-12 standard deviations
-    sqrt(lambda |t|) past the peak.  The cap lambda |t| + 20 sqrt(lambda |t|)
-    + 40 only guards against a series that never meets that rule (NaN
+    sqrt(lambda |t|) past the peak, or at a weight of 0, before its
+    resolvent is applied: at t = 0 the sum is phi, after one term.  The
+    cap lambda |t| + 20 sqrt(lambda |t|) + 40 only guards against a series that never meets that rule (NaN
     terms); hitting it, or a first weight e^{-lambda |t|} below the
     smallest normal float (lambda |t| > 708), raises ``ConvergenceError``.
     """
@@ -263,14 +300,8 @@ def yosida_reconstruct(
     direction = 1.0 if t >= 0 else -1.0
     trace = []
     used = []
-    final = phi
     for lam_mag in spec.lambda_sequence:
         lam = direction * lam_mag
-        if t == 0:
-            final = phi.copy()
-            used.append(0)
-            trace.append((lam_mag, scale_norm(chain, final - reference, n)))
-            continue
         coeff = np.exp(-lam * t)
         peak = abs(lam * t)
         if coeff < np.finfo(float).tiny:
@@ -282,8 +313,10 @@ def yosida_reconstruct(
         v = phi.copy()
         total = coeff * v
         for j in range(1, j_max + 1):
-            v = lam * apply_resolvent(lam, v)
             coeff = coeff * (lam * t) / j
+            if coeff == 0:  # so is every later weight: at t = 0, the first
+                break
+            v = lam * apply_resolvent(lam, v)
             term = coeff * v
             total = total + term
             if j > peak and scale_norm(chain, term, n) < SERIES_TERM_TOL * max(
@@ -295,10 +328,9 @@ def yosida_reconstruct(
                 f"series cap j_max={j_max} hit at lambda={lam:g}",
                 last_term=float(np.linalg.norm(term)),
             )
-        final = total
         used.append(j)
-        trace.append((lam_mag, scale_norm(chain, final - reference, n)))
-    return YosidaResult(final, tuple(trace), tuple(used))
+        trace.append((lam_mag, scale_norm(chain, total - reference, n)))
+    return YosidaResult(tuple(trace), tuple(used))
 
 
 @dataclass(frozen=True)

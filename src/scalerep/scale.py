@@ -101,12 +101,9 @@ def support_bound(phi):
 
     An (N, K) block gives the K column bounds.
     """
-    phi = np.asarray(phi)
-    if phi.ndim == 2:
-        live = np.abs(phi) > 0
-        return np.where(live.any(axis=0), len(phi) - 1 - np.argmax(live[::-1], axis=0), 0)
-    nz = np.nonzero(np.abs(phi) > 0)[0]
-    return int(nz[-1]) if nz.size else 0
+    live = np.abs(np.asarray(phi)) > 0
+    bound = np.where(live.any(axis=0), len(live) - 1 - np.argmax(live[::-1], axis=0), 0)
+    return bound if live.ndim == 2 else int(bound)
 
 
 @dataclass(frozen=True)
@@ -239,14 +236,13 @@ class GeneratorFamily(_GuardBand):
     Everything else is read from them: ``dim`` N, ``d`` generators, the
     ``interior_bound`` N - 1 and ``band_growth`` 1 of a tridiagonal
     truncation.  ``gram_form`` is the structure the family's Gram forms
-    keep: ``BandedGram`` unless the family declares more (``DiagonalGram``,
-    with the (3, N) rows of its ``coupling`` sum_i |X_i|^2, entrywise, which
-    ``DiagonalGram.step`` reads).  Rows of another shape or past an edge are
+    keep: ``BandedGram``, or ``DiagonalGram`` for a family that declares the
+    (3, N) rows of its ``coupling`` sum_i |X_i|^2, entrywise, which
+    ``DiagonalGram.step`` reads.  Rows of another shape or past an edge are
     refused; read-only copies kept.
     """
 
     gens: tuple
-    gram_form: type = BandedGram
     coupling: np.ndarray = None
     band_growth = 1
 
@@ -258,9 +254,13 @@ class GeneratorFamily(_GuardBand):
             raise UsageError(f"generators must be (3, N) rows of one size N, got {shapes}")
         if any(g[0, 0] or g[2, -1] for g in gens):
             raise UsageError("generator rows must be zero past the edges")
-        if self.gram_form is DiagonalGram and np.shape(self.coupling) != (3, N):
+        if self.coupling is not None and np.shape(self.coupling) != (3, N):
             raise UsageError("a diagonal family declares its coupling as (3, N) rows")
         object.__setattr__(self, "gens", gens)
+
+    @property
+    def gram_form(self) -> type:
+        return BandedGram if self.coupling is None else DiagonalGram
 
     @property
     def dim(self) -> int:

@@ -42,7 +42,6 @@ from .scale import (
     bound_check,
     build_scale_chain,
     monotonicity_check,
-    real_product,
     recombined_family,
     scale_norm,
     tridiagonal_adjoint,
@@ -54,7 +53,6 @@ DEFAULT_M = 50
 TYPE_T_GRID = (1.0, 10.0, 100.0, 1e3, 1e4, 1e5, 1e6, 1e7)
 BLOCK_LADDER = (10, 50, 100)
 HERMITE_LADDER = (32, 64, 128)
-STACK_ENTRIES = 2**18  # most entries of one stack of X2 resolvents
 # Fewest modes heisenberg-hermite runs to the end at.  Below it hh-03 loses
 # mass past the truncation (N <= 28) or hh-07/hh-08 draw vectors past the
 # action's N/2 support limit (N = 53 dies at 37 of seeds 0-39); 54 completes
@@ -199,12 +197,10 @@ def _has_type(value, kind) -> bool:
 
 
 class SuiteContext:
-    """Lazily built shared objects (families, chains) for one configuration;
-    the X2 resolvents it keeps belong to the running case, one at a time."""
+    """Lazily built shared objects (families, chains) for one configuration."""
 
     def __init__(self, cfg: SuiteConfig):
         self.cfg = cfg
-        self.plan_resolvents(())
 
     @property
     def N(self) -> int:
@@ -251,10 +247,8 @@ class SuiteContext:
     def h0_resolvents(self) -> dict:
         """lam -> (Laplace result, (lam - X2)^{-1} h0) at lam = 1, 2, 4, for hy-05 and hy-07."""
         laplace = partial(hilleyosida.resolvent_laplace, self.x2_subgroup, phi=self.h0)
-        self.plan_resolvents((1.0, 2.0, 4.0))
-        return {
-            lam: (laplace(lam), self.apply_x2_resolvent(lam, self.h0)) for lam in (1.0, 2.0, 4.0)
-        }
+        resolvents = self.hermite.x2_resolvents((1.0, 2.0, 4.0))
+        return {lam: (laplace(lam), resolvents.apply(lam, self.h0)) for lam in resolvents.lams}
 
     @cached_property
     def x2_type_estimates(self) -> list:
@@ -264,32 +258,6 @@ class SuiteContext:
         levels = range(0, min(self.cfg.n_max, 3) + 1)
         apply = self.x2_subgroup.apply
         return hilleyosida.estimate_type(apply, self.chain, levels, TYPE_T_GRID, phis)
-
-    def plan_resolvents(self, lams):
-        """Name the running case's lambdas in order of use; ``x2_resolvent`` eliminates
-        them in stacks of at most ``STACK_ENTRIES`` (2 MiB: 10 lambdas at N = 160,
-        64 at N = 64, one from N = 512).  A new plan, as at a case's end, drops the stack."""
-        self._plan, self._stack = tuple(lams), {}
-
-    def x2_resolvent(self, lam) -> np.ndarray:
-        """(lam - X2)^{-1} in X2's real frame, P^* R P = (lam - X1)^{-1}, read-only: the
-        same entry moduli and level-n norms.  A lam outside the stack eliminates the
-        plan's next stack from lam on, or lam alone if the plan does not name it."""
-        if lam not in self._stack:
-            self._stack = {}  # freed before the next stack is built
-            todo = self._plan[self._plan.index(lam) :] if lam in self._plan else (lam,)
-            lams = tuple(dict.fromkeys(todo))[: max(1, STACK_ENTRIES // self.N**2)]
-            one = len(lams) == 1
-            R = hilleyosida.resolvent_matrix(self.hermite.x1.real, lams[0] if one else lams)
-            R.setflags(write=False)
-            self._stack = dict(zip(lams, [R] if one else R))
-        return self._stack[lam]
-
-    def apply_x2_resolvent(self, lam, v) -> np.ndarray:
-        """R(lam) v for X2 on a vector or block as P (R_X1 (P^* v)): one
-        ``real_product`` with the real R_X1."""
-        p = self.hermite.frame.reshape((-1,) + (1,) * (np.ndim(v) - 1))
-        return p.conj() * real_product(self.x2_resolvent(lam), p * v)
 
     def action_modes(self, depth: int) -> int:
         """Support budget for action-based checks at scale depth ``depth``.
@@ -1023,7 +991,7 @@ def _hy_laplace_vs_matrix(cfg, ctx, rec):
     # negative real-part branch
     lam = -2.0
     result = hilleyosida.resolvent_laplace(ctx.x2_subgroup, lam, h0)
-    Rm = ctx.apply_x2_resolvent(lam, h0)
+    Rm = ctx.hermite.x2_resolvents((lam,)).apply(lam, h0)
     rec.check("negative-branch", float(np.linalg.norm(result.vector - Rm)), tol)
 
 
@@ -1048,12 +1016,12 @@ def _hy_triple_agreement(cfg, ctx, rec):
 
 def _hy_resolvent_identity(cfg, ctx, rec):
     lams = rec.rng.uniform(1.5, 6.0, 20).tolist()   # (lam, mu) pairs, in the stream's order
-    ctx.plan_resolvents(lams)
+    resolvents = ctx.hermite.x2_resolvents(lams)
     pairs = zip(lams[::2], lams[1::2])
 
     def residual(lam, mu):
-        # Rl - Rm - (mu - lam) Rl Rm, in one temporary beside the stack
-        Rl, Rm = ctx.x2_resolvent(lam), ctx.x2_resolvent(mu)
+        # Rl - Rm - (mu - lam) Rl Rm, in X2's real frame, in one temporary beside the stack
+        Rl, Rm = resolvents.matrix(lam), resolvents.matrix(mu)
         gap = Rl @ Rm
         gap *= lam - mu
         gap += Rl
@@ -1066,9 +1034,9 @@ def _hy_resolvent_identity(cfg, ctx, rec):
 def _hy_lambda_limit(cfg, ctx, rec):
     phi = interior_vector(rec.rng, ctx.N, ctx.N // 2)
     errs = []
-    ctx.plan_resolvents((10.0, 100.0, 1000.0))
-    for lam in (10.0, 100.0, 1000.0):
-        out = lam * ctx.apply_x2_resolvent(lam, phi)
+    resolvents = ctx.hermite.x2_resolvents((10.0, 100.0, 1000.0))
+    for lam in resolvents.lams:
+        out = lam * resolvents.apply(lam, phi)
         errs.append(float(np.linalg.norm(out - phi)))
     decays = all(b < a for a, b in zip(errs, errs[1:]))
     rec.check(
@@ -1086,8 +1054,8 @@ def _hy_yosida(cfg, ctx, rec):
     n = 1
     reference = ctx.x2_subgroup.apply(t, h0)
     spec = hilleyosida.YosidaSeriesSpec(lambda_sequence=cfg.lambda_sequence)
-    ctx.plan_resolvents(spec.lambda_sequence + tuple(-lam for lam in spec.lambda_sequence))
-    apply_resolvent = ctx.apply_x2_resolvent
+    mirrored = tuple(-lam for lam in spec.lambda_sequence)
+    apply_resolvent = ctx.hermite.x2_resolvents(spec.lambda_sequence + mirrored).apply
     result = hilleyosida.yosida_reconstruct(
         apply_resolvent, spec, t, h0, ctx.chain, n, reference
     )
@@ -1127,8 +1095,8 @@ def _hy_yosida(cfg, ctx, rec):
 
 def _hy_equicontinuity(cfg, ctx, rec):
     slack = cfg.tolerance("equicontinuity_slack")
-    apply_resolvent = ctx.apply_x2_resolvent
-    ctx.plan_resolvents(n + 2.0 for n in range(0, min(cfg.n_max, 3) + 1))
+    lams = [n + 2.0 for n in range(0, min(cfg.n_max, 3) + 1)]
+    apply_resolvent = ctx.hermite.x2_resolvents(lams).apply
     for n in range(0, min(cfg.n_max, 3) + 1):
         lam = n + 2.0
         phis = interior_vector(rec.rng, ctx.N, ctx.action_modes(max(n, 1)), 100)
@@ -1150,25 +1118,25 @@ def _hy_equicontinuity(cfg, ctx, rec):
     )
 
 
-def _e118_check(ctx, lam, phi, n):
+def _e118_check(ctx, resolvents, lam, phi, n):
     """||R(lam) phi||_n for X2 against the printed constant recursion (e1.18), whose
     validity range is not stated: hy-12 records the ratio rather than judge it."""
     factor = float(np.sqrt(np.prod(hilleyosida.e118_constants(lam, n))))
-    return bound_check(ctx.chain, partial(ctx.apply_x2_resolvent, lam), phi, n, factor)
+    return bound_check(ctx.chain, partial(resolvents.apply, lam), phi, n, factor)
 
 
 def _hy_e118(cfg, ctx, rec):
-    ctx.plan_resolvents((1.0, 2.0, 4.0, 3.0))
+    resolvents = ctx.hermite.x2_resolvents((1.0, 2.0, 4.0, 3.0))
     for lam in (1.0, 2.0, 4.0):
         for n in (0, 1, 2):
             phi = interior_vector(rec.rng, ctx.N, ctx.action_modes(max(n, 1)))
-            res = _e118_check(ctx, lam, phi, n)
+            res = _e118_check(ctx, resolvents, lam, phi, n)
             rec.record_only(
                 f"lam{lam:g}-level{n}",
                 res.lhs / res.bound if res.bound > 0 else inf,
                 within_bound=bool(res.lhs <= res.bound * (1.0 + 1e-6)),
             )
-    res = _e118_check(ctx, 3.0, ctx.h0, 0)
+    res = _e118_check(ctx, resolvents, 3.0, ctx.h0, 0)
     rec.check(
         "level0-equals-inverse-lambda",
         abs(res.bound - scale_norm(ctx.chain, ctx.h0, 0) / 3.0),
@@ -1183,9 +1151,9 @@ def _hy_global_conditions(cfg, ctx, rec):
     # grid placement
     top = float(n_top)
     lam_grid = (top + 1.5, top + 2.0, top + 3.0, top + 5.0, top + 8.0, top + 12.0, top + 20.0)
-    ctx.plan_resolvents(lam_grid)
+    resolvents = ctx.hermite.x2_resolvents(lam_grid)
     # measured in X2's real frame, where the level-n operator norms are the same
-    frame = lambda lam, B: ctx.x2_resolvent(lam) @ B
+    frame = lambda lam, B: resolvents.matrix(lam) @ B
     betas = hilleyosida.estimate_beta(frame, ctx.chain, levels, lam_grid, p_max=5)
     verdict = hilleyosida.global_conditions_report(ctx.x2_type_estimates, betas)
     rec.check(
@@ -1890,7 +1858,6 @@ def run_suite(cfg: SuiteConfig):
                 case.fn(cfg, ctx, rec)
             except tuple(NUMERICAL_ERRORS) as exc:
                 rec.failed_by(exc)
-            ctx.plan_resolvents(())
             elapsed = time.perf_counter() - started
             # the case's wall time goes on its first record only (the others
             # keep 0), so the column sums to the suite time

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.special
 
-from scalerep import heisenberg, hermite, hilleyosida, suites
+from scalerep import hermite, hilleyosida, suites
 from scalerep.errors import AccuracyError, ConvergenceError, SingularOperatorError, UsageError
 from scalerep.heisenberg import UnitaryGroup, hermite_generators
 from scalerep.hermite import gauss_hermite
@@ -513,20 +513,20 @@ def test_tridiagonal_resolvent_refuses_an_elimination_that_overflows(N):
     assert np.isfinite(R).all() and np.max(np.abs(R)) > 1e280
 
 
-def test_suite_context_keeps_a_read_only_x2_resolvent(monkeypatch):
-    ctx = suites.SuiteContext(suites.SuiteConfig(suite="hille-yosida"))
+def test_x2_resolvents_keep_one_read_only_stack(monkeypatch):
     calls = []
     build = hilleyosida.resolvent_matrix
     monkeypatch.setattr(
         hilleyosida, "resolvent_matrix", lambda X, lam: calls.append(lam) or build(X, lam)
     )
-    R = ctx.x2_resolvent(3.0)
-    assert ctx.x2_resolvent(3.0) is R and calls == [3.0]
+    resolvents = hermite_generators(512).x2_resolvents((3.0, 4.0))   # one lambda a stack
+    R = resolvents.matrix(3.0)
+    assert resolvents.matrix(3.0) is R and calls == [(3.0,)]
     with pytest.raises(ValueError):
         R[0, 0] = 0
-    ctx.x2_resolvent(4.0)
-    ctx.x2_resolvent(3.0)
-    assert calls == [3.0, 4.0, 3.0]   # one kept: the last lambda
+    resolvents.matrix(4.0)
+    resolvents.matrix(3.0)
+    assert calls == [(3.0,), (4.0,), (3.0,)]   # one held: the last lambda's
 
 
 @pytest.mark.parametrize("N", [8, 64, 160])
@@ -563,26 +563,44 @@ def test_an_overflowing_lambda_in_a_stack_is_named():
         resolvent_matrix(x2, [3.0, 2.0j])
 
 
-def test_the_context_eliminates_a_planned_case_as_bounded_stacks(monkeypatch):
-    ctx = suites.SuiteContext(suites.SuiteConfig(suite="hille-yosida", trunc=160))
+def test_x2_resolvents_eliminate_named_lambdas_as_bounded_stacks(monkeypatch):
+    fam = hermite_generators(160)
     calls = []
     build = hilleyosida.resolvent_matrix
     monkeypatch.setattr(
         hilleyosida, "resolvent_matrix", lambda X, lam: calls.append(lam) or build(X, lam)
     )
     lams = [1.5 + k for k in range(12)]
-    ctx.plan_resolvents(lams)
+    resolvents = fam.x2_resolvents(lams)
     for lam in lams:
-        R = ctx.x2_resolvent(lam)
-        assert np.array_equal(R, build(ctx.hermite.x1.real, lam))
+        assert np.array_equal(resolvents.matrix(lam), build(fam.x1.real, lam))
     # at most 2^18 entries a stack: 10 lambdas at N = 160
     assert calls == [tuple(lams[:10]), tuple(lams[10:])]
     v = np.random.default_rng(3).standard_normal((160, 3)) + 0j
-    expect = build(ctx.hermite.x2, lams[-1]) @ v
-    assert np.allclose(ctx.apply_x2_resolvent(lams[-1], v), expect, rtol=0, atol=1e-14)
-    ctx.plan_resolvents(())   # the end of a case drops the stack
-    ctx.x2_resolvent(lams[-1])
-    assert calls[2:] == [lams[-1]]
+    expect = build(fam.x2, lams[-1]) @ v
+    assert np.allclose(resolvents.apply(lams[-1], v), expect, rtol=0, atol=1e-14)
+    assert np.allclose(resolvents.apply(lams[-1], v[:, 0]), expect[:, 0], rtol=0, atol=1e-14)
+    assert len(calls) == 2   # applied from the stack held
+
+
+@pytest.mark.parametrize(
+    "trunc, stacks",
+    [(None, [1, 1, 3, 1, 20, 3, 8, 4, 4, 7]), (160, [1, 1, 3, 1, 10, 10, 3, 8, 4, 4, 7])],
+)
+def test_each_hille_yosida_case_eliminates_the_lambdas_it_names(monkeypatch, trunc, stacks):
+    # hy-04's two calls, then one stack per case that names lambdas (hy-05 and
+    # hy-07 share theirs), split only where a stack would pass 2^18 entries
+    calls = []
+    build = hilleyosida.resolvent_matrix
+    monkeypatch.setattr(
+        hilleyosida, "resolvent_matrix", lambda X, lam: calls.append(np.size(lam)) or build(X, lam)
+    )
+    suites.run_suite(suites.SuiteConfig(suite="hille-yosida", trunc=trunc))
+    assert calls == stacks
+    resolvents = hermite_generators(16).x2_resolvents((1.0, 2.0))
+    with pytest.raises(UsageError, match="lam=3.0 is not among the named"):
+        resolvents.apply(3.0, np.ones(16))
+    assert len(calls) == len(stacks)   # refused, not eliminated alone
 
 
 def test_the_x2_type_ladder_applies_the_subgroup_once_per_t(monkeypatch):
@@ -604,13 +622,11 @@ def test_the_x2_type_ladder_applies_the_subgroup_once_per_t(monkeypatch):
 
 
 def test_one_ladder_rule_per_size(monkeypatch):
-    heisenberg._position_group.cache_clear()
     hermite._ladder_rule.cache_clear()
     monkeypatch.setattr(np.linalg, "eigh", None)   # no call reaches LAPACK
     for N in (24, 24, 25, 24):
         hermite_generators(N).subgroups
     assert hermite._ladder_rule.cache_info().misses == 2
-    U = heisenberg._position_group(24)
-    assert U.V is hermite._ladder_rule(24, 24)[2]
-    assert not (U.w.flags.writeable or U.V.flags.writeable)
-    heisenberg._position_group.cache_clear()
+    for U in hermite_generators(24).subgroups:   # both groups share the rule's arrays
+        assert U.V is hermite._ladder_rule(24, 24)[2]
+        assert not (U.w.flags.writeable or U.V.flags.writeable)

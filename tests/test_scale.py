@@ -10,6 +10,7 @@ from scalerep.heisenberg import hermite_generators
 from scalerep.hermite import gauss_hermite, position_rows
 from scalerep.liecore import GroupElement
 from scalerep.scale import (
+    BandedGram,
     DiagonalGram,
     GeneratorFamily,
     bound_check,
@@ -204,9 +205,11 @@ def test_family_validation():
         GeneratorFamily((np.zeros((4, 3)),))
     fam = GeneratorFamily((np.zeros((3, 4)),) * 2)
     assert (fam.dim, fam.d, fam.interior_bound, fam.band_growth) == (4, 2, 3, 1)
-    for coupling in (None, np.zeros((4, 4))):   # a diagonal family declares its rows
-        with pytest.raises(UsageError, match="coupling"):
-            GeneratorFamily((np.zeros((3, 4)),), DiagonalGram, coupling)
+    assert fam.gram_form is BandedGram
+    # a declared coupling makes the family diagonal, and only (3, N) rows declare one
+    assert GeneratorFamily((np.zeros((3, 4)),), np.zeros((3, 4))).gram_form is DiagonalGram
+    with pytest.raises(UsageError, match="coupling"):
+        GeneratorFamily((np.zeros((3, 4)),), np.zeros((4, 4)))
 
 
 def cholesky_operator_norm(G, A, k):
