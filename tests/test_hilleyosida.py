@@ -290,8 +290,10 @@ def test_yosida_t_zero_and_negative_branch(fam, chain, x2_evaluator):
     def apply_resolvent(lam, v):
         return resolvent_matrix(fam.x2, lam) @ v
 
-    res0 = yosida_reconstruct(apply_resolvent, spec, 0.0, h0(), chain, 1, h0())
+    refused = lambda lam, v: pytest.fail("t = 0 applied a resolvent")
+    res0 = yosida_reconstruct(refused, spec, 0.0, h0(), chain, 1, h0())
     assert max(d for _, d in res0.trace) == 0.0
+    assert res0.terms_used == (1, 1)   # the first weight past e^0 is 0: the sum is phi
     reference = x2_evaluator(-0.3, h0())
     res = yosida_reconstruct(apply_resolvent, spec, -0.3, h0(), chain, 0, reference)
     assert res.trace[-1][1] < res.trace[0][1]
