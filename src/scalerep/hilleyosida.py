@@ -201,18 +201,20 @@ def resolvent_laplace(
     over t >= 0; negative Re(lam) uses the mirrored branch over t <= 0.
     Composite Gauss-Legendre panels of width 0.5 on [0, t_max], with
     e^{-|Re lam| t_max} / min(1, |Re lam|) = 0.1 * ``LAPLACE_TOL``, so the
-    relative tail bound e^{-|Re lam| t_max} / |Re lam| stays below it; a
-    tail bound ||phi|| * e^{-|Re lam| t_max} / |Re lam| of a contraction
-    group above ``LAPLACE_TOL`` raises ``AccuracyError``.
+    relative tail bound e^{-|Re lam| t_max} / |Re lam| of a contraction
+    group stays below it at every ||phi||; a tail bound
+    ||phi|| * e^{-|Re lam| t_max} / |Re lam| above ``LAPLACE_TOL`` * ||phi||
+    raises ``AccuracyError``.  A non-finite lam or phi is refused.
     """
     phi = np.asarray(phi, dtype=complex)
     lam = complex(lam)
     a = abs(lam.real)
-    if a == 0:
-        raise UsageError("resolvent_laplace needs Re(lambda) != 0")
+    if a == 0 or not np.isfinite(lam):
+        raise UsageError(f"resolvent_laplace needs a finite lambda with Re(lambda) != 0, got {lam}")
     nrm = float(np.linalg.norm(phi))
-    target = 0.1 * LAPLACE_TOL * max(nrm, 1e-300) * min(a, 1.0)
-    t_max = float(np.log(max(nrm, 1e-300) / target) / a)
+    if not np.isfinite(nrm):
+        raise UsageError("resolvent_laplace needs a finite phi")
+    t_max = float(np.log(1.0 / (0.1 * LAPLACE_TOL * min(a, 1.0))) / a)
     sign = 1.0 if lam.real > 0 else -1.0
     panels = max(1, int(np.ceil(t_max / 0.5)))
     xg, wg = _gauss_legendre(nodes_per_panel)
@@ -223,9 +225,9 @@ def resolvent_laplace(
     weights = (half * wg).ravel() * np.exp(-lam * sign * s)
     total = sign * group.integrate(sign * s, weights, phi)
     tail = nrm * np.exp(-a * t_max) / a
-    if tail > LAPLACE_TOL:
+    if tail > LAPLACE_TOL * nrm:
         raise AccuracyError(
-            f"tail bound {tail:.2e} exceeds tol {LAPLACE_TOL:.2e} at t_max={t_max:g}",
+            f"tail bound {tail:.2e} exceeds tol {LAPLACE_TOL:.2e} * ||phi|| at t_max={t_max:g}",
             residual=tail,
         )
     return LaplaceResult(total, float(t_max), panels, float(tail))

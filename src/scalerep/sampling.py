@@ -64,3 +64,24 @@ def group_element(rng: np.random.Generator, box: float, shape: tuple = ()) -> Gr
     if not shape:
         return GroupElement(float(v[0]), float(v[1]), float(v[2]))
     return GroupElement(v[..., 0], v[..., 1], v[..., 2])
+
+
+def draw_samples(rng, count, box, dim, modes, elements=1, vectors=1):
+    """``count`` samples, each ``elements`` group elements and then ``vectors`` interior vectors.
+
+    The one interleaved sampler: each sample is that many single draws in
+    that order, so these streams cannot be drawn as blocks.  Returns
+    ``elements`` blocks of ``count`` group elements and then ``vectors``
+    (dim, count) blocks of vectors, so a case evaluates all its samples in
+    one block call.
+    """
+    draws = [
+        [group_element(rng, box) for _ in range(elements)]
+        + [interior_vector(rng, dim, modes) for _ in range(vectors)]
+        for _ in range(count)
+    ]
+    columns = list(zip(*draws))
+    return (
+        *map(GroupElement.stack, columns[:elements]),
+        *(np.array(c).T for c in columns[elements:]),
+    )

@@ -5,7 +5,7 @@ import pytest
 import scipy.special
 
 from scalerep import hermite, hilleyosida, suites
-from scalerep.errors import AccuracyError, ConvergenceError, SingularOperatorError, UsageError
+from scalerep.errors import ConvergenceError, SingularOperatorError, UsageError
 from scalerep.heisenberg import UnitaryGroup, hermite_generators
 from scalerep.hermite import gauss_hermite
 from scalerep.hilleyosida import (
@@ -120,9 +120,29 @@ def test_laplace_tail_control(x2_group, monkeypatch):
     assert res_small.tail_bound <= 1e-6
     with pytest.raises(UsageError):
         resolvent_laplace(x2_group, 1j, h0())
-    # a phi of norm 1e4: its tail bound passes LAPLACE_TOL, and the guard trips
-    with pytest.raises(AccuracyError):
-        resolvent_laplace(x2_group, 0.5, 1e4 * h0())
+
+
+@pytest.mark.parametrize("lam", [-0.01, 0.05, 1.0, 20.0])
+@pytest.mark.parametrize("norm", [1.0, 20.0, 1e6])
+def test_laplace_tail_bound_is_relative_to_phi(fam, x2_group, norm, lam):
+    # t_max is sized for a tail bound relative to ||phi||, and the check agrees:
+    # no norm is refused, and the route meets the matrix resolvent to LAPLACE_TOL
+    phi = norm * h0()
+    out = resolvent_laplace(x2_group, lam, phi)
+    assert out.t_max == resolvent_laplace(x2_group, lam, h0()).t_max
+    assert out.tail_bound <= hilleyosida.LAPLACE_TOL * norm
+    gap = np.linalg.norm(out.vector - resolvent_matrix(fam.x2, lam) @ phi)
+    assert gap <= hilleyosida.LAPLACE_TOL * norm
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_laplace_refuses_a_non_finite_phi_or_lambda(x2_group, bad):
+    phi = h0()
+    phi[3] = bad
+    with pytest.raises(UsageError, match="finite phi"):
+        resolvent_laplace(x2_group, 1.0, phi)
+    with pytest.raises(UsageError, match="finite lambda"):
+        resolvent_laplace(x2_group, bad, h0())
 
 
 def test_laplace_below_unit_real_part_matches_the_matrix_route(fam, x2_group):
@@ -587,11 +607,12 @@ def test_x2_resolvents_eliminate_named_lambdas_as_bounded_stacks(monkeypatch):
 
 @pytest.mark.parametrize(
     "trunc, stacks",
-    [(None, [1, 1, 3, 1, 20, 3, 8, 4, 4, 7]), (160, [1, 1, 3, 1, 10, 10, 3, 8, 4, 4, 7])],
+    [(None, [1, 1, 4, 20, 3, 8, 4, 4, 7]), (160, [1, 1, 4, 10, 10, 3, 8, 4, 4, 7])],
 )
 def test_each_hille_yosida_case_eliminates_the_lambdas_it_names(monkeypatch, trunc, stacks):
-    # hy-04's two calls, then one stack per case that names lambdas (hy-05 and
-    # hy-07 share theirs), split only where a stack would pass 2^18 entries
+    # hy-04's two calls, then one stack per case that names lambdas (hy-05, with
+    # its negative branch, and hy-07 share one), split only where a stack would
+    # pass 2^18 entries
     calls = []
     build = hilleyosida.resolvent_matrix
     monkeypatch.setattr(

@@ -13,7 +13,7 @@ import scipy.linalg
 from hypothesis import assume, example, given, settings, strategies as st
 
 import scalerep
-from scalerep import blockrep, heisenberg, integrator, liecore, sampling
+from scalerep import blockrep, heisenberg, integrator, liecore, sampling, suite_nilpotent_l2
 from scalerep.cli import build_config, main, make_parser
 from scalerep.errors import AccuracyError, ConvergenceError, SingularOperatorError, UsageError
 from scalerep.heisenberg import HermiteHeisenberg
@@ -985,7 +985,7 @@ def _per_vector_nl03(cfg, ctx, rec):
 def _per_vector_nl09(cfg, ctx, rec):
     g = liecore.GroupElement(1.0, 1.0, 1.0)
     norms = [
-        blockrep.h1_operator_norm(blockrep.block_generators(M), g) for M in suites.BLOCK_LADDER
+        blockrep.h1_operator_norm(blockrep.block_generators(M), g) for M in suite_nilpotent_l2.BLOCK_LADDER
     ]
     variation = (max(norms) - min(norms)) / max(norms)
     rec.check(
@@ -993,7 +993,7 @@ def _per_vector_nl09(cfg, ctx, rec):
         variation,
         cfg.tolerance("ladder_variation"),
         norms=norms,
-        ladder=list(suites.BLOCK_LADDER),
+        ladder=list(suite_nilpotent_l2.BLOCK_LADDER),
     )
     fam, chain = ctx.blocks, ctx.block_chain
     bound = blockrep.h1_operator_norm(fam, g)
@@ -1064,7 +1064,7 @@ def test_run_suite_builds_one_context_per_call(monkeypatch):
 def test_draw_samples_interleaves_single_draws(elements, vectors):
     # per sample: the elements, then the vectors, each a single draw
     rng, oracle = (case_rng(42, "some-suite", "xx-01-case") for _ in range(2))
-    blocks = suites._draw_samples(rng, 7, 0.9, 12, 5, elements=elements, vectors=vectors)
+    blocks = sampling.draw_samples(rng, 7, 0.9, 12, 5, elements=elements, vectors=vectors)
     columns = [[] for _ in range(elements + vectors)]
     for _ in range(7):
         for k in range(elements):
