@@ -41,6 +41,7 @@ CHI3 = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
 CHIS = (CHI1, CHI2, CHI3)
 CHI_SLOTS = ((0, 1), (1, 2), (0, 2))  # the one nonzero entry of each CHI
 EYE3 = np.eye(3)
+NORM_RATIO_BOUNDS = (1.0, np.sqrt(3.0))  # admissible ||phi||_2 / ||phi||_1 after the collapse
 _CHUNK_ENTRIES = 4096  # pairs x blocks per homomorphism-residual step (one pair if M is larger)
 
 
@@ -199,11 +200,6 @@ def collapse_identity_residual(fam: BlockGeneratorFamily, chain: ScaleChain) -> 
     expected = EYE3 + 2.0 * sum(xtx) + xtx[2]
     weights = chain.gram(2).weights.reshape(fam.M, 3, 1)
     return float(np.max(np.abs(expected - weights * EYE3)))
-
-
-def norm_ratio_bounds() -> tuple:
-    """Admissible range of ||phi||_2 / ||phi||_1 after the collapse."""
-    return (1.0, np.sqrt(3.0))
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,7 @@
 
 Generators d/dx, -ix and the central multiple of the identity, whose sign
 follows the package-wide ``x3_sign`` convention (see ``liecore``), are the
-(3, N) rows of ``scale``'s row form, applied in O(N) by ``apply_generator``.
+(3, N) diagonals of ``scale``'s band form, applied in O(N) by ``apply_generator``.
 The group action is available by two independent routes:
 
 * ``HermiteHeisenberg.action_analytic`` applies the phase/modulation/
@@ -43,10 +43,10 @@ from .scale import (
     ScaleChain,
     read_only,
     real_product,
+    banded_adjoint,
+    banded_apply,
     scale_norm,
     support_bound,
-    tridiagonal_adjoint,
-    tridiagonal_apply,
 )
 
 UNITARITY_DEFECT_TOL = 1e-6
@@ -151,7 +151,7 @@ class HermiteHeisenberg:
         if np.shape(x_coeffs) != (3,):
             raise UsageError("algebra vector must have 3 coefficients")
         X = sum(complex(c) * R for c, R in zip(x_coeffs, (self.x1, self.x2, self.x3)))
-        return tridiagonal_apply(tridiagonal_adjoint(X) if adjoint else X, v)
+        return banded_apply(banded_adjoint(X) if adjoint else X, v)
 
     def automorphism(self, g: GroupElement) -> np.ndarray:
         return liecore.automorphism_matrix(g, self.x3_sign)

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import AccuracyError, ConvergenceError, SingularOperatorError, UsageError
 from .hermite import golub_welsch_rule
-from .scale import ScaleChain, read_only, real_product, scale_norm, scale_operator_norm
+from .scale import ScaleChain, banded_adjoint, read_only, real_product, scale_norm, scale_operator_norm
 
 DEFAULT_LAMBDAS = (10.0, 20.0, 50.0, 100.0)
 LAPLACE_TOL = 1e-8          # tail bound of the Laplace quadrature
@@ -79,7 +79,7 @@ def estimate_type(apply, chain: ScaleChain, n, t_grid, block):
 
 def resolvent_matrix(X: np.ndarray, lam) -> np.ndarray:
     """(lam I - X)^{-1} for a skew-Hermitian tridiagonal X, given as its (3, N)
-    rows (``scale`` row form), by elimination without pivoting.
+    diagonals (``scale`` band form), by elimination without pivoting.
 
     The pivots are d_0 = lam - X[0, 0], d_k = lam - X[k, k] + |X[k, k-1]|^2 / d_{k-1}.
     X's diagonal is imaginary and Re(1/d) has the sign of Re d, so every
@@ -102,9 +102,9 @@ def resolvent_matrix(X: np.ndarray, lam) -> np.ndarray:
         )
     if given.ndim > 1 or np.ndim(X) != 2 or len(X) != 3:
         raise UsageError("X must be the (3, N) rows of a tridiagonal, and lam a scalar or 1-D")
-    sub, sup = -X[0, 1:], -X[2, :-1]  # the off-diagonals of lam I - X
-    if np.any(X[1].real) or not np.array_equal(sup, -sub.conj()):
+    if not np.array_equal(banded_adjoint(X), -X):
         raise UsageError("X must be skew-Hermitian")
+    sub, sup = -X[0, 1:], -X[2, :-1]  # the off-diagonals of lam I - X
     diag = stack[:, None] - X[1][:, None, None]
     N, L = len(diag), len(stack)
     pivots, recips = diag.copy(), np.empty_like(diag)
@@ -335,11 +335,6 @@ def yosida_reconstruct(
     return YosidaResult(tuple(trace), tuple(used))
 
 
-@dataclass(frozen=True)
-class EquicontinuityReport:
-    rows: tuple           # (p, worst_ratio, bound)
-
-
 def equicontinuity_bound_check(
     apply_resolvent,
     chain: ScaleChain,
@@ -347,12 +342,12 @@ def equicontinuity_bound_check(
     p_max: int,
     lam: complex,
     block,
-) -> EquicontinuityReport:
+) -> tuple:
     """Vector-level bound ||R^p phi||_n <= (|lam| - n)^{-p} ||phi||_n.
 
     Valid for |Re lambda| > n; checked for p = 1..p_max on every sample
-    phi, a column of the (N, k) ``block``, reporting the worst ratio per
-    power (NaN if any ratio is NaN).
+    phi, a column of the (N, k) ``block``.  Returns one row (p, worst
+    ratio, bound) per power, the worst ratio NaN if any ratio is NaN.
     """
     lam = complex(lam)
     if abs(lam.real) <= n:
@@ -370,10 +365,9 @@ def equicontinuity_bound_check(
         w = apply_resolvent(lam, w)
         ratio = scale_norm(chain, w, n) / (base * (abs(lam) - n) ** (-p))
         worst[p - 1] = np.max(ratio, initial=0.0)
-    rows = tuple(
+    return tuple(
         (p, float(worst[p - 1]), (abs(lam) - n) ** (-p)) for p in range(1, p_max + 1)
     )
-    return EquicontinuityReport(rows)
 
 
 def e118_constants(lam: complex, n: int) -> list:

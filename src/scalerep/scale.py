@@ -19,18 +19,21 @@ every level in that structure alone:
   generators has one nonzero entry per block):
   w_{n+1}(k) = w_n(k) + sum_i sum_j |X_i[j, k]|^2 w_n(j),
   with the coupling sum_i |X_i|^2 taken from the family in its own
-  structure (tridiagonal rows, or a stack of diagonal blocks);
-* ``BandedGram`` holds the 4n + 1 diagonals of G_n, whose bandwidth is 2n
+  structure (the band of a tridiagonal, or a stack of diagonal blocks);
+* ``BandedGram`` holds the 4n + 1 diagonals of G_n, whose half-width is 2n
   as every generator is tridiagonal, for families that declare no more
   (orthogonal recombinations, test families): a step costs O(N n).
 
 A scale norm then costs O(N n) at most, and the norms of a block are one
 stacked product over its rows.
 
-Row form
---------
-A tridiagonal X is held as the read-only (3, N) rows X[i, i-1], X[i, i],
-X[i, i+1], zero past the edges (Golub & Van Loan, 4th ed., 1.2).
+Band form
+---------
+Generators, couplings, their products and Gram forms are all bands, each
+held by its diagonals: half-width b as the (2b + 1, N) array A[b + d, i] =
+A[i, i + d], zero past the edges (Golub & Van Loan, 4th ed., 1.2.5), so a
+tridiagonal X is (3, N).  ``banded_apply``, ``banded_adjoint`` and
+``banded_product`` serve every width.
 
 Guard bands
 -----------
@@ -64,12 +67,21 @@ def read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def tridiagonal_apply(X, v) -> np.ndarray:
-    """X v for the (3, N) rows of a tridiagonal X, on a vector or an (N, K) block."""
-    X = X.reshape(X.shape + (1,) * (np.ndim(v) - 1))
-    out = X[1] * v
-    out[1:] += X[0, 1:] * v[:-1]
-    out[:-1] += X[2, :-1] * v[1:]
+def _pad_columns(A, w) -> np.ndarray:
+    """A between w zero columns on either side: out[:, w + j] = A[:, j]."""
+    out = np.zeros((len(A), A.shape[1] + 2 * w), dtype=A.dtype)
+    out[:, w : w + A.shape[1]] = A
+    return out
+
+
+def banded_apply(A, v) -> np.ndarray:
+    """A v for the diagonals of a band A, on a vector or an (N, K) block."""
+    b = len(A) // 2
+    A = A.reshape(A.shape + (1,) * (np.ndim(v) - 1))
+    out = A[b] * v
+    for d in range(1, b + 1):
+        out[d:] += A[b - d, d:] * v[:-d]
+        out[:-d] += A[b + d, :-d] * v[d:]
     return out
 
 
@@ -81,18 +93,21 @@ def real_product(A, v) -> np.ndarray:
     return out.view(complex).reshape((len(A),) + v.shape[1:])
 
 
-def tridiagonal_adjoint(X) -> np.ndarray:
-    """Rows of X^*: X^*[i, i - 1] = conj(X[i - 1, i]) and X^*[i, i + 1] = conj(X[i + 1, i])."""
-    return np.stack([np.pad(X[2, :-1], (1, 0)), X[1], np.pad(X[0, 1:], (0, 1))]).conj()
+def banded_adjoint(A) -> np.ndarray:
+    """Diagonals of A^*: out[b + d, i] = conj(A[i + d, i]), which is conj(A[b - d, i + d])."""
+    b = len(A) // 2
+    diagonals = np.arange(2 * b + 1)[:, None]
+    return _pad_columns(A, b)[::-1][diagonals, diagonals + np.arange(A.shape[1])].conj()
 
 
-def tridiagonal_product(A, B) -> np.ndarray:
-    """Five diagonals of A B: out[d + 2, i] = sum_{a + b = d} A[i, i + a] B[i + a, i + d]."""
-    N, B = A.shape[1], np.pad(B, ((0, 0), (1, 1)))  # B[:, k] is now B[:, k + 1]
-    out = np.zeros((5, N), dtype=np.result_type(A, B))
-    for a in (-1, 0, 1):
-        for b in (-1, 0, 1):
-            out[a + b + 2] += A[a + 1] * B[b + 1, 1 + a : N + 1 + a]
+def banded_product(A, B) -> np.ndarray:
+    """Diagonals of A B, whose half-width is A's a plus B's c: out[a + c + d, i] is
+    sum_{e + f = d} A[i, i + e] B[i + e, i + d], its terms added in order of e."""
+    a, c, N = len(A) // 2, len(B) // 2, A.shape[1]
+    B = _pad_columns(B, a)
+    out = np.zeros((2 * (a + c) + 1, N), dtype=np.result_type(A, B))
+    for k in range(2 * a + 1):  # diagonal k - a of A meets all of B's at once
+        out[k : k + 2 * c + 1] += A[k] * B[:, k : k + N]
     return out
 
 
@@ -108,47 +123,34 @@ def support_bound(phi):
 
 @dataclass(frozen=True)
 class BandedGram:
-    """A Gram form held as ``bands[i, b + d]`` = G[i, i + d], |d| <= b = 2n, zero past the edges."""
+    """A Gram form held by its diagonals, ``bands[b + d, i]`` = G[i, i + d] with b = 2n."""
 
     bands: np.ndarray
 
     @staticmethod
     def identity(family) -> "BandedGram":
-        return BandedGram(np.ones((family.dim, 1), dtype=complex))
+        return BandedGram(np.ones((1, family.dim), dtype=complex))
 
     @property
     def width(self) -> int:
-        return self.bands.shape[1] // 2
+        return len(self.bands) // 2
 
     def step(self, family) -> "BandedGram":
-        # X^* G X as H = G X, then X^* H, for every generator at once, with
-        # col[u, j] = X[j + u - 1, j]: H[i, i + e] = sum_u G[i, i + e + u - 1]
-        # col[u, i + e], X^* H[i, i + d] = sum_u conj(col[u, i]) H[i + u - 1, i + d]
-        N, W = self.bands.shape
-        b = W // 2 + 2  # the new half-bandwidth
-        G = np.zeros((N, W + 6), dtype=complex)
-        G[:, 3:-3] = self.bands
-        col = np.zeros((family.d, 3, N + 2 * b), dtype=complex)
-        for u in range(3):  # col[u, j] = X[j + u - 1, j]: row 2 - u shifted, zero past the edges
-            col[:, u, b + 1 - u : b + N + 1 - u] = np.array(family.gens)[:, 2 - u]
-        tricks = np.lib.stride_tricks
-        H = np.zeros((family.d, N + 2, W + 6), dtype=complex)
-        terms = tricks.sliding_window_view(G, W + 4, 1).swapaxes(0, 1)
-        np.sum(terms * tricks.sliding_window_view(col, W + 4, 2), 1, out=H[:, 1:-1, 1:-1])
-        s0, s1, s2 = H.strides  # shifted[g, u, i, k] = H[g, u + i, 2 - u + k]
-        shifted = tricks.as_strided(H[:, 0, 2:], (family.d, 3, N, W + 4), (s0, s1 - s2, s1, s2))
-        return BandedGram(G[:, 1:-1] + (col[:, :, b : b + N, None].conj() * shifted).sum((0, 1)))
+        # G + sum_i X_i^* (G X_i): the half-width grows from 2n to 2n + 2
+        G = self.bands
+        out = sum(banded_product(banded_adjoint(X), banded_product(G, X)) for X in family.gens)
+        out[2:-2] += G
+        return BandedGram(out)
 
     def quadratic(self, rows) -> np.ndarray:
         """phi^* G phi for each of the (K, N) rows, as ``DiagonalGram.quadratic`` with G phi."""
-        padded = np.pad(rows, ((0, 0), (self.width, self.width)))  # [k, i + b + d] = phi_k[i + d]
-        image = self.bands * np.lib.stride_tricks.sliding_window_view(padded, len(self.bands.T), 1)
-        return (rows.conj()[:, None, :] @ image.sum(-1)[:, :, None]).real[:, 0, 0]
+        image = np.ascontiguousarray(banded_apply(self.bands, rows.T).T)
+        return (rows.conj()[:, None, :] @ image[:, :, None]).real[:, 0, 0]
 
     def dense(self) -> np.ndarray:
-        rows, offsets = np.nonzero(self.bands)
-        G = np.zeros((len(self.bands),) * 2, dtype=complex)
-        G[rows, rows + offsets - self.width] = self.bands[rows, offsets]
+        offsets, rows = np.nonzero(self.bands)
+        G = np.zeros((self.bands.shape[1],) * 2, dtype=complex)
+        G[rows, rows + offsets - self.width] = self.bands[offsets, rows]
         return G
 
     def increment_floor(self, prev: "BandedGram") -> float:
@@ -159,7 +161,8 @@ class BandedGram:
         return float(np.max(np.abs(G - G.conj().T)))
 
     def identity_residual(self) -> float:
-        return float(np.max(np.abs(self.bands - (np.arange(self.bands.shape[1]) == self.width))))
+        identity = (np.arange(len(self.bands)) == self.width)[:, None]
+        return float(np.max(np.abs(self.bands - identity)))
 
 
 @dataclass(frozen=True)
@@ -175,11 +178,11 @@ class DiagonalGram:
     def step(self, family) -> "DiagonalGram":
         # diag(X^* diag(w) X)[k] = sum_j |X[j, k]|^2 w(j); the family
         # declares that the off-diagonal terms cancel over its generators.
-        # Its coupling is the (3, N) rows of a tridiagonal or an (M, b, b)
+        # Its coupling is the (3, N) band of a tridiagonal or an (M, b, b)
         # stack of diagonal blocks, each block acting on its own b weights.
         C = family.coupling
         if C.ndim == 2:
-            return DiagonalGram(self.weights + tridiagonal_apply(tridiagonal_adjoint(C), self.weights))
+            return DiagonalGram(self.weights + banded_apply(banded_adjoint(C), self.weights))
         w = self.weights.reshape(C.shape[:-1])[..., None]
         return DiagonalGram(self.weights + (np.swapaxes(C, -1, -2) @ w).reshape(-1))
 
@@ -231,14 +234,14 @@ class _GuardBand:
 
 @dataclass(frozen=True)
 class GeneratorFamily(_GuardBand):
-    """Ordered truncated tridiagonal generators, as (3, N) rows of one size N.
+    """Ordered truncated tridiagonal generators, as (3, N) bands of one size N.
 
     Everything else is read from them: ``dim`` N, ``d`` generators, the
     ``interior_bound`` N - 1 and ``band_growth`` 1 of a tridiagonal
     truncation.  ``gram_form`` is the structure the family's Gram forms
     keep: ``BandedGram``, or ``DiagonalGram`` for a family that declares the
-    (3, N) rows of its ``coupling`` sum_i |X_i|^2, entrywise, which
-    ``DiagonalGram.step`` reads.  Rows of another shape or past an edge are
+    (3, N) band of its ``coupling`` sum_i |X_i|^2, entrywise, which
+    ``DiagonalGram.step`` reads.  Bands of another shape or past an edge are
     refused; read-only copies kept.
     """
 
@@ -371,7 +374,7 @@ def monotonicity_check(chain: ScaleChain, phi, n: int) -> MonotonicityResult:
     phi = np.asarray(phi, dtype=complex)
     lo = scale_norm(chain, phi, n)
     hi = scale_norm(chain, phi, n + 1)
-    gen_norms = tuple(scale_norm(chain, tridiagonal_apply(X, phi), n) for X in chain.family.gens)
+    gen_norms = tuple(scale_norm(chain, banded_apply(X, phi), n) for X in chain.family.gens)
     return MonotonicityResult(lo, hi, gen_norms)
 
 

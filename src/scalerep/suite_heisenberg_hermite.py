@@ -29,18 +29,18 @@ def _hh_generator_entries(cfg, ctx, rec):
     rec.check("x-matrix-entry", abs(overlap - 1.0 / sqrt(2.0)), cfg.tolerance("norm_oracle"))
     # the generators' (3, N) rows: X[1, 0] is x2[0, 1]; with real entries, X^* is X^T
     rec.check("x2-entry", abs(fam.x2[0, 1] - (-1j) * overlap), cfg.tolerance("norm_oracle"))
-    antisymmetry = fam.x1 + scale.tridiagonal_adjoint(fam.x1)
+    antisymmetry = fam.x1 + scale.banded_adjoint(fam.x1)
     rec.check("x1-real-antisymmetric", np.max(np.abs(antisymmetry)), tol)
     rec.check("x1-imag-part", np.max(np.abs(fam.x1.imag)), tol)
     sym = (1j * fam.x2)
-    rec.check("x2-i-times-symmetric", np.max(np.abs(sym - scale.tridiagonal_adjoint(sym))), tol)
+    rec.check("x2-i-times-symmetric", np.max(np.abs(sym - scale.banded_adjoint(sym))), tol)
     rec.check("x2-real-part", np.max(np.abs(fam.x2.real)), tol)
 
 
 def _hh_commutator(cfg, ctx, rec):
     fam = ctx.hermite
     # the five diagonals of X1 X2 - X2 X1 - X3: defect[d + 2, i] is entry (i, i + d)
-    defect = scale.tridiagonal_product(fam.x1, fam.x2) - scale.tridiagonal_product(fam.x2, fam.x1)
+    defect = scale.banded_product(fam.x1, fam.x2) - scale.banded_product(fam.x2, fam.x1)
     defect[2] -= liecore.x3_sign_factor(cfg.x3_sign)
     j = np.arange(ctx.N) + np.arange(-2, 3)[:, None]  # the column of each entry; j[2] its row
     interior = (j[2] < ctx.N - 2) & (0 <= j) & (j < ctx.N - 2)

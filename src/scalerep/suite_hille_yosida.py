@@ -184,10 +184,10 @@ def _hy_equicontinuity(cfg, ctx, rec):
     for n in range(0, min(cfg.n_max, 3) + 1):
         lam = n + 2.0
         phis = sampling.interior_vector(rec.rng, ctx.N, ctx.action_modes(max(n, 1)), 100)
-        report = hilleyosida.equicontinuity_bound_check(apply_resolvent, ctx.chain, n, 5, lam, phis)
+        rows = hilleyosida.equicontinuity_bound_check(apply_resolvent, ctx.chain, n, 5, lam, phis)
         rec.check(
             f"level{n}",
-            np.max([r[1] for r in report.rows]),
+            np.max([r[1] for r in rows]),
             1.0 + slack,
             lam=lam,
             p_max=5,

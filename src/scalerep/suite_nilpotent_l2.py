@@ -52,7 +52,7 @@ def _nl_norm_collapse(cfg, ctx, rec):
         blockrep.collapse_identity_residual(fam, chain),
         cfg.tolerance("block_exact") * fam.M**4,
     )
-    lo, hi = blockrep.norm_ratio_bounds()
+    lo, hi = blockrep.NORM_RATIO_BOUNDS
     report = blockrep.norm_equivalence_report(
         chain, (sampling.interior_vector(rec.rng, fam.dim, fam.dim, 25) for _ in range(40))
     )

@@ -112,7 +112,7 @@ def _sc_basis_invariance(cfg, ctx, rec):
     def entry_gap(banded, diagonal):
         # largest entry of G_alt - diag(w), relative to the Gram entry scale
         diff = banded.bands.copy()
-        diff[:, banded.width] -= diagonal.weights
+        diff[banded.width] -= diagonal.weights
         return float(np.max(np.abs(diff))) / max(1.0, diagonal.max_entry())
 
     def gap():
@@ -136,18 +136,24 @@ def _sc_basis_invariance(cfg, ctx, rec):
 def _sc_norm_properties(cfg, ctx, rec):
     rng = rec.rng
 
-    def defects():
+    def draw():  # n, phi, psi and c of one sample, in stream order
         n = int(rng.integers(0, min(cfg.n_max, 3) + 1))
         phi = sampling.interior_vector(rng, ctx.N, ctx.N // 2)
         psi = sampling.interior_vector(rng, ctx.N, ctx.N // 2)
-        c = complex(rng.standard_normal(), rng.standard_normal())
-        norm = lambda v: scale.scale_norm(ctx.chain, v, n)
-        return abs(norm(c * phi) - abs(c) * norm(phi)), norm(phi + psi) - norm(phi) - norm(psi)
+        return n, phi, psi, complex(rng.standard_normal(), rng.standard_normal())
 
-    rows = [defects() for _ in range(100)]
+    levels, phis, psis, cs = map(np.array, zip(*(draw() for _ in range(100))))
+    sizes = np.array([abs(complex(c)) for c in cs])  # Python's |c|; np.abs can differ by an ulp
+    homogeneity, triangle = np.empty(len(cs)), np.empty(len(cs))
+    for n in np.unique(levels):  # the samples of one level as one block
+        at, norm = levels == n, partial(scale.scale_norm, ctx.chain, n=n)
+        phi, psi = phis[at].T, psis[at].T
+        base = norm(phi)
+        homogeneity[at] = np.abs(norm(cs[at] * phi) - sizes[at] * base)
+        triangle[at] = norm(phi + psi) - base - norm(psi)
     bound = cfg.tolerance("algebraic") * ctx.chain.gram(min(cfg.n_max, 3)).max_entry()
-    rec.worst("homogeneity", (h for h, _ in rows), bound)
-    rec.worst("triangle", (t for _, t in rows), bound)
+    rec.worst("homogeneity", homogeneity, bound)
+    rec.worst("triangle", triangle, bound)
 
 
 def _sc_chain_validity(cfg, ctx, rec):

@@ -42,16 +42,18 @@ def h0(n=N):
 
 def dense(X):
     """The dense matrix of a generator held in its own structure: the N x N
-    matrix of (3, N) tridiagonal rows, or the block-diagonal 3M x 3M matrix of
-    an (M, 3, 3) stack.  Every dense oracle of the tests reads its generators here."""
+    matrix of the (2b + 1, N) diagonals of a band, X[b + d, i] = entry (i, i + d),
+    or the block-diagonal 3M x 3M matrix of an (M, 3, 3) stack.  Every dense
+    oracle of the tests reads its generators here."""
     X = np.asarray(X)
     if X.ndim == 3:
         M, n = len(X), np.arange(len(X))
         out = np.zeros((M, 3, M, 3), dtype=X.dtype)
         out[n, :, n, :] = X
         return out.reshape(3 * M, 3 * M)
-    N = X.shape[1]
-    return sum(np.diag(X[u, max(0, 1 - u) : N - max(0, u - 1)], u - 1) for u in range(3))
+    b, N = len(X) // 2, X.shape[1]
+    diagonals = range(max(-b, 1 - N), min(b, N - 1) + 1)  # a band may be wider than N
+    return sum(np.diag(X[b + d, max(0, -d) : N - max(0, d)], d) for d in diagonals)
 
 
 def dense_gens(fam):

@@ -261,9 +261,9 @@ def test_criterion_07_equicontinuity_ladder(fam, chain, x2_subgroup):
         lam = n + 2.0
         modes = min(N // 4, chain.family.interior_modes(max(n, 1)))
         phis = np.array([interior_vector(rng, N, modes) for _ in range(100)]).T
-        report = hilleyosida.equicontinuity_bound_check(apply_resolvent, chain, n, 5, lam, phis)
-        worst = max(worst, max(r[1] for r in report.rows))
-        assert max(r[1] for r in report.rows) <= 1 + 1e-8
+        rows = hilleyosida.equicontinuity_bound_check(apply_resolvent, chain, n, 5, lam, phis)
+        worst = max(worst, max(r[1] for r in rows))
+        assert max(r[1] for r in rows) <= 1 + 1e-8
     phis = np.array([interior_vector(rng, N, N // 4) for _ in range(20)]).T
     grid = (1.0, 100.0, 1e4, 1e6, 1e7)
     estimates = [
@@ -306,7 +306,7 @@ def test_criterion_08_nilpotent_example(blocks):
     exp_rows = blockrep.nonextendability_evidence((10, 50, 100), 1.0)
     exp_ok = all(measured >= m for m, measured, _ in exp_rows)
     chain = build_scale_chain(blocks, 2)
-    lo, hi = blockrep.norm_ratio_bounds()
+    lo, hi = blockrep.NORM_RATIO_BOUNDS
     rlo, rhi = np.inf, 0.0
     for _ in range(1000):
         phi = interior_vector(rng, blocks.dim, blocks.dim)

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from scalerep import blockrep, suites
 from scalerep.blockrep import (
     CHIS,
+    NORM_RATIO_BOUNDS,
     _operator_norm,
     block_generators,
     collapse_identity_residual,
@@ -17,7 +18,6 @@ from scalerep.blockrep import (
     nilpotent_resolvent,
     nonextendability_evidence,
     norm_equivalence_report,
-    norm_ratio_bounds,
     rep_apply,
     rep_homomorphism_residual,
     rep_operator,
@@ -83,7 +83,7 @@ def test_rep_frozen_pair(blocks):
 
 def test_norm_chain_collapse(blocks, block_chain):
     assert collapse_identity_residual(blocks, block_chain) == 0.0
-    lo, hi = norm_ratio_bounds()
+    lo, hi = NORM_RATIO_BOUNDS
     rng = np.random.default_rng(3)
     for _ in range(200):
         phi = rng.standard_normal(blocks.dim) + 1j * rng.standard_normal(blocks.dim)

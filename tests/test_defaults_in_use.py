@@ -10,7 +10,7 @@ evaluator held in a variable, passes a keyword of that name.  A caller that
 forwards its own ``**`` parameter sets only the keywords some call passes
 to that caller.
 
-Two more guards read the same sources.  A parameter of a public function or
+Three more guards read the same sources.  A parameter of a public function or
 method that its body never reads is an input with no effect; a leading
 underscore declares a parameter unused on purpose (``cli``'s subcommand
 handlers take the parsed arguments whether they read them or not).  A
@@ -18,7 +18,10 @@ dataclass field declared in ``src/scalerep`` that no attribute read in
 ``src/`` or ``bench/`` names (``getattr`` with a constant name included) is
 a result nothing consumes.  Fields are matched by attribute name alone, so a
 field passes when any object's attribute of that name is read: the reads of
-``TypeEstimate.n`` would also cover an unread ``n`` of another result.
+``TypeEstimate.n`` would also cover an unread ``n`` of another result.  No
+module names numpy's strided views (``stride_tricks``, ``as_strided``,
+``sliding_window_view``), whose wrong stride reads past a buffer without
+error: every band is held by its diagonals (``scale.banded_apply``).
 """
 
 import ast
@@ -27,6 +30,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "scalerep"
+
+STRIDED_VIEWS = {"stride_tricks", "as_strided", "sliding_window_view"}
 
 # (module, function, parameter) -> why it stays an option
 ALLOWED = {
@@ -210,3 +215,23 @@ def test_every_dataclass_field_is_read_by_some_code():
     # an allowlist entry names a field that still exists and is still unread
     assert ALLOWED_FIELDS.keys() <= declared
     assert ALLOWED_FIELDS.keys() <= unread
+
+
+def _names(tree):
+    """Every name, attribute, imported name and string constant of a module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield from node.name.split(".")
+        elif isinstance(node, ast.ImportFrom):
+            yield from (node.module or "").split(".")
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value
+
+
+def test_no_module_uses_strided_views():
+    found = {(module, name) for module, tree in _trees(SRC).items() for name in _names(tree)}
+    assert sorted(f for f in found if f[1] in STRIDED_VIEWS) == []

@@ -258,12 +258,12 @@ def test_a_nan_sample_makes_the_worst_equicontinuity_ratio_nan(chain):
     def scaled(lam, v):
         return v / lam
 
-    report = equicontinuity_bound_check(scaled, chain, 0, 2, 20.0, block)
-    assert [worst for _, worst, _ in report.rows] == pytest.approx([1.0, 1.0])
+    rows = equicontinuity_bound_check(scaled, chain, 0, 2, 20.0, block)
+    assert [worst for _, worst, _ in rows] == pytest.approx([1.0, 1.0])
     for columns in ([1], [0, 1, 2]):
         nan_resolvent = with_nan_columns(scaled, columns)
-        report = equicontinuity_bound_check(nan_resolvent, chain, 0, 2, 20.0, block)
-        assert all(np.isnan(worst) for _, worst, _ in report.rows)
+        rows = equicontinuity_bound_check(nan_resolvent, chain, 0, 2, 20.0, block)
+        assert all(np.isnan(worst) for _, worst, _ in rows)
 
 
 def test_type_estimate_validation(chain):
@@ -349,10 +349,10 @@ def test_equicontinuity_bound_ladder(fam, chain, rng):
             phi = np.zeros(64, dtype=complex)
             phi[:modes] = rng.standard_normal(modes) + 1j * rng.standard_normal(modes)
             phis.append(phi / np.linalg.norm(phi))
-        report = equicontinuity_bound_check(apply_resolvent, chain, n, 5, lam, np.array(phis).T)
-        assert max(worst for _, worst, _ in report.rows) <= 1 + 1e-8
+        rows = equicontinuity_bound_check(apply_resolvent, chain, n, 5, lam, np.array(phis).T)
+        assert max(worst for _, worst, _ in rows) <= 1 + 1e-8
         # bound at lam = n + 2 is 2^{-p}
-        for p, _, bound in report.rows:
+        for p, _, bound in rows:
             assert bound == pytest.approx(2.0**-p)
     with pytest.raises(UsageError):
         equicontinuity_bound_check(apply_resolvent, chain, 2, 3, 1.0, h0()[:, None])

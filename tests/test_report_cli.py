@@ -932,6 +932,21 @@ def _per_sample_sc03(cfg, ctx, rec):
     rec.worst("random-vectors", samples, cfg.tolerance("algebraic"))
 
 
+def _per_sample_sc07(cfg, ctx, rec):
+    def defects():
+        n = int(rec.rng.integers(0, min(cfg.n_max, 3) + 1))
+        phi = interior_vector(rec.rng, ctx.N, ctx.N // 2)
+        psi = interior_vector(rec.rng, ctx.N, ctx.N // 2)
+        c = complex(rec.rng.standard_normal(), rec.rng.standard_normal())
+        norm = lambda v: scale_norm(ctx.chain, v, n)
+        return abs(norm(c * phi) - abs(c) * norm(phi)), norm(phi + psi) - norm(phi) - norm(psi)
+
+    rows = [defects() for _ in range(100)]
+    bound = cfg.tolerance("algebraic") * ctx.chain.gram(min(cfg.n_max, 3)).max_entry()
+    rec.worst("homogeneity", (h for h, _ in rows), bound)
+    rec.worst("triangle", (t for _, t in rows), bound)
+
+
 @pytest.mark.parametrize("seed", (7, 42))
 @pytest.mark.parametrize(
     "suite, case_id, oracle",
@@ -939,6 +954,7 @@ def _per_sample_sc03(cfg, ctx, rec):
         ("lie-core", "lc-05-group-associativity", _per_sample_lc05),
         ("nilpotent-l2", "nl-04-rep-homomorphism", _per_sample_nl04),
         ("scale-core", "sc-03-monotonicity", _per_sample_sc03),
+        ("scale-core", "sc-07-norm-properties", _per_sample_sc07),
     ),
 )
 def test_block_evaluated_cases_record_what_the_per_sample_loops_do(suite, case_id, oracle, seed):
@@ -958,7 +974,7 @@ def _per_vector_nl03(cfg, ctx, rec):
         cfg.tolerance("block_exact") * fam.M**4,
     )
     # one draw and two scale norms per vector
-    lo_b, hi_b = blockrep.norm_ratio_bounds()
+    lo_b, hi_b = blockrep.NORM_RATIO_BOUNDS
     ratios = []
     for _ in range(1000):
         phi = interior_vector(rec.rng, fam.dim, fam.dim)

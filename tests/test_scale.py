@@ -13,15 +13,15 @@ from scalerep.scale import (
     BandedGram,
     DiagonalGram,
     GeneratorFamily,
+    banded_adjoint,
+    banded_apply,
+    banded_product,
     bound_check,
     build_scale_chain,
     monotonicity_check,
     recombined_family,
     scale_norm,
     scale_operator_norm,
-    tridiagonal_adjoint,
-    tridiagonal_apply,
-    tridiagonal_product,
 )
 from scalerep.suites import SuiteConfig
 
@@ -345,12 +345,12 @@ def test_banded_chain_matches_the_dense_recursion(N):
             chain = build_scale_chain(family, family.max_safe_depth())
             oracle = dense_chain(dense_gens(family), chain.n_max)
             for n, (form, G) in enumerate(zip(chain.grams, oracle)):
-                assert form.bands.shape == (N, 4 * n + 1)
+                assert form.bands.shape == (4 * n + 1, N)
                 dense = form.dense()
                 assert np.max(np.abs(dense - G)) <= 4 * eps * max(1.0, np.max(np.abs(G)))
                 outside = np.abs(np.subtract.outer(np.arange(N), np.arange(N))) > 2 * n
                 assert not dense[outside].any()
-                assert np.array_equal(form.bands[:, 2 * n].real, np.diag(dense).real)
+                assert np.array_equal(form.bands[2 * n].real, np.diag(dense).real)
 
 
 def test_rows_of_a_wrong_shape_or_past_an_edge_are_refused():
@@ -371,11 +371,18 @@ def test_rows_of_a_wrong_shape_or_past_an_edge_are_refused():
             GeneratorFamily((np.zeros((3, 6)), past))
 
 
-def random_rows(rng, N, complex_):
-    """Random tridiagonal rows, zero past the edges."""
-    X = rng.standard_normal((3, N)) + (1j * rng.standard_normal((3, N)) if complex_ else 0)
-    X[0, 0] = X[2, -1] = 0
-    return X
+def inside(N, b):
+    """Where the (2b + 1, N) diagonals of a band hold entries: (i, i + d) in range."""
+    column = np.arange(N) + np.arange(-b, b + 1)[:, None]
+    return (0 <= column) & (column < N)
+
+
+def random_band(rng, N, b, complex_):
+    """Random diagonals of half-width b, zero past the edges."""
+    A = rng.standard_normal((2 * b + 1, N))
+    if complex_:
+        A = A + 1j * rng.standard_normal((2 * b + 1, N))
+    return np.where(inside(N, b), A, 0)
 
 
 @pytest.mark.parametrize("N", (4, 13, 64))
@@ -383,26 +390,29 @@ def random_rows(rng, N, complex_):
 def test_the_row_kernels_are_the_dense_products(N, complex_):
     eps = np.finfo(float).eps
     rng = np.random.default_rng(N + complex_)
-    A, B = random_rows(rng, N, complex_), random_rows(rng, N, complex_)
-    DA, DB = dense(A), dense(B)
-    v = rng.standard_normal(N) + 1j * rng.standard_normal(N)
-    for x in (v, v.real, rng.standard_normal((N, 5)) + 1j * rng.standard_normal((N, 5))):
-        expect = DA @ x   # the edge rows 0 and N - 1 included
-        out = tridiagonal_apply(A, x)
-        assert out.shape == x.shape
-        assert np.max(np.abs(out - expect)) <= 4 * eps * np.max(np.abs(DA)) * np.max(np.abs(x))
-    adjoint = tridiagonal_adjoint(A)
-    assert np.array_equal(dense(adjoint), DA.conj().T)
-    assert adjoint[0, 0] == adjoint[2, -1] == 0
-    product, expect = tridiagonal_product(A, B), DA @ DB
-    assert product.shape == (5, N)
-    scale = 8 * eps * np.max(np.abs(DA)) * np.max(np.abs(DB))
     offsets = np.subtract.outer(np.arange(N), np.arange(N))
-    assert not expect[np.abs(offsets) > 2].any()
-    for d in range(-2, 3):
-        live = product[d + 2, max(0, -d) : N - max(0, d)]
-        assert np.max(np.abs(live - np.diagonal(expect, d))) <= scale
-        assert not np.delete(product[d + 2], np.arange(max(0, -d), N - max(0, d))).any()
+    for b in range(4):   # A's half-width
+        A = random_band(rng, N, b, complex_)
+        DA = dense(A)
+        v = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+        for x in (v, v.real, rng.standard_normal((N, 5)) + 1j * rng.standard_normal((N, 5))):
+            expect = DA @ x   # the edge rows included
+            out = banded_apply(A, x)
+            assert out.shape == x.shape
+            bound = (2 * b + 2) * eps * np.max(np.abs(DA)) * np.max(np.abs(x))
+            assert np.max(np.abs(out - expect)) <= bound
+        adjoint = banded_adjoint(A)
+        assert adjoint.shape == A.shape and np.array_equal(dense(adjoint), DA.conj().T)
+        assert not adjoint[~inside(N, b)].any()
+        for c in (0, 1, 3):   # B's half-width: unequal to A's but in one case
+            B = random_band(rng, N, c, complex_)
+            DB = dense(B)
+            product, expect = banded_product(A, B), DA @ DB
+            assert product.shape == (2 * (b + c) + 1, N)
+            assert not product[~inside(N, b + c)].any()
+            assert not expect[np.abs(offsets) > b + c].any()
+            scale = 2 * (2 * min(b, c) + 2) * eps * np.max(np.abs(DA)) * np.max(np.abs(DB))
+            assert np.max(np.abs(dense(product) - expect)) <= scale
 
 
 @pytest.mark.parametrize("M", (1, 5, 50))
