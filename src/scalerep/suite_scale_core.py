@@ -145,7 +145,7 @@ def _sc_norm_properties(cfg, ctx, rec):
     levels, phis, psis, cs = map(np.array, zip(*(draw() for _ in range(100))))
     sizes = np.array([abs(complex(c)) for c in cs])  # Python's |c|; np.abs can differ by an ulp
     homogeneity, triangle = np.empty(len(cs)), np.empty(len(cs))
-    for n in np.unique(levels):  # the samples of one level as one block
+    for n in set(levels.tolist()):  # the samples of one level as one block
         at, norm = levels == n, partial(scale.scale_norm, ctx.chain, n=n)
         phi, psi = phis[at].T, psis[at].T
         base = norm(phi)
