@@ -135,14 +135,13 @@ def _sc_basis_invariance(cfg, ctx, rec):
 
 def _sc_norm_properties(cfg, ctx, rec):
     rng = rec.rng
-
-    def draw():  # n, phi, psi and c of one sample, in stream order
-        n = int(rng.integers(0, min(cfg.n_max, 3) + 1))
-        phi = sampling.interior_vector(rng, ctx.N, ctx.N // 2)
-        psi = sampling.interior_vector(rng, ctx.N, ctx.N // 2)
-        return n, phi, psi, complex(rng.standard_normal(), rng.standard_normal())
-
-    levels, phis, psis, cs = map(np.array, zip(*(draw() for _ in range(100))))
+    levels, cs = np.empty(100, dtype=int), np.empty(100, dtype=complex)
+    phis, psis = np.empty((2, 100, ctx.N), dtype=complex)
+    for k in range(100):  # n, phi, psi and c of one sample, in stream order
+        levels[k] = rng.integers(0, min(cfg.n_max, 3) + 1)
+        phis[k] = sampling.interior_vector(rng, ctx.N, ctx.N // 2)
+        psis[k] = sampling.interior_vector(rng, ctx.N, ctx.N // 2)
+        cs[k] = complex(rng.standard_normal(), rng.standard_normal())
     sizes = np.array([abs(complex(c)) for c in cs])  # Python's |c|; np.abs can differ by an ulp
     homogeneity, triangle = np.empty(len(cs)), np.empty(len(cs))
     for n in set(levels.tolist()):  # the samples of one level as one block
