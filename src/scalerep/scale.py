@@ -94,7 +94,7 @@ def real_product(A, v) -> np.ndarray:
 
 
 def banded_adjoint(A) -> np.ndarray:
-    """Diagonals of A^*: out[b + d, i] = conj(A[i + d, i]), which is conj(A[b - d, i + d])."""
+    """Diagonals of A^*: out[b + d, i] = conj(A[i + d, i]), read from A's diagonal -d at i + d."""
     b = len(A) // 2
     diagonals = np.arange(2 * b + 1)[:, None]
     return _pad_columns(A, b)[::-1][diagonals, diagonals + np.arange(A.shape[1])].conj()
